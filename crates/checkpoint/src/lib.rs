@@ -623,8 +623,7 @@ impl CheckpointManager {
                     if record.otype() != otype {
                         return Err(format!("ORoot {id:?}: record type mismatch"));
                     }
-                    let mut edges = Vec::new();
-                    match record {
+                    Ok(match record {
                         BackupObject::Pmo { pages, npages, .. } => {
                             let mut err = None;
                             pages.for_each(|idx, e| {
@@ -653,28 +652,10 @@ impl CheckpointManager {
                             if let Some(e) = err {
                                 return Err(e);
                             }
+                            Vec::new()
                         }
-                        BackupObject::CapGroup { caps, .. } => {
-                            edges.extend(caps.iter().flatten().map(|c| c.oroot));
-                        }
-                        BackupObject::Thread { cap_group, vmspace, .. } => {
-                            edges.push(*cap_group);
-                            edges.push(*vmspace);
-                        }
-                        BackupObject::VmSpace { regions } => {
-                            edges.extend(regions.iter().map(|r| r.pmo));
-                        }
-                        BackupObject::IpcConnection { recv_waiter, queue, replies } => {
-                            edges.extend(queue.iter().map(|(t, _)| *t));
-                            edges.extend(replies.iter().map(|(t, _)| *t));
-                            edges.extend(*recv_waiter);
-                        }
-                        BackupObject::Notification { waiters, .. }
-                        | BackupObject::IrqNotification { waiters, .. } => {
-                            edges.extend(waiters.iter().copied());
-                        }
-                    }
-                    Ok(edges)
+                        other => tree::record_edges(other),
+                    })
                 });
             match verdict {
                 None => return Err(format!("ORoot {id:?}: backup record missing")),

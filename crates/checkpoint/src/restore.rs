@@ -182,7 +182,7 @@ pub fn restore(
             else {
                 continue;
             };
-            let Some(kids) = backups.with(vb.slot, record_children) else { continue };
+            let Some(kids) = backups.with(vb.slot, crate::tree::record_edges) else { continue };
             seen.insert(id, ());
             reachable.push(id);
             stack.extend(kids);
@@ -309,35 +309,6 @@ pub fn restore(
         recovery,
     };
     Ok((kernel, report))
-}
-
-/// ORoot references held by a backup record (backup-graph edges).
-fn record_children(record: &BackupObject) -> Vec<OrootId> {
-    match record {
-        BackupObject::CapGroup { caps, .. } => {
-            caps.iter().flatten().map(|c| c.oroot).collect()
-        }
-        BackupObject::Thread { state, cap_group, vmspace, .. } => {
-            let mut v = vec![*cap_group, *vmspace];
-            match state {
-                BkThreadState::BlockedNotification(o)
-                | BkThreadState::BlockedIpcRecv(o)
-                | BkThreadState::BlockedIpcReply(o) => v.push(*o),
-                _ => {}
-            }
-            v
-        }
-        BackupObject::VmSpace { regions } => regions.iter().map(|r| r.pmo).collect(),
-        BackupObject::Pmo { .. } => Vec::new(),
-        BackupObject::IpcConnection { recv_waiter, queue, replies } => {
-            let mut v: Vec<OrootId> = queue.iter().map(|(t, _)| *t).collect();
-            v.extend(replies.iter().map(|(t, _)| *t));
-            v.extend(*recv_waiter);
-            v
-        }
-        BackupObject::Notification { waiters, .. } => waiters.clone(),
-        BackupObject::IrqNotification { waiters, .. } => waiters.clone(),
-    }
 }
 
 fn placeholder_body(otype: ObjType) -> ObjectBody {

@@ -147,9 +147,9 @@ fn oroot_of(
 }
 
 /// The outgoing ORoot edge multiset of a backup record (the persistent
-/// mirror of [`children`]; must stay in lockstep with
-/// `restore::record_children`).
-fn record_edges(record: &BackupObject) -> Vec<OrootId> {
+/// mirror of [`children`]): the edges restore follows, `verify_checkpoint`
+/// checks and [`ORoot::inrefs`] counts.
+pub(crate) fn record_edges(record: &BackupObject) -> Vec<OrootId> {
     match record {
         BackupObject::CapGroup { caps, .. } => {
             caps.iter().flatten().map(|c| c.oroot).collect()
@@ -761,11 +761,18 @@ fn apply_deltas(
         }
         let applied = oroots.with_mut(id, |r| {
             let v = i64::from(r.inrefs) + d;
-            debug_assert!(v >= 0, "ORoot inref count underflow");
             r.inrefs = v.max(0) as u32;
+            v >= 0
         });
-        if applied.is_some() {
-            worklist.push(id);
+        match applied {
+            Some(true) => worklist.push(id),
+            // More references dropped than were ever counted: the count
+            // was wrong, so a zero proves nothing. Keep the object and let
+            // the next round's healing full walk recount everything.
+            Some(false) => {
+                kernel.force_full_next.store(true, std::sync::atomic::Ordering::Release)
+            }
+            None => {}
         }
     }
 
@@ -814,8 +821,8 @@ fn apply_deltas(
 /// The full reachability walk from the root cap group: the differential
 /// oracle for the dirty walk, the cycle collector, and (with `copy_all`)
 /// the self-healing pass that rewrites every reachable record. Rebuilds
-/// all reference counts from the runtime edge multisets and tombstones
-/// every unreachable ORoot.
+/// all reference counts from the visited records' edge multisets and
+/// tombstones every unreachable ORoot.
 fn full_walk(
     kernel: &Arc<Kernel>,
     inflight: u64,
@@ -857,7 +864,6 @@ fn full_walk(
         visited.push(oroot);
         for child in children(&obj) {
             if let Ok(c) = kernel.object(child) {
-                *counts.entry(ensure_oroot(oroots, &c)).or_default() += 1;
                 stack.push(c);
             }
         }
@@ -869,11 +875,24 @@ fn full_walk(
         } else {
             out.skipped += 1;
         }
+        // Count (and keep reachable) what the record this round keeps or
+        // just wrote references — never what the runtime body references.
+        // Mutators run during an epoch-concurrent walk: a thread read as
+        // runnable here and as blocked when its record is built would
+        // leave the notification one reference short, and the dirty walk's
+        // record-to-record diffs would later drain it to zero while a
+        // clean record still points at it.
+        for e in newest_edges(oroots, &kernel.pers.backups, oroot) {
+            *counts.entry(e).or_default() += 1;
+            let target = oroots.with(e, |r| r.runtime).flatten();
+            if let Some(c) = target.and_then(|id| kernel.object(id).ok()) {
+                stack.push(c);
+            }
+        }
     }
 
-    // Reference counts are rebuilt from scratch: runtime edges equal
-    // newest-record edges for every visited object (clean records mirror
-    // the runtime; dirty ones were just rewritten).
+    // Reference counts are rebuilt from scratch, from the same edges the
+    // dirty walk diffs against.
     treesls_nvm::crash_site!(kernel.pers.dev.crash_schedule(), "tree.pre_epoch_apply");
     for id in visited {
         let n = counts.get(&id).copied().unwrap_or(0);
@@ -886,6 +905,7 @@ fn full_walk(
     oroots.for_each_mut(|id, r| {
         if r.ckpt_round != inflight && r.deleted_at.is_none() {
             r.deleted_at = Some(inflight);
+            r.inrefs = 0; // nothing counted above references it
             newly_dead.push(id);
         }
     });
@@ -893,6 +913,33 @@ fn full_walk(
     kernel.pending_sweep.lock().extend(newly_dead.iter().copied());
     out.tombstoned_ids = newly_dead;
     Ok(out)
+}
+
+/// Recounts every live ORoot's incoming references from the newest records
+/// of the live ORoots and compares them with the stored [`ORoot::inrefs`]
+/// — the invariant both walks maintain and deletion detection rests on.
+/// Call between rounds (the counts move while a walk is applying its diff).
+pub fn check_inrefs(kernel: &Kernel) -> Result<(), String> {
+    let oroots = &kernel.pers.oroots;
+    let mut live: Vec<(OrootId, u32)> = Vec::new();
+    oroots.for_each(|id, r| {
+        if r.deleted_at.is_none() {
+            live.push((id, r.inrefs));
+        }
+    });
+    let mut recount: HashMap<OrootId, u32> = HashMap::new();
+    for &(id, _) in &live {
+        for e in newest_edges(oroots, &kernel.pers.backups, id) {
+            *recount.entry(e).or_default() += 1;
+        }
+    }
+    for (id, stored) in live {
+        let counted = recount.get(&id).copied().unwrap_or(0);
+        if stored != counted {
+            return Err(format!("ORoot {id:?}: inrefs {stored}, records reference it {counted}×"));
+        }
+    }
+    Ok(())
 }
 
 /// Sweeps ORoots whose deletion has committed: removes their backup

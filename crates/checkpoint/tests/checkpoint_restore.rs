@@ -243,13 +243,7 @@ fn thread_context_resumes_exactly_from_checkpoint() {
 #[test]
 fn blocked_thread_and_notification_state_survive() {
     let (kernel, mgr) = boot();
-    register_counter(&kernel.programs);
-    let (g, vs, _pmo) = process(&kernel, "p");
-    let notif = kernel.create_notification(g).unwrap();
-    let slot = find_cap_slot(&kernel, g, notif);
-    let tid = kernel.create_thread(g, vs, "counter", ThreadContext::new()).unwrap();
-    // Block the thread on the notification.
-    assert!(!kernel.notif_wait(tid, g, slot).unwrap());
+    blocked_thread(&kernel);
     mgr.checkpoint().unwrap();
 
     let image = crash(kernel);
@@ -272,6 +266,84 @@ fn blocked_thread_and_notification_state_survive() {
     };
     k2.signal_object(notif2).unwrap();
     assert!(k2.sched.next().is_some(), "woken thread enqueued after restore");
+}
+
+/// Process "p" with a "counter" thread blocked on a fresh notification;
+/// returns (notification, thread).
+fn blocked_thread(kernel: &Arc<Kernel>) -> (ObjId, ObjId) {
+    register_counter(&kernel.programs);
+    let (g, vs, _pmo) = process(kernel, "p");
+    let notif = kernel.create_notification(g).unwrap();
+    let slot = find_cap_slot(kernel, g, notif);
+    let tid = kernel.create_thread(g, vs, "counter", ThreadContext::new()).unwrap();
+    assert!(!kernel.notif_wait(tid, g, slot).unwrap());
+    (notif, tid)
+}
+
+/// The interleaving an epoch-concurrent periodic full walk can meet: a
+/// thread is read as runnable while the (clean, kept) record says it is
+/// blocked on a notification. Counting references from the runtime body
+/// left the notification one short; the thread's later unblock then
+/// drained it to zero, it was tombstoned and swept, and the cap group's
+/// untouched record dangled (`recover: DeadObject`).
+#[test]
+fn full_walk_counts_kept_records_not_racing_runtime_state() {
+    use std::sync::atomic::Ordering;
+    use treesls_checkpoint::tree::check_inrefs;
+
+    let (kernel, mgr) = boot();
+    let (notif, tid) = blocked_thread(&kernel);
+    mgr.checkpoint().unwrap();
+    check_inrefs(&kernel).unwrap();
+
+    let set_state = |state: ThreadState| {
+        let thread = kernel.object(tid).unwrap();
+        let mut body = thread.body.write();
+        let ObjectBody::Thread(t) = &mut *body else { unreachable!() };
+        std::mem::replace(&mut t.state, state)
+    };
+    let blocked = set_state(ThreadState::Runnable);
+    // Next round is the periodic (non-healing) full walk.
+    kernel.rounds_since_full.store(kernel.config.full_walk_interval - 1, Ordering::Relaxed);
+    mgr.checkpoint().unwrap();
+    set_state(blocked);
+    check_inrefs(&kernel).unwrap();
+
+    // The thread really unblocks: the dirty walk diffs its new record
+    // against the kept one and drops the edge to the notification.
+    kernel.signal_object(notif).unwrap();
+    mgr.checkpoint().unwrap();
+    mgr.checkpoint().unwrap();
+    check_inrefs(&kernel).unwrap();
+    mgr.verify_checkpoint().unwrap();
+    let image = crash(kernel);
+    restore(image, config(), register_counter).expect("cap group still resolves its notification");
+}
+
+/// A diff that drops more references than were ever counted means the
+/// count was wrong: the object is kept and the next round recounts.
+#[test]
+fn inref_underflow_forces_a_recount_instead_of_a_tombstone() {
+    use std::sync::atomic::Ordering;
+    use treesls_checkpoint::tree::check_inrefs;
+
+    let (kernel, mgr) = boot();
+    let (notif, _tid) = blocked_thread(&kernel);
+    mgr.checkpoint().unwrap();
+
+    let oroot = kernel.object(notif).unwrap().oroot().expect("checkpointed");
+    kernel.pers.oroots.with_mut(oroot, |r| r.inrefs = 0).expect("live oroot");
+    assert!(check_inrefs(&kernel).is_err(), "the checker sees the planted miscount");
+
+    kernel.signal_object(notif).unwrap(); // the thread's record drops its edge
+    mgr.checkpoint().unwrap();
+    assert!(kernel.force_full_next.load(Ordering::Acquire), "miscount schedules a healing walk");
+    assert_eq!(kernel.pers.oroots.with(oroot, |r| r.deleted_at), Some(None), "not tombstoned");
+
+    mgr.checkpoint().unwrap();
+    check_inrefs(&kernel).unwrap();
+    mgr.verify_checkpoint().unwrap();
+    restore(crash(kernel), config(), register_counter).expect("nothing dangles");
 }
 
 fn find_group(kernel: &Arc<Kernel>, name: &str) -> ObjId {

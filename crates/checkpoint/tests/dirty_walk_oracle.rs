@@ -146,6 +146,7 @@ fn run_modes(seed: u64, force_full: bool, full_quiesce: bool, epoch: bool) -> Ve
     }
     mgr.checkpoint().unwrap();
     mgr.verify_checkpoint().unwrap();
+    treesls_checkpoint::tree::check_inrefs(&kernel).unwrap();
 
     let image = crash(kernel);
     let (k2, _) =

@@ -559,19 +559,29 @@ impl VirtualNic {
             self.resync_credits(q);
             // Release consumed TX slots for reuse.
             if let Ok(reader) = ring::header(&self.io, &port.tx, hdr::READER) {
-                let _ = ring::set_header(&self.io, &port.tx, hdr::ACK, reader);
+                self.publish_ack(&port.tx, reader);
             }
             // Without external synchrony no durability is promised for
             // requests, so consumed RX slots are released eagerly (with
             // ext-sync the checkpoint callback does this conservatively).
             if !self.ext_sync() {
                 if let Ok(cursor) = self.io.mem_read_u64(port.rx_cursor_addr) {
-                    let _ = ring::set_header(&self.io, &port.rx, hdr::ACK, cursor);
+                    self.publish_ack(&port.rx, cursor);
                 }
             }
         }
         if any {
             self.cv.notify_all();
+        }
+    }
+
+    /// Publishes `value` as `ring`'s ACK header unless it already holds
+    /// it: a spin-polling host and an idle queue's checkpoint callback
+    /// would otherwise pay one persistent 8 B store per call to rewrite
+    /// the same number.
+    fn publish_ack(&self, ring: &RingLayout, value: u64) {
+        if ring::header(&self.io, ring, hdr::ACK).ok() != Some(value) {
+            let _ = ring::set_header(&self.io, ring, hdr::ACK, value);
         }
     }
 
@@ -810,7 +820,7 @@ impl CkptCallback for VirtualNic {
             // commit, so those request slots can never be needed again.
             if let Ok(cursor) = self.io.mem_read_u64(port.rx_cursor_addr) {
                 let prev = self.queues[q].prev_cursor_sample.swap(cursor, Ordering::SeqCst);
-                let _ = ring::set_header(&self.io, &port.rx, hdr::ACK, prev);
+                self.publish_ack(&port.rx, prev);
             }
             // Commit-time credit replenishment: everything the server
             // consumed during the interval stops holding admission

@@ -756,7 +756,12 @@ impl CrashScenario for TxnRingScenario {
 // and idle eviction.
 // ---------------------------------------------------------------------------
 
-/// Writes one `u64` per step, round-robin over `pages` heap pages.
+/// Writes two `u64`s per step — one in each half of a page, the second
+/// across a fresh line boundary every round — round-robin over `pages`
+/// heap pages, so a preserved image differs from its destination in two
+/// separate runs of cache lines, one of them two lines long, and the
+/// enumerations cut a changed-line page copy both *between* its stores
+/// and *inside* one.
 pub struct DirtyPages {
     pub pages: u64,
 }
@@ -766,12 +771,30 @@ impl Program for DirtyPages {
         let done = ctx.reg(2);
         let page = done % self.pages;
         let word = (done / self.pages) % 64;
-        if ctx.write_u64(page * 4096 + word * 8, 0xD00D_0000 + done).is_err() {
-            return StepOutcome::Exited;
+        for off in [word * 8, 2048 + 60 + (word % 31) * 64] {
+            if ctx.write_u64(page * 4096 + off, 0xD00D_0000 + done).is_err() {
+                return StepOutcome::Exited;
+            }
         }
         ctx.set_reg(2, done + 1);
         StepOutcome::Ready
     }
+}
+
+/// Whether a traced store is one run of a changed-line page copy: a
+/// line-aligned page store shorter than a page (applications store words,
+/// never whole lines, so nothing else traces like this).
+pub fn is_copy_run(w: &treesls_nvm::WriteRec) -> bool {
+    let line = treesls_nvm::CACHE_LINE;
+    w.kind == treesls_nvm::WriteKind::Page && (w.off | w.len) & (line - 1) == 0 && w.len < 4096
+}
+
+/// Whether a write trace holds a page copy stored as two or more runs
+/// (consecutive runs, the second strictly behind the first).
+pub fn has_multi_run_copy(trace: &[treesls_nvm::WriteRec]) -> bool {
+    trace
+        .windows(2)
+        .any(|w| is_copy_run(&w[0]) && is_copy_run(&w[1]) && w[1].off > w[0].off + w[0].len)
 }
 
 pub const HYBRID_PAGES: u64 = 3;
@@ -852,6 +875,16 @@ impl CrashScenario for HybridScenario {
         report: &RestoreReport,
     ) -> Result<(), String> {
         st.snapshots.verify(sys, st.vmspace, HYBRID_HEAP, report.version)?;
+        // A power failure alone — wherever it cuts a page copy — must never
+        // leave restore picking an image that fails its checksum.
+        let rec = &report.recovery;
+        if rec.pages_fell_back != 0 || !rec.quarantined.is_empty() {
+            return Err(format!(
+                "picked page image failed its CRC: {} fell back, {} quarantined",
+                rec.pages_fell_back,
+                rec.quarantined.len()
+            ));
+        }
         // The restored program must be able to keep running and commit.
         step(sys, st.writer, HYBRID_PAGES as usize);
         sys.checkpoint_now().map_err(|e| format!("post-restore checkpoint: {e:?}"))?;

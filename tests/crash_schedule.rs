@@ -34,7 +34,10 @@ fn hybrid_round_actually_migrates_and_evicts() {
     let scenario = HybridScenario;
     let mut sys = System::boot(scenario.config());
     let mut st = scenario.setup(&mut sys);
+    let sched = std::sync::Arc::clone(sys.kernel().pers.dev.crash_schedule());
+    sched.start_write_trace();
     scenario.workload(&mut sys, &mut st);
+    let trace = sched.take_write_trace();
     let rounds = sys.manager().hybrid_rounds.lock().clone();
     let migrated: u64 = rounds.iter().map(|r| r.migrated_in).sum();
     let copied: u64 = rounds.iter().map(|r| r.dirty_cached).sum();
@@ -42,6 +45,14 @@ fn hybrid_round_actually_migrates_and_evicts() {
     assert!(migrated > 0, "no page was migrated to DRAM");
     assert!(copied > 0, "no dirty page was stop-and-copied");
     assert!(evicted > 0, "no idle page was evicted");
+    // ... and that its page copies are stored in several runs, one of
+    // them longer than a line, so the write and tear enumerations land
+    // between the stores of one copy and inside one.
+    assert!(common::has_multi_run_copy(&trace), "no page copy was split into runs");
+    assert!(
+        trace.iter().any(|w| common::is_copy_run(w) && w.tear_cuts() > 0),
+        "no run spans a line boundary for the torn enumeration to cut"
+    );
 }
 
 #[test]
@@ -463,7 +474,7 @@ fn repl_ship_crash_sites_cut_failover_cleanly() {
         for &srv in &dep.server_threads {
             step(&sys, srv, 8);
         }
-        let sched = Arc::clone(sys.kernel().pers.dev.crash_schedule());
+        let sched = std::sync::Arc::clone(sys.kernel().pers.dev.crash_schedule());
         sched.arm(treesls_nvm::CrashPoint::Site { name: site.into(), skip: 0 });
         let unwound = catch_unwind(AssertUnwindSafe(|| sys.checkpoint_now()));
         sched.disarm();

@@ -188,6 +188,68 @@ fn ping_pong_continues_across_crash() {
     let _ = (t1, t2);
 }
 
+/// Waits on the notification in cap slot 2, counts the wake-up in memory,
+/// waits again.
+struct Waiter;
+impl Program for Waiter {
+    fn step(&self, ctx: &mut UserCtx<'_>) -> StepOutcome {
+        match ctx.notif_wait(2) {
+            Ok(true) => {
+                let v = ctx.read_u64(0).unwrap();
+                ctx.write_u64(0, v + 1).unwrap();
+                StepOutcome::Ready
+            }
+            Ok(false) => StepOutcome::Blocked,
+            Err(_) => StepOutcome::Exited,
+        }
+    }
+}
+
+/// Timer-driven epoch rounds walk the tree while the thread below blocks
+/// and unblocks on its notification. Across several periodic full walks
+/// the reference counts must keep matching the records, and the image
+/// must restore (`recover: DeadObject` on the notification otherwise).
+#[test]
+fn blocking_thread_keeps_its_notification_across_full_walks() {
+    let reg = |r: &ProgramRegistry| r.register("waiter", Arc::new(Waiter));
+    let mut sys = System::boot(config());
+    reg(sys.programs());
+    let kernel = Arc::clone(sys.kernel());
+    let g = kernel.create_cap_group("waiter").unwrap();
+    let vs = kernel.create_vmspace(g).unwrap();
+    let pmo = kernel.create_pmo(g, 4, treesls::PmoKind::Data).unwrap();
+    kernel.map_region(vs, Vpn(0), 4, pmo, 0, CapRights::ALL).unwrap();
+    let notif = kernel.create_notification(g).unwrap(); // slot 2
+    kernel.create_thread(g, vs, "waiter", treesls::ThreadContext::new()).unwrap();
+
+    sys.start();
+    let rounds = 3 * kernel.config.full_walk_interval + 2;
+    let until = kernel.pers.global_version() + rounds;
+    let deadline = std::time::Instant::now() + Duration::from_secs(120);
+    let mut wakeups = 0u64;
+    while kernel.pers.global_version() < until {
+        assert!(std::time::Instant::now() < deadline, "checkpoint timer stalled");
+        // Signal only a parked waiter, so every signal is one
+        // block → unblock transition of the thread's record.
+        let parked = matches!(
+            &*kernel.object(notif).unwrap().body.read(),
+            ObjectBody::Notification(n) if !n.waiters.is_empty()
+        );
+        if parked {
+            kernel.signal_object(notif).unwrap();
+            wakeups += 1;
+        }
+        std::thread::yield_now();
+    }
+    sys.stop();
+    assert!(wakeups > rounds, "the thread blocked and woke throughout ({wakeups} wake-ups)");
+    treesls_checkpoint::tree::check_inrefs(&kernel).unwrap();
+    sys.manager().verify_checkpoint().unwrap();
+    drop(kernel);
+    let image = sys.crash();
+    System::recover(image, config(), reg).expect("every record's references resolve");
+}
+
 #[test]
 fn repeated_random_crashes_never_lose_committed_state() {
     // A counter workload crash-looped several times: after each recovery
