@@ -1,9 +1,9 @@
-//! Epoch-concurrent pause bench: the stop-the-world window must be O(1)
-//! — independent of heap size *and* dirty-owner count — because the
-//! leader's pause shrinks to the epoch flip (quiesce the owner set, mark
-//! the write set read-only, cut the dirty queue, resume) while the tree
-//! walk, backup-record builds and page copies run concurrently with live
-//! mutators.
+//! Epoch-flip pause bench: the stop window must be O(1) — independent of
+//! heap size *and* of how many cores dirty state — because the leader's
+//! pause shrinks to the epoch flip (arm the fence, wait out in-flight
+//! steps, mark the write set read-only, cut the dirty queue, seal,
+//! resume; no core parks) while the tree walk, backup-record builds and
+//! page copies run concurrently with live mutators.
 //!
 //! Three writers pinned to distinct cores of a 4-core machine re-dirty
 //! per-process heaps whose size sweeps 10× (8 → 80 pages per writer).
@@ -34,7 +34,7 @@ use treesls_bench::Sink;
 /// Machine size; writers own `WRITERS` of these cores every round.
 const CORES: usize = 4;
 
-/// Pinned mutators — the dirty-owner count the flip must not scale with.
+/// Pinned mutators — the writer count the flip must not scale with.
 const WRITERS: usize = 3;
 
 /// Per-writer heap pages: smallest → largest is the 10× object growth
@@ -95,8 +95,8 @@ fn run_stage(pages: u64, full_quiesce: bool, rounds: usize) -> StageResult {
                     .thread(ThreadSpec::new("dirty")),
             )
             .expect("spawn writer");
-        // Pin writer w to core w: the owner mask names the same
-        // dirty-owner set every round, and core 3 stays clean.
+        // Pin writer w to core w: the same three cores write every
+        // round, and core 3 stays clean.
         sys.kernel().sched.set_affinity(p.threads[0], Some(w as u32));
     }
     sys.start();

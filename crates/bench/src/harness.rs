@@ -81,10 +81,6 @@ pub struct BenchOpts {
     pub interval: Option<Duration>,
     /// Hybrid copy enabled.
     pub hybrid: bool,
-    /// Mark pages read-only at checkpoints (Figure 10 knob).
-    pub mark_ro: bool,
-    /// Perform CoW copies (Figure 10 knob).
-    pub do_copy: bool,
     /// Paper-scale workloads.
     pub full: bool,
     /// Calibrated NVM latency injection.
@@ -101,8 +97,6 @@ impl Default for BenchOpts {
             cores: 2,
             interval: Some(Duration::from_millis(1)),
             hybrid: true,
-            mark_ro: true,
-            do_copy: true,
             full: false,
             optane: false,
             json: false,
@@ -139,13 +133,10 @@ impl BenchOpts {
                 dram_pages: if self.full { 16_384 } else { 4_096 },
                 hot_threshold: 3,
                 idle_evict_rounds: 8,
-                mark_ro: self.mark_ro,
-                do_copy: self.do_copy,
                 hybrid_copy: self.hybrid,
                 force_full_walk: false,
                 full_walk_interval: 64,
                 force_full_quiesce: false,
-                epoch_concurrent: true,
                 latency: if self.optane { LatencyProfile::Optane } else { LatencyProfile::Uniform },
             },
             cores: self.cores,

@@ -44,8 +44,6 @@ impl Sink {
                 opts.interval.map_or(Json::Null, |d| Json::from(d.as_secs_f64() * 1e3)),
             ),
             ("hybrid".to_string(), Json::from(opts.hybrid)),
-            ("mark_ro".to_string(), Json::from(opts.mark_ro)),
-            ("do_copy".to_string(), Json::from(opts.do_copy)),
             ("full".to_string(), Json::from(opts.full)),
             ("optane".to_string(), Json::from(opts.optane)),
         ]);

@@ -27,11 +27,11 @@ pub mod tree;
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use treesls_kernel::cores::StwController;
+use treesls_kernel::cores::{HybridWork, StwController};
 use treesls_kernel::fault::KernelStatsSnapshot;
 use treesls_kernel::object::ObjType;
 use treesls_kernel::types::KernelError;
@@ -77,13 +77,13 @@ pub trait CkptCallback: Send + Sync {
     fn on_checkpoint(&self, version: u64);
     /// Invoked at the end of a recovery that restored `version`.
     fn on_restore(&self, _version: u64) {}
-    /// Invoked *inside* the stop-the-world pause, right after the stop set
-    /// parked, for the round that will commit as `version`. Under partial
-    /// quiescence cores outside the stop set keep producing state during
-    /// the pause, so a service whose release barrier must match the
-    /// checkpoint image (e.g. the NIC's TX visibility barrier) snapshots
-    /// its cut-off here — against the epoch, not the later global resume.
-    /// Must be fast and must not take checkpoint-ordered locks.
+    /// Invoked *inside* the stop window, before the round's image is cut,
+    /// for the round that will commit as `version`. Under the epoch flip
+    /// every core keeps producing state through the copy phase, so a
+    /// service whose release barrier must match the checkpoint image
+    /// (e.g. the NIC's TX visibility barrier) snapshots its cut-off here
+    /// — against the flip, not the later commit. Must be fast and must
+    /// not take checkpoint-ordered locks.
     fn on_epoch(&self, _version: u64) {}
 }
 
@@ -106,6 +106,27 @@ pub struct RoundDelta {
     /// Whether the round ran a full reachability walk (a healing round
     /// rewrites every reachable record, so the delta is the whole tree).
     pub full_walk: bool,
+}
+
+/// What steps ❶–❸ of one round ([`CheckpointManager::pre_commit`])
+/// leave for the commit.
+struct PreCommit {
+    inflight: u64,
+    work: Arc<HybridWork>,
+    counters: Arc<hybrid::RoundCounters>,
+    /// The tree copy's outcome; on `Err` the round must not commit.
+    tree: Result<tree::TreeOutcome, KernelError>,
+    /// Start of the pause.
+    t_pause: Instant,
+    /// Start of the copy phase.
+    t_conc: Instant,
+    ipi: Duration,
+    mark: Duration,
+    cap_tree: Duration,
+    hybrid_wait: Duration,
+    /// The flip's pause under the epoch flip, whose world already
+    /// resumed; `None` under full quiesce, whose world is still stopped.
+    flip_pause: Option<Duration>,
 }
 
 /// The in-kernel checkpoint manager.
@@ -194,30 +215,18 @@ impl CheckpointManager {
         }
     }
 
-    /// Takes one whole-system checkpoint (Figure 5 ❶–❺).
+    /// Steps ❶–❸ of one round: quiesce (or flip), mark, copy the
+    /// capability tree and drain the hybrid batch. [`checkpoint`] and
+    /// [`checkpoint_interrupted_before_commit`] both run exactly this
+    /// sequence, so a test that interrupts a round runs the production
+    /// one. Under full quiesce the world is still stopped on return;
+    /// under the epoch flip it resumed at the flip.
     ///
-    /// Three quiescence modes, strongest to weakest pause:
-    ///
-    /// * **full quiesce** (`force_full_quiesce`): every core parks for the
-    ///   whole copy phase (the paper's baseline);
-    /// * **partial quiescence** (`epoch_concurrent = false`): only
-    ///   dirty-owning cores park; the rest run behind the epoch fence;
-    /// * **epoch-concurrent** (the default): the stop window shrinks to an
-    ///   *epoch flip* — bump the round, cut the dirty queue (one pointer
-    ///   swap), snapshot per-service TX writers via `on_epoch`, arm the
-    ///   fence, resume — and the tree walk, record builds, and page copies
-    ///   all run concurrently with mutators. Every first conflicting write
-    ///   of the round preserves its page's flip image in-line
-    ///   (whole-page capture or a ≤-cache-line undo-log record, see
-    ///   `fault.rs`), so no core ever parks for the copy phase and the
-    ///   pause is O(write-set marking), independent of heap size.
-    ///
-    /// On error the world is resumed without committing; the previous
-    /// checkpoint remains the recovery point.
-    pub fn checkpoint(&self) -> Result<StwBreakdown, KernelError> {
+    /// [`checkpoint`]: Self::checkpoint
+    /// [`checkpoint_interrupted_before_commit`]: Self::checkpoint_interrupted_before_commit
+    fn pre_commit(&self) -> PreCommit {
         let kernel = &self.kernel;
-        let global = kernel.pers.global_version();
-        let inflight = global + 1;
+        let inflight = kernel.pers.global_version() + 1;
 
         // A previous round that aborted in-process (or a deliberately
         // interrupted test round) may have left epoch captures and in-line
@@ -236,43 +245,24 @@ impl CheckpointManager {
             [inflight, kernel.tracker.active_len() as u64, 0, 0, 0, 0],
         );
         let t_pause = Instant::now();
-        let partial = !kernel.config.force_full_quiesce;
-        let epoch_mode = partial && kernel.config.epoch_concurrent;
-        // ❶ Quiesce the round's stop set — under partial quiescence only
-        // the cores whose dirty pushes appear in the owner mask; the rest
-        // run through the copy phase behind the fence. The cores that do
-        // park start pulling hybrid-copy items (❸) and keep polling the
-        // batch's aux queue for offloaded tree work. In epoch-concurrent
-        // mode the batch is *not* handed to the stop set: parked cores
-        // resume at the flip and the leader runs the batch itself,
-        // concurrently with them.
-        let ipi = self.stw.stop_world((!epoch_mode).then(|| Arc::clone(&work)), kernel);
-        // Arm the epoch fence (partial mode only) *after* the stop set has
-        // parked: from here until the commit record lands, writes from
-        // cores outside the stop set are routed into in-line captures
-        // (undo records or whole-page CoW) instead of mutating the
-        // round's image (see `fault.rs`). Arming before the gate would
-        // let a stopping core mid-step capture state the parked protocol
-        // attributes to the pre-pause world. Free-core writes in the
-        // window between the gate and this arm are safe: the round's
-        // image is only cut by `mark_readonly`/the copy phase below, so
-        // they order as pre-pause writes.
-        //
-        // Epoch-concurrent mode parks nobody, so step atomicity against
-        // the flip comes from the unsealed-fence protocol instead: arm
-        // unsealed, wait the step grace period out (every step in flight
-        // at the arm finishes with write-through semantics — cores keep
-        // running), then mark and cut while post-arm steps hold their
-        // first write at the seal. Every program step thus lands entirely
-        // before or entirely after the round's image.
-        if epoch_mode {
-            kernel.fence.arm_unsealed(inflight);
-            kernel.steps.wait_step_grace();
-        } else if partial {
+        let flip = !kernel.config.force_full_quiesce;
+        // ❶ Full quiesce parks every core; they start pulling hybrid-copy
+        // items (❸) and keep polling the batch's aux queue for offloaded
+        // tree work. The epoch flip parks nobody and does not hand the
+        // batch out: the leader runs it itself after the flip,
+        // concurrently with the running cores.
+        let ipi = self.stw.stop_world((!flip).then(|| Arc::clone(&work)), kernel);
+        // Step atomicity against the flip comes from the fence instead of
+        // parking: arm it unsealed, wait the step grace period out (every
+        // step in flight at the arm finishes with write-through semantics
+        // — cores keep running), then mark and cut while post-arm steps
+        // hold their first write at the seal. Every program step thus
+        // lands entirely before or entirely after the round's image.
+        if flip {
             kernel.fence.arm(inflight);
+            kernel.steps.wait_step_grace();
         }
         treesls_nvm::crash_site!(sched, "ckpt.stw_stopped");
-        treesls_nvm::crash_site!(sched, "stw.partial_gate");
         kernel.pers.recorder().record(
             treesls_obs::EventKind::PartialQuiesce,
             [
@@ -280,13 +270,13 @@ impl CheckpointManager {
                 self.stw.stopped_cores() as u64,
                 self.stw.cores() as u64,
                 self.stw.stop_mask(),
-                u64::from(!partial),
+                u64::from(!flip),
                 kernel.stats.epoch_conflicts.load(Ordering::Relaxed),
             ],
         );
         // Epoch cut-off for external-synchrony services: their release
-        // barrier must match the checkpoint image, which under partial
-        // quiescence is defined by this instant, not by the global resume.
+        // barrier must match the checkpoint image, which under the flip
+        // is defined by this instant, not by the end of the round.
         treesls_nvm::crash_site!(sched, "stw.epoch_fence");
         for cb in self.callbacks.lock().iter() {
             cb.on_epoch(inflight);
@@ -300,14 +290,13 @@ impl CheckpointManager {
         let mark = t_mark.elapsed();
         treesls_nvm::crash_site!(sched, "ckpt.marked_ro");
 
-        // Epoch flip (epoch-concurrent mode): cut the dirty queue with one
-        // pointer swap — the frozen logical snapshot this round drains —
-        // and resume the world. Everything after this point runs
-        // concurrently with mutators; post-flip writes land in the live
-        // queue for the next round and self-capture their flip images on
-        // first conflict.
+        // Epoch flip: cut the dirty queue with one pointer swap — the
+        // frozen logical snapshot this round drains — and resume the
+        // world. Everything after this point runs concurrently with
+        // mutators; post-flip writes land in the live queue for the next
+        // round and self-capture their flip images on first conflict.
         let mut flip_pause = None;
-        let cut = if epoch_mode {
+        let cut = if flip {
             let queue_depth = kernel.dirty_queue.depth();
             let stop_mask = self.stw.stop_mask();
             let cut = kernel.dirty_queue.take_cut();
@@ -342,17 +331,17 @@ impl CheckpointManager {
         };
 
         let t_conc = Instant::now();
-        let t_tree = Instant::now();
-        let tree_result = tree::checkpoint_tree(kernel, inflight, Some(&work), cut);
-        let cap_tree = t_tree.elapsed();
+        let tree = tree::checkpoint_tree(kernel, inflight, Some(&work), cut);
+        let cap_tree = t_conc.elapsed();
         treesls_nvm::crash_site!(sched, "ckpt.tree_copied");
 
-        // ❸ Join and drain the hybrid-copy batch. In epoch mode no core is
-        // parked to share it: the leader runs the whole batch here, still
-        // concurrently with mutators (first-write captures in `fault.rs`
-        // have already preserved any page a mutator touched first).
+        // ❸ Join and drain the hybrid-copy batch. Under the flip no core
+        // is parked to share it: the leader runs the whole batch here,
+        // still concurrently with mutators (first-write captures in
+        // `fault.rs` have already preserved any page a mutator touched
+        // first).
         let t_hyb = Instant::now();
-        if epoch_mode {
+        if flip {
             work.run_available();
             while !work.is_done() {
                 std::thread::yield_now();
@@ -364,18 +353,68 @@ impl CheckpointManager {
         treesls_nvm::crash_site!(sched, "ckpt.hybrid_drained");
         counters.busy_ns.store(work.busy_ns(), Ordering::Relaxed);
 
-        let mut outcome = match tree_result {
+        PreCommit {
+            inflight,
+            work,
+            counters,
+            tree,
+            t_pause,
+            t_conc,
+            ipi,
+            mark,
+            cap_tree,
+            hybrid_wait,
+            flip_pause,
+        }
+    }
+
+    /// Takes one whole-system checkpoint (Figure 5 ❶–❺).
+    ///
+    /// Two protocols, chosen by `KernelConfig::force_full_quiesce`:
+    ///
+    /// * **stop-the-world** (`true`, the paper's protocol): every core
+    ///   parks for the whole copy phase;
+    /// * **epoch flip** (the default): the stop window shrinks to a flip —
+    ///   arm the fence, snapshot per-service TX writers via `on_epoch`,
+    ///   mark, cut the dirty queue (one pointer swap), seal, resume — and
+    ///   the tree walk, record builds, and page copies all run
+    ///   concurrently with mutators. Every first conflicting write of the
+    ///   round preserves its page's flip image in-line (whole-page
+    ///   capture or a ≤-cache-line undo-log record, see `fault.rs`), so no
+    ///   core ever parks for the copy phase and the pause is
+    ///   O(write-set marking), independent of heap size.
+    ///
+    /// On error the world is resumed without committing; the previous
+    /// checkpoint remains the recovery point.
+    pub fn checkpoint(&self) -> Result<StwBreakdown, KernelError> {
+        let kernel = &self.kernel;
+        let sched = kernel.pers.dev.crash_schedule();
+        let PreCommit {
+            inflight,
+            work,
+            counters,
+            tree,
+            t_pause,
+            t_conc,
+            ipi,
+            mark,
+            cap_tree,
+            hybrid_wait,
+            flip_pause,
+        } = self.pre_commit();
+
+        let mut outcome = match tree {
             Ok(o) => o,
             Err(e) => {
                 // Abort: resume without committing — but still give the
                 // taken active list back to the tracker. The fence drops
                 // with the round; its in-flight captures are ignored by
-                // restore (tags never became valid). In epoch mode the
-                // world already resumed at the flip, and leftover
-                // captures/logs are folded down so a committing re-run of
-                // the same version cannot mistake them for its own.
+                // restore (tags never became valid). Under the flip the
+                // world already resumed, and leftover captures/logs are
+                // folded down so a committing re-run of the same version
+                // cannot mistake them for its own.
                 kernel.fence.disarm();
-                if epoch_mode {
+                if flip_pause.is_some() {
                     kernel.fold_epoch_captures_aborted();
                 } else {
                     self.stw.resume_world();
@@ -389,8 +428,8 @@ impl CheckpointManager {
         let t_others = Instant::now();
         treesls_nvm::crash_site!(sched, "ckpt.pre_commit");
         kernel.pers.commit_version(inflight);
-        // The round's image is committed: free-core writes now fall back
-        // to ordinary CoW (which tags against the new global version), so
+        // The round's image is committed: racing writes now fall back to
+        // ordinary CoW (which tags against the new global version), so
         // the fence has nothing left to protect.
         kernel.fence.disarm();
         treesls_nvm::crash_site!(sched, "ckpt.post_commit");
@@ -404,7 +443,7 @@ impl CheckpointManager {
         let others = t_others.elapsed();
         treesls_nvm::crash_site!(sched, "ckpt.post_sweep");
 
-        // ❺ Resume (epoch mode resumed at the flip; its pause is the flip
+        // ❺ Resume (the flip resumed at the flip; its pause is the flip
         // alone, and the copy phase's wall time is exported as a gauge).
         let total_pause = match flip_pause {
             Some(p) => {
@@ -416,7 +455,6 @@ impl CheckpointManager {
                 t_pause.elapsed()
             }
         };
-
         // Telemetry (outside the pause): one flight-recorder slot with the
         // per-phase durations, plus the registry's counters and pause
         // histogram.
@@ -489,7 +527,7 @@ impl CheckpointManager {
             per_type,
             others,
             hybrid_wait,
-            hybrid_busy: std::time::Duration::from_nanos(
+            hybrid_busy: Duration::from_nanos(
                 counters.busy_ns.load(Ordering::Relaxed),
             ),
             total_pause,
@@ -529,54 +567,19 @@ impl CheckpointManager {
     /// crash-and-restore must reproduce the **previous** committed version
     /// exactly, ignoring all in-flight tags. Not used by production paths.
     pub fn checkpoint_interrupted_before_commit(&self) -> Result<(), KernelError> {
-        let kernel = &self.kernel;
-        let partial = !kernel.config.force_full_quiesce;
-        let epoch_mode = partial && kernel.config.epoch_concurrent;
-        let inflight = kernel.pers.global_version() + 1;
-        let counters = Arc::new(hybrid::RoundCounters::default());
-        let work = hybrid::build_work(kernel, inflight, Arc::clone(&counters));
-        self.stw.stop_world((!epoch_mode).then(|| Arc::clone(&work)), kernel);
-        // Same ordering as `checkpoint`: unsealed arm + step grace for the
-        // no-park flip (so interrupted rounds exercise the same protocol
-        // the production path runs), sealed arm once the stop set has
-        // parked otherwise — a stopping core could wedge in the fence's
-        // wait loop and never reach the gate.
-        if epoch_mode {
-            kernel.fence.arm_unsealed(inflight);
-            kernel.steps.wait_step_grace();
-        } else if partial {
-            kernel.fence.arm(inflight);
-        }
-        hybrid::mark_readonly(kernel);
-        let cut = if epoch_mode {
-            let c = kernel.dirty_queue.take_cut();
-            kernel.fence.seal();
-            self.stw.resume_world();
-            Some(c)
-        } else {
-            None
-        };
-        let tree_result = tree::checkpoint_tree(kernel, inflight, Some(&work), cut);
-        if epoch_mode {
-            work.run_available();
-            while !work.is_done() {
-                std::thread::yield_now();
-            }
-        } else {
-            self.stw.finish_hybrid_work();
-        }
+        let round = self.pre_commit();
         // Power failure here: no commit, no sweep, no callbacks — but the
         // machine keeps running until the simulated crash, so the taken
         // active list must go back to the tracker. Epoch captures and
         // in-line logs are deliberately *left in place* carrying their
         // never-valid in-flight tags: restore must ignore them, and a
         // subsequent `checkpoint` folds them down before re-arming.
-        kernel.fence.disarm();
-        hybrid::compact_active_list(kernel, Some(&work));
-        if !epoch_mode {
+        self.kernel.fence.disarm();
+        hybrid::compact_active_list(&self.kernel, Some(&round.work));
+        if round.flip_pause.is_none() {
             self.stw.resume_world();
         }
-        tree_result.map(|_| ())
+        round.tree.map(|_| ())
     }
 
     /// Verifies the integrity of the committed checkpoint (§8 "Data

@@ -68,10 +68,6 @@ pub struct TreeOutcome {
     pub full_walk: bool,
     /// Dirty-queue entries drained this round (before dedup).
     pub dirty_drained: usize,
-    /// Distinct cores owning entries in this round's write set (from the
-    /// queue's per-entry core tags; off-core pushes are uncounted). This
-    /// is the population partial quiescence stops instead of all cores.
-    pub owner_cores: usize,
     /// Backup-record builds executed through the aux queue.
     pub offloaded: usize,
     /// ORoots tombstoned this round.
@@ -460,8 +456,8 @@ fn sync_pmo(
 /// rewrites every reachable record, since a failed round may have consumed
 /// dirty flags without persisting the corresponding records).
 ///
-/// Must be called during a stop-the-world pause — or, in epoch-concurrent
-/// mode, after the flip with `cut` holding the dirty-queue cut taken inside
+/// Must be called during a stop-the-world pause — or, under the epoch
+/// flip, after the flip with `cut` holding the dirty-queue cut taken inside
 /// the flip window (post-flip pushes land in the live queue for the next
 /// round and are invisible to this walk). `work`, when present, is the
 /// round's [`HybridWork`] batch; its aux queue is used to offload record
@@ -572,10 +568,9 @@ fn dirty_walk(
 
     let drained = match cut {
         Some(c) => kernel.dirty_queue.collect(c),
-        None => kernel.dirty_queue.drain_tagged(),
+        None => kernel.dirty_queue.drain(),
     };
     out.dirty_drained = drained.len();
-    let mut owner_bits = 0u64;
     treesls_nvm::crash_site!(sched, "tree.dirty_drained");
 
     // Claim the batch: dedup queue entries and consume dirty flags. An
@@ -584,10 +579,7 @@ fn dirty_walk(
     let mut seen: HashSet<ObjId> = HashSet::with_capacity(drained.len());
     let mut pmos: Vec<Arc<KObject>> = Vec::new();
     let mut plain: Vec<Arc<KObject>> = Vec::new();
-    for (id, core) in drained {
-        if core != treesls_kernel::cores::NO_CORE {
-            owner_bits |= 1 << (core as u64).min(63);
-        }
+    for id in drained {
         if !seen.insert(id) {
             continue;
         }
@@ -602,8 +594,6 @@ fn dirty_walk(
             plain.push(obj);
         }
     }
-
-    out.owner_cores = owner_bits.count_ones() as usize;
 
     // Build all non-PMO records (possibly on the quiesced cores). Builders
     // only read runtime bodies and create missing child ORoots; no backup

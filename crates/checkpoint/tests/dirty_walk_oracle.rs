@@ -29,15 +29,9 @@ use treesls_kernel::{Kernel, KernelConfig};
 const HEAP_PAGES: u64 = 16;
 const STEPS: usize = 220;
 
-fn config(force_full: bool) -> KernelConfig {
-    config_quiesce(force_full, false)
-}
-
-fn config_quiesce(force_full: bool, full_quiesce: bool) -> KernelConfig {
-    config_modes(force_full, full_quiesce, true)
-}
-
-fn config_modes(force_full: bool, full_quiesce: bool, epoch: bool) -> KernelConfig {
+/// `full_quiesce` picks the checkpoint protocol: `true` = the paper's
+/// stop-the-world oracle, `false` = the epoch flip (the default).
+fn config(force_full: bool, full_quiesce: bool) -> KernelConfig {
     KernelConfig {
         nvm_frames: 4096,
         dram_pages: 128,
@@ -47,7 +41,6 @@ fn config_modes(force_full: bool, full_quiesce: bool, epoch: bool) -> KernelConf
         // walks.
         full_walk_interval: 0,
         force_full_quiesce: full_quiesce,
-        epoch_concurrent: epoch,
         ..KernelConfig::default()
     }
 }
@@ -63,24 +56,11 @@ fn find_cap_slot(kernel: &Arc<Kernel>, group: ObjId, obj: ObjId) -> usize {
     slot
 }
 
-/// Runs the seeded workload under the given walk mode and returns the
-/// fingerprint of the crash-restored system.
-fn run(seed: u64, force_full: bool) -> Vec<String> {
-    run_quiesce(seed, force_full, false)
-}
-
-/// [`run`] with an explicit stop-the-world mode (`full_quiesce: true` =
-/// the all-cores oracle; `false` = partial quiescence, the default).
-fn run_quiesce(seed: u64, force_full: bool, full_quiesce: bool) -> Vec<String> {
-    run_modes(seed, force_full, full_quiesce, true)
-}
-
-/// [`run_quiesce`] with an explicit epoch-concurrency mode: `epoch:
-/// false` pins PR 6 partial quiescence (pause spans the copy phase) so
-/// it stays available as a config oracle against the epoch-concurrent
-/// default.
-fn run_modes(seed: u64, force_full: bool, full_quiesce: bool, epoch: bool) -> Vec<String> {
-    let kernel = Kernel::boot(config_modes(force_full, full_quiesce, epoch));
+/// Runs the seeded workload under the given walk mode and checkpoint
+/// protocol (see [`config`]) and returns the fingerprint of the
+/// crash-restored system.
+fn run(seed: u64, force_full: bool, full_quiesce: bool) -> Vec<String> {
+    let kernel = Kernel::boot(config(force_full, full_quiesce));
     let stw = Arc::new(StwController::new());
     let mgr = CheckpointManager::new(Arc::clone(&kernel), stw);
 
@@ -150,7 +130,7 @@ fn run_modes(seed: u64, force_full: bool, full_quiesce: bool, epoch: bool) -> Ve
 
     let image = crash(kernel);
     let (k2, _) =
-        restore(image, config_quiesce(force_full, full_quiesce), no_programs).unwrap();
+        restore(image, config(force_full, full_quiesce), no_programs).unwrap();
     fingerprint(&k2)
 }
 
@@ -246,8 +226,8 @@ fn find_app_vmspace(kernel: &Arc<Kernel>) -> ObjId {
 #[test]
 fn dirty_walk_matches_forced_full_walk() {
     for seed in [7u64, 23, 99, 1234, 424242] {
-        let dirty = run(seed, false);
-        let full = run(seed, true);
+        let dirty = run(seed, false, false);
+        let full = run(seed, true, false);
         assert_eq!(
             dirty, full,
             "seed {seed}: dirty-queue walk diverged from the full-walk oracle"
@@ -257,19 +237,18 @@ fn dirty_walk_matches_forced_full_walk() {
 
 #[test]
 fn dirty_walk_oracle_holds_under_both_quiesce_modes() {
-    // The same differential oracle swept across the stop-the-world mode:
-    // partial quiescence (the default) and the forced all-cores oracle
-    // must both keep dirty ≡ full, and the two quiesce modes must agree
-    // with each other — the quiesce policy may change *who pauses*, never
-    // *what commits*.
+    // The same differential oracle swept across the checkpoint protocol:
+    // the epoch flip (the default) and the stop-the-world oracle must
+    // both keep dirty ≡ full, and the two protocols must agree with each
+    // other — the protocol may change *who pauses*, never *what commits*.
     for seed in [7u64, 1234] {
-        let base = run_quiesce(seed, false, false);
+        let base = run(seed, false, false);
         for (force_full, full_quiesce) in [(false, true), (true, false), (true, true)] {
-            let other = run_quiesce(seed, force_full, full_quiesce);
+            let other = run(seed, force_full, full_quiesce);
             assert_eq!(
                 base, other,
                 "seed {seed}: walk mode force_full={force_full} / \
-                 full_quiesce={full_quiesce} diverged from the partial-quiescence dirty run"
+                 full_quiesce={full_quiesce} diverged from the epoch-flip dirty run"
             );
         }
     }
@@ -277,24 +256,17 @@ fn dirty_walk_oracle_holds_under_both_quiesce_modes() {
 
 #[test]
 fn epoch_concurrent_image_matches_quiesce_oracles() {
-    // The epoch-concurrent round (pause = epoch flip only; tree walk,
-    // backup builds and page copies race live mutators) must commit a
-    // round image *bit-identical* to the full-quiesce oracle, which
-    // parks every core for the whole copy phase. PR 6 partial
-    // quiescence (epoch off: dirty owners stay parked through the
-    // copy) is kept as a second, independent oracle. Concurrency may
-    // change *when cores run*, never *what commits*.
+    // The epoch-flip round (pause = the flip only; tree walk, backup
+    // builds and page copies race live mutators) must commit a round
+    // image *bit-identical* to the stop-the-world oracle, which parks
+    // every core for the whole copy phase. Concurrency may change *when
+    // cores run*, never *what commits*.
     for seed in [7u64, 23, 99, 1234, 424242] {
-        let epoch = run_modes(seed, false, false, true);
-        let full_quiesce = run_modes(seed, false, true, true);
+        let epoch = run(seed, false, false);
+        let full_quiesce = run(seed, false, true);
         assert_eq!(
             epoch, full_quiesce,
-            "seed {seed}: epoch-concurrent image diverged from the full-quiesce oracle"
-        );
-        let partial = run_modes(seed, false, false, false);
-        assert_eq!(
-            epoch, partial,
-            "seed {seed}: epoch-concurrent image diverged from PR 6 partial quiescence"
+            "seed {seed}: epoch-flip image diverged from the full-quiesce oracle"
         );
     }
 }
@@ -307,7 +279,7 @@ fn dirty_walk_survives_mid_workload_restores() {
     // final tree must still match a run that never relied on dirty
     // tracking at all.
     let seed = 31337u64;
-    let kernel0 = Kernel::boot(config(false));
+    let kernel0 = Kernel::boot(config(false, false));
     let stw = Arc::new(StwController::new());
     let mgr = CheckpointManager::new(Arc::clone(&kernel0), stw);
     let app = kernel0.create_cap_group("app").unwrap();
@@ -326,7 +298,7 @@ fn dirty_walk_survives_mid_workload_restores() {
     // Crash + restore mid-workload, then keep mutating on the revived
     // kernel.
     let image = crash(kernel0);
-    let (kernel, _) = restore(image, config(false), no_programs).unwrap();
+    let (kernel, _) = restore(image, config(false, false), no_programs).unwrap();
     let stw = Arc::new(StwController::new());
     let mgr = CheckpointManager::new(Arc::clone(&kernel), stw);
     let vs = find_app_vmspace(&kernel);
@@ -337,11 +309,11 @@ fn dirty_walk_survives_mid_workload_restores() {
     mgr.checkpoint().unwrap();
     mgr.verify_checkpoint().unwrap();
     let image = crash(kernel);
-    let (k2, _) = restore(image, config(false), no_programs).unwrap();
+    let (k2, _) = restore(image, config(false, false), no_programs).unwrap();
 
     // Reference: the same logical state built fresh under forced full
     // walks, no intermediate crash.
-    let kref = Kernel::boot(config(true));
+    let kref = Kernel::boot(config(true, false));
     let stw = Arc::new(StwController::new());
     let mref = CheckpointManager::new(Arc::clone(&kref), stw);
     let app = kref.create_cap_group("app").unwrap();
@@ -362,7 +334,7 @@ fn dirty_walk_survives_mid_workload_restores() {
     }
     mref.checkpoint().unwrap();
     let image = crash(kref);
-    let (kref2, _) = restore(image, config(true), no_programs).unwrap();
+    let (kref2, _) = restore(image, config(true, false), no_programs).unwrap();
 
     assert_eq!(fingerprint(&k2), fingerprint(&kref2));
 }

@@ -394,12 +394,12 @@ pub fn advance_visible_unfenced<M: MemIo>(
 
 /// [`advance_visible_unfenced`] with an upper index bound.
 ///
-/// Under partial quiescence, producers on clean cores keep running
-/// through the checkpoint's copy phase: a message they append *after* the
-/// pause carries the still-committed version tag, but its producing state
-/// belongs to the **next** checkpoint interval. The caller snapshots the
-/// writer inside the pause and passes it as `cap`; messages at indices
-/// `>= cap` stay invisible until the commit that actually covers them.
+/// Under the epoch flip, producers keep running through the checkpoint's
+/// copy phase: a message they append *after* the flip carries the
+/// still-committed version tag, but its producing state belongs to the
+/// **next** checkpoint interval. The caller snapshots the writer inside
+/// the flip and passes it as `cap`; messages at indices `>= cap` stay
+/// invisible until the commit that actually covers them.
 pub fn advance_visible_capped_unfenced<M: MemIo>(
     io: &M,
     layout: &RingLayout,

@@ -13,18 +13,18 @@
 //! quiesce only between steps, never mid-syscall. While parked, cores pull
 //! hybrid-copy work items (step ❸) before waiting for the resume signal.
 //!
-//! ## Partial quiescence
+//! ## Two protocols
 //!
-//! The dirty queue tags every push with its owning core, so at pause time
-//! the leader knows which cores own state in the round's write set — and
-//! stops **only those**. Cores outside the stop set keep running through
-//! the copy phase behind the kernel's per-round [`EpochFence`]: their
-//! first conflicting write to a page whose epoch image is not yet
-//! preserved is routed into a CoW capture (see `fault.rs`), and their
-//! scheduler pulls are restricted to their own affinity queue so an
-//! unpinned thread — whose state the round is copying — can never migrate
-//! onto a free core mid-pause. `KernelConfig::force_full_quiesce` keeps
-//! the historical all-cores protocol as a differential oracle.
+//! [`StwController::stop_world`] stops either every registered core or
+//! none. `KernelConfig::force_full_quiesce` selects the paper's
+//! stop-the-world protocol: every core parks for the whole copy phase.
+//! The default epoch flip parks nobody: cores keep running behind the
+//! kernel's per-round [`EpochFence`] — a post-arm step's first write
+//! waits for the seal, and a first conflicting write to a page whose
+//! round image is not yet preserved is captured in-line (see
+//! `fault.rs`) — and during the flip window their scheduler pulls are
+//! restricted to their own affinity queue, so an unpinned thread cannot
+//! start a slice while the leader defines the round's image.
 //!
 //! [`EpochFence`]: crate::kernel::EpochFence
 
@@ -36,13 +36,18 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
-pub use crate::dirty::NO_CORE;
 use crate::kernel::Kernel;
 use crate::object::ObjectBody;
 use crate::pmo::PageSlot;
 use crate::program::{Program, StepOutcome, UserCtx};
 use crate::thread::ThreadState;
 use crate::types::ObjId;
+
+/// Core id of threads that are not kernel cores (host drivers, the
+/// checkpoint leader, tests). Their writes never latch a fence round:
+/// state mutated off-core is protected by per-object locks, not by
+/// quiescence.
+pub const NO_CORE: u32 = u32::MAX;
 
 thread_local! {
     /// The simulated core id of the calling OS thread (`NO_CORE` for
@@ -59,8 +64,9 @@ thread_local! {
     static CURRENT_STEP_ROUND: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
-/// The core id of the calling thread (`NO_CORE` off-core). Used by
-/// `mark_dirty` to tag dirty pushes with their owning core.
+/// The core id of the calling thread (`NO_CORE` off-core). Used by the
+/// write path to tell core steps, which the flip's grace protocol
+/// tracks, from off-core writers.
 #[inline]
 pub fn current_core() -> u32 {
     CURRENT_CORE.with(|c| c.get())
@@ -100,7 +106,7 @@ pub fn current_step_round() -> u64 {
 #[derive(Debug)]
 pub struct StepTracker {
     /// Per-core step sequence (odd = mid-step). Indexed by core id,
-    /// matching the 64-bit owner/stop masks' core-id space.
+    /// matching the 64-bit stop mask's core-id space.
     seqs: [AtomicU64; 64],
     /// Cores currently spinning at the fence seal inside their first
     /// write — mid-step by definition, but safe for the grace scan to
@@ -380,34 +386,32 @@ impl HybridWork {
 #[derive(Debug, Default)]
 pub struct StwController {
     pending: AtomicBool,
-    /// Copy-phase gate: set by the leader only once every core *in the
-    /// round's stop set* is parked. A core arriving at the quiescence
-    /// gate early must not touch the hybrid batch before this — other
-    /// stopped cores may still be mid-step, and copying a page
-    /// concurrently with program writes captures a torn image into the
-    /// checkpoint. (Cores outside the stop set are handled by the epoch
-    /// fence instead, see `fault.rs`.)
+    /// Copy-phase gate: set by the leader only once every stopped core
+    /// is parked. A core arriving at the quiescence gate early must not
+    /// touch the hybrid batch before this — other stopped cores may
+    /// still be mid-step, and copying a page concurrently with program
+    /// writes captures a torn image into the checkpoint. (Under the
+    /// epoch flip nobody stops; the epoch fence protects the round's
+    /// images instead, see `fault.rs`.)
     go: AtomicBool,
     registered: AtomicUsize,
     quiescent: AtomicUsize,
     epoch: Mutex<u64>,
     cv: Condvar,
     work: Mutex<Option<Arc<HybridWork>>>,
-    /// Bitmask of cores required to park this round (valid while
-    /// `pending`; all-ones in full-quiesce mode).
-    stop_mask: AtomicU64,
-    /// Number of registered cores in `stop_mask` — the quiescence target.
+    /// Cores the current (or last) round parks — the quiescence target:
+    /// every registered core under full quiesce, none under the epoch
+    /// flip.
     stop_count: AtomicUsize,
     /// Cores currently executing a slice of an *unpinned* thread. The
     /// leader waits for this to reach zero after requesting a pause:
-    /// unpinned threads belong to the round's copy set even when the core
-    /// running them does not, and such slices break at their next step
-    /// boundary — so the wait is at most one program step long.
+    /// such slices break at their next step boundary — so the wait is at
+    /// most one program step long.
     unpinned_active: AtomicUsize,
     /// Aggregate nanoseconds cores spent parked in `participate` since
-    /// the last [`take_paused_ns`] — the per-core pause the partial
-    /// protocol shrinks. (Wall pause time divides the same tree-copy work
-    /// over both modes; this sums only actually-parked core time.)
+    /// the last [`take_paused_ns`] — the per-core pause the epoch flip
+    /// removes. (Wall pause time divides the same tree-copy work over
+    /// both protocols; this sums only actually-parked core time.)
     ///
     /// [`take_paused_ns`]: Self::take_paused_ns
     paused_ns: AtomicU64,
@@ -450,43 +454,40 @@ impl StwController {
     }
 
     /// Returns `true` if `core` must park for the current pause: a pause
-    /// is pending and the core is in the round's stop set. Off-core
-    /// callers (`NO_CORE`) conservatively report `true` while a pause is
-    /// pending, preserving the historical `pending()` semantics for
-    /// direct `run_slice` drivers.
+    /// is pending and the round stops every core. Off-core callers
+    /// (`NO_CORE`) conservatively report `true` while a pause is pending,
+    /// preserving the historical `pending()` semantics for direct
+    /// `run_slice` drivers.
     #[inline]
     pub fn should_park(&self, core: u32) -> bool {
         self.pending.load(Ordering::Acquire)
-            && (core == NO_CORE
-                || (self.stop_mask.load(Ordering::Acquire) >> core.min(63)) & 1 == 1)
+            && (core == NO_CORE || self.stop_count.load(Ordering::Acquire) != 0)
     }
 
-    /// Number of cores the current (or last) round actually stopped — the
-    /// partial-quiescence gauge.
+    /// Number of cores the current (or last) round actually stopped: all
+    /// registered cores under full quiesce, 0 under the epoch flip.
     pub fn stopped_cores(&self) -> usize {
         self.stop_count.load(Ordering::Acquire)
     }
 
-    /// The current round's stop bitmask (zero outside a pause).
+    /// The current round's stop bitmask: all registered cores or none
+    /// (zero outside a pause).
     pub fn stop_mask(&self) -> u64 {
-        self.stop_mask.load(Ordering::Acquire)
-    }
-
-    /// Bitmask of cores covered by all registered cores.
-    fn registered_mask(total: usize) -> u64 {
-        if total >= 64 {
-            u64::MAX
-        } else {
-            (1u64 << total) - 1
+        if !self.pending() {
+            return 0;
+        }
+        match self.stopped_cores() {
+            n if n >= 64 => u64::MAX,
+            n => (1u64 << n) - 1,
         }
     }
 
     /// Leader: requests quiescence and waits for the stop set to park.
     ///
-    /// In partial mode (the default) the stop set is the set of cores that
-    /// dirtied state since the last round, taken from the dirty queue's
-    /// owner mask; `KernelConfig::force_full_quiesce` restores the
-    /// historical all-cores protocol. `work` is the hybrid-copy batch the
+    /// `KernelConfig::force_full_quiesce` stops every registered core
+    /// (the paper's protocol); the default epoch flip stops none — it
+    /// only raises `pending`, which restricts scheduler pulls and drains
+    /// in-flight unpinned slices. `work` is the hybrid-copy batch the
     /// parked cores will execute (Figure 5 step ❸). Returns the IPI
     /// round-trip time — the Figure 9a "IPI" component.
     ///
@@ -503,33 +504,19 @@ impl StwController {
         }
         *self.work.lock() = work;
         let t0 = Instant::now();
-        let total = self.registered.load(Ordering::SeqCst);
-        let reg_mask = Self::registered_mask(total);
-        let mask = if kernel.config.force_full_quiesce {
-            reg_mask
-        } else if kernel.config.epoch_concurrent {
-            // Epoch-concurrent flip: *no* core parks, dirty owners
-            // included. Step atomicity against the flip image comes from
-            // the unsealed-fence protocol instead of parking: the leader
-            // arms the fence unsealed, [`StepTracker::wait_step_grace`]
-            // drains pre-arm in-flight steps (cores keep running), and
-            // post-arm steps hold their first write at the seal — so the
-            // quiescence handshake, whose serialized per-core park
-            // latency dominated the flip on small hosts, buys nothing.
-            // The owner mask is still drained so per-round ownership
-            // bookkeeping restarts cleanly.
-            let _ = kernel.dirty_queue.take_owner_mask();
-            0
+        let target = if kernel.config.force_full_quiesce {
+            self.registered.load(Ordering::SeqCst)
         } else {
-            // Owner bits set *after* this take belong to cores that reach
-            // their next step boundary inside the window; such cores
-            // either park (they are in the mask from earlier activity) or
-            // run on behind the epoch fence — both are safe, so no
-            // fixed-point chase is needed.
-            kernel.dirty_queue.take_owner_mask() & reg_mask
+            // Epoch flip: *no* core parks. Step atomicity against the
+            // flip image comes from the fence protocol instead of
+            // parking: the leader arms the fence unsealed,
+            // [`StepTracker::wait_step_grace`] drains pre-arm in-flight
+            // steps (cores keep running), and post-arm steps hold their
+            // first write at the seal — so the quiescence handshake,
+            // whose serialized per-core park latency dominated the flip
+            // on small hosts, buys nothing.
+            0
         };
-        let target = mask.count_ones() as usize;
-        self.stop_mask.store(mask, Ordering::SeqCst);
         self.stop_count.store(target, Ordering::SeqCst);
         self.pending.store(true, Ordering::SeqCst);
         // Kick sleeping cores so they reach the gate promptly, then
@@ -592,7 +579,6 @@ impl StwController {
         *self.work.lock() = None;
         self.go.store(false, Ordering::SeqCst);
         self.pending.store(false, Ordering::SeqCst);
-        self.stop_mask.store(0, Ordering::SeqCst);
         *gate += 1;
         self.cv.notify_all();
     }
@@ -659,10 +645,9 @@ impl StwController {
 /// Runs up to `max_steps` program steps of thread `tid` on the calling
 /// core, honouring the stop-the-world flag at every step boundary.
 ///
-/// During a pause, the slice breaks when the calling core is in the
-/// round's stop set — or when the thread is not pinned to this core: an
-/// unpinned thread's state is (being) copied by the round, so a free core
-/// must not keep executing it behind the fence.
+/// During a pause, the slice breaks when the round stops the calling core
+/// — or when the thread is not pinned to this core: an unpinned thread
+/// must not keep executing while the leader defines the round's image.
 pub fn run_slice(kernel: &Kernel, tid: ObjId, max_steps: usize, stw: &StwController) {
     let core = current_core();
     let pinned_here = core != NO_CORE && kernel.sched.affinity(tid) == Some(core);
@@ -853,9 +838,9 @@ fn core_loop(
             stw.participate();
             continue;
         }
-        // Outside the stop set during a pause: run on, but only threads
-        // pinned to this core — the global queue holds threads whose
-        // state the round is copying.
+        // Not stopped during a pause (the epoch flip): run on, but only
+        // threads pinned to this core — unpinned threads wait out the
+        // flip window in the global queue.
         let restricted = stw.pending();
         match kernel.sched.next_for(core, restricted) {
             Some(tid) => run_slice(kernel, tid, quantum, stw),
@@ -1010,48 +995,36 @@ mod tests {
     }
 
     #[test]
-    fn partial_pause_stops_only_dirty_owning_cores() {
-        // PR 6 parked partial quiescence — the epoch-concurrent flip
-        // (the default) parks nobody, so pin the parked protocol.
-        let k = Kernel::boot(KernelConfig {
-            nvm_frames: 1024,
-            dram_pages: 64,
-            epoch_concurrent: false,
-            ..KernelConfig::default()
-        });
+    fn epoch_flip_never_parks_a_dirty_owning_pinned_writer() {
+        // Under the default config `stop_world` raises the pause without
+        // parking anyone: a pinned writer that owns the round's dirty
+        // state keeps stepping through the whole window.
+        let k = kernel();
         let stw = Arc::new(StwController::new());
         let (tid, vs) = spawn_counter(&k, u64::MAX); // runs forever
         k.sched.set_affinity(tid, Some(0));
         let cores = CoreSet::start(Arc::clone(&k), Arc::clone(&stw), 2, 4);
-        std::thread::sleep(Duration::from_millis(10));
+        let read = || {
+            let mut buf = [0u8; 8];
+            k.vm_read(vs, Vaddr(0), &mut buf).unwrap();
+            u64::from_le_bytes(buf)
+        };
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while read() == 0 {
+            assert!(Instant::now() < deadline, "writer never started");
+            std::thread::yield_now();
+        }
         stw.stop_world(None, &k);
-        assert_eq!(stw.stopped_cores(), 1, "only the dirty-owning core parks");
-        // The dirty-owning core is parked: the counter must be frozen even
-        // though core 1 keeps running.
-        let mut buf = [0u8; 8];
-        k.vm_read(vs, Vaddr(0), &mut buf).unwrap();
-        let v1 = u64::from_le_bytes(buf);
-        std::thread::sleep(Duration::from_millis(20));
-        k.vm_read(vs, Vaddr(0), &mut buf).unwrap();
-        assert_eq!(v1, u64::from_le_bytes(buf), "counter advanced during partial pause");
+        assert_eq!(stw.stopped_cores(), 0, "the epoch flip parks nobody");
+        let v1 = read();
+        while read() == v1 {
+            assert!(Instant::now() < deadline, "pinned writer was parked by stop_world");
+            std::thread::yield_now();
+        }
         stw.finish_hybrid_work();
         stw.resume_world();
         stw.wait_all_resumed();
-        assert!(stw.take_paused_ns() > 0, "parked core accrued pause time");
-        cores.stop();
-    }
-
-    #[test]
-    fn quiet_partial_pause_parks_nobody() {
-        let k = kernel();
-        let stw = Arc::new(StwController::new());
-        let cores = CoreSet::start(Arc::clone(&k), Arc::clone(&stw), 2, 4);
-        std::thread::sleep(Duration::from_millis(5));
-        let d = stw.stop_world(None, &k);
-        assert_eq!(stw.stopped_cores(), 0, "no dirty owners, no parked cores");
-        assert!(d < Duration::from_millis(100));
-        stw.finish_hybrid_work();
-        stw.resume_world();
+        assert_eq!(stw.take_paused_ns(), 0, "no core accrued pause time");
         cores.stop();
     }
 

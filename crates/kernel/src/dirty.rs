@@ -21,15 +21,8 @@ use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 
 use crate::types::ObjId;
 
-/// Core tag for pushes from threads that are not kernel cores (host
-/// drivers, the checkpoint leader, tests). Such pushes never add a core
-/// to the round's stop set: state mutated off-core is protected by
-/// per-object locks, not by quiescence.
-pub const NO_CORE: u32 = u32::MAX;
-
 struct Node {
     id: ObjId,
-    core: u32,
     next: *mut Node,
 }
 
@@ -45,14 +38,6 @@ pub struct DirtyQueue {
     head: AtomicPtr<Node>,
     /// Approximate depth (pushes minus drains), exported as a gauge.
     depth: AtomicU64,
-    /// Bitmask of cores that produced a push (or re-dirtied an already
-    /// queued object) since the last [`take_owner_mask`]. Bit `i` = core
-    /// `i`; cores ≥ 64 fold onto bit 63 (conservative: they are always
-    /// treated as dirty-owning). The checkpoint leader takes this mask to
-    /// decide which cores actually need to quiesce for the round.
-    ///
-    /// [`take_owner_mask`]: DirtyQueue::take_owner_mask
-    owner_mask: AtomicU64,
 }
 
 // The raw node pointers are only ever exchanged through the atomic head;
@@ -95,21 +80,13 @@ impl DirtyQueue {
         Self {
             head: AtomicPtr::new(ptr::null_mut()),
             depth: AtomicU64::new(0),
-            owner_mask: AtomicU64::new(0),
         }
     }
 
-    /// Pushes one object id with no owning core (off-core producers:
-    /// host drivers, object insertion, tests).
+    /// Pushes one object id (lock-free; called on `mark_dirty`'s
+    /// false→true edge).
     pub fn push(&self, id: ObjId) {
-        self.push_from(id, NO_CORE);
-    }
-
-    /// Pushes one object id tagged with the core that dirtied it
-    /// (lock-free; called on `mark_dirty`'s false→true edge).
-    pub fn push_from(&self, id: ObjId, core: u32) {
-        self.note_owner(core);
-        let node = Box::into_raw(Box::new(Node { id, core, next: ptr::null_mut() }));
+        let node = Box::into_raw(Box::new(Node { id, next: ptr::null_mut() }));
         let mut head = self.head.load(Ordering::Relaxed);
         loop {
             // Safety: we own `node` until the CAS publishes it.
@@ -127,42 +104,10 @@ impl DirtyQueue {
         self.depth.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records that `core` dirtied some object this interval, without
-    /// pushing a node (the object was already queued). Keeps the owner
-    /// mask exact even when a second core re-writes a queued object.
-    #[inline]
-    pub fn note_owner(&self, core: u32) {
-        if core != NO_CORE {
-            let bit = (core as u64).min(63);
-            self.owner_mask.fetch_or(1 << bit, Ordering::AcqRel);
-        }
-    }
-
-    /// Detaches and returns the accumulated owner bitmask. Called by the
-    /// checkpoint leader when computing the round's stop set; producers
-    /// racing with the take re-set their bit and are caught by the
-    /// leader's fixed-point re-check.
-    pub fn take_owner_mask(&self) -> u64 {
-        self.owner_mask.swap(0, Ordering::AcqRel)
-    }
-
-    /// Current owner bitmask without clearing it (fixed-point re-check
-    /// and observability).
-    pub fn owner_mask(&self) -> u64 {
-        self.owner_mask.load(Ordering::Acquire)
-    }
-
     /// Detaches the whole queue and returns its ids (LIFO order; callers
     /// deduplicate by round anyway). One atomic `swap`, then a private
     /// walk of the detached chain.
     pub fn drain(&self) -> Vec<ObjId> {
-        self.drain_tagged().into_iter().map(|(id, _)| id).collect()
-    }
-
-    /// [`drain`](DirtyQueue::drain), keeping each entry's owning-core tag
-    /// (used by the tree walk to report how many distinct cores owned the
-    /// round's write set).
-    pub fn drain_tagged(&self) -> Vec<(ObjId, u32)> {
         let cut = self.take_cut();
         self.collect(cut)
     }
@@ -178,17 +123,17 @@ impl DirtyQueue {
         DirtyCut { head: self.head.swap(ptr::null_mut(), Ordering::AcqRel) }
     }
 
-    /// Walks a detached [`DirtyCut`] chain, freeing it and returning the
-    /// tagged entries (LIFO order). Runs outside the pause, concurrent
-    /// with mutators pushing next-round entries.
-    pub fn collect(&self, cut: DirtyCut) -> Vec<(ObjId, u32)> {
+    /// Walks a detached [`DirtyCut`] chain, freeing it and returning its
+    /// ids (LIFO order). Runs outside the pause, concurrent with mutators
+    /// pushing next-round entries.
+    pub fn collect(&self, cut: DirtyCut) -> Vec<ObjId> {
         let mut p = cut.head;
         std::mem::forget(cut);
         let mut out = Vec::new();
         while !p.is_null() {
             // Safety: the chain was detached atomically; we own it.
             let node = unsafe { Box::from_raw(p) };
-            out.push((node.id, node.core));
+            out.push(node.id);
             p = node.next;
         }
         self.depth.fetch_sub(out.len() as u64, Ordering::Relaxed);
@@ -199,7 +144,6 @@ impl DirtyQueue {
     /// runtime tree that no longer exists).
     pub fn clear(&self) {
         let _ = self.drain();
-        self.owner_mask.store(0, Ordering::Release);
     }
 
     /// Approximate number of pending entries (obs gauge).
@@ -255,44 +199,16 @@ mod tests {
     }
 
     #[test]
-    fn core_tags_and_owner_mask_roundtrip() {
-        let q = DirtyQueue::new();
-        q.push_from(ObjId::from_raw(1), 0);
-        q.push_from(ObjId::from_raw(2), 3);
-        q.push(ObjId::from_raw(3)); // off-core: no mask bit
-        assert_eq!(q.owner_mask(), 0b1001);
-        let mask = q.take_owner_mask();
-        assert_eq!(mask, 0b1001);
-        assert_eq!(q.owner_mask(), 0);
-        let mut tagged = q.drain_tagged();
-        tagged.sort();
-        assert_eq!(
-            tagged,
-            vec![
-                (ObjId::from_raw(1), 0),
-                (ObjId::from_raw(2), 3),
-                (ObjId::from_raw(3), NO_CORE)
-            ]
-        );
-        // A re-dirty note without a push still lands in the mask.
-        q.note_owner(1);
-        assert_eq!(q.take_owner_mask(), 0b10);
-        // Cores beyond the mask width fold onto the top bit.
-        q.note_owner(200);
-        assert_eq!(q.take_owner_mask(), 1 << 63);
-    }
-
-    #[test]
     fn cut_freezes_entries_and_later_pushes_land_next_round() {
         let q = DirtyQueue::new();
-        q.push_from(ObjId::from_raw(1), 0);
-        q.push_from(ObjId::from_raw(2), 1);
+        q.push(ObjId::from_raw(1));
+        q.push(ObjId::from_raw(2));
         let cut = q.take_cut();
-        q.push_from(ObjId::from_raw(3), 2); // after the flip: next round
+        q.push(ObjId::from_raw(3)); // after the flip: next round
         let mut frozen = q.collect(cut);
         frozen.sort();
-        assert_eq!(frozen, vec![(ObjId::from_raw(1), 0), (ObjId::from_raw(2), 1)]);
-        assert_eq!(q.drain_tagged(), vec![(ObjId::from_raw(3), 2)]);
+        assert_eq!(frozen, vec![ObjId::from_raw(1), ObjId::from_raw(2)]);
+        assert_eq!(q.drain(), vec![ObjId::from_raw(3)]);
         assert_eq!(q.depth(), 0);
         // An uncollected cut frees its chain on drop.
         q.push(ObjId::from_raw(9));

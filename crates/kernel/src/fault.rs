@@ -21,7 +21,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
@@ -50,9 +50,9 @@ pub struct KernelStats {
     pub fault_ns: AtomicU64,
     /// Nanoseconds spent copying pages in the CoW handler.
     pub memcpy_ns: AtomicU64,
-    /// Epoch-fence conflict captures: writes from cores outside a partial
-    /// pause's stop set that hit a page whose round image was not yet
-    /// preserved (see [`Kernel::write_page_slot`]).
+    /// Epoch-fence conflict captures: writes racing an epoch flip's copy
+    /// phase that hit a page whose round image was not yet preserved
+    /// (see [`Kernel::write_page_slot`]).
     pub epoch_conflicts: AtomicU64,
 }
 
@@ -196,7 +196,7 @@ impl Kernel {
         };
         let pte = PteCache { slot, perm, pmo: pmo_id };
         pt.insert(vpn, pte.clone());
-        self.stats.fault_ns.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        self.charge_fault(t0, Duration::ZERO);
         Ok(pte)
     }
 
@@ -248,15 +248,14 @@ impl Kernel {
 
     /// Writes a span within one page slot, faulting if read-only.
     ///
-    /// While the kernel's [`EpochFence`] is armed (an epoch-concurrent or
-    /// partial-quiescence round is copying concurrently with this write),
-    /// the round's frozen page image must not be destroyed. No write ever
-    /// waits; every first conflicting write preserves the image in-line:
+    /// While the kernel's [`EpochFence`] is armed (an epoch-flip round is
+    /// copying concurrently with this write), the round's frozen page
+    /// image must not be destroyed. No write ever waits out the copy
+    /// phase; every first conflicting write preserves the image in-line:
     ///
     /// * **migrated pages** whose in-flight image is not yet preserved get
     ///   an inline pre-write capture into the speculative-copy slot (the
-    ///   "conflict CoW" of partial quiescence) — the hybrid worker then
-    ///   skips the slot;
+    ///   "conflict CoW") — the hybrid worker then skips the slot;
     /// * **non-migrated read-only pages** capture in-line too: a small
     ///   write (≤ one cache line of changed bytes) appends a pre-write
     ///   undo record to the page's in-line log, while a big write (or a
@@ -305,18 +304,17 @@ impl Kernel {
                 self.steps.set_blocked(core, false);
             }
         }
-        // A core step that was already in flight when a no-park flip
-        // armed keeps *pre-arm* write semantics for its whole duration:
-        // its latched round predates the fence's, the leader's grace
-        // period waits the step out before marking, and every one of its
-        // writes — including ones landing after the next round armed, if
-        // the step straddled a commit — must join the pre-flip image
-        // rather than capture. Without this, a step's first write could
-        // be excluded from round N (logged) and its second excluded from
+        // A core step that was already in flight when the flip armed
+        // keeps *pre-arm* write semantics for its whole duration: its
+        // latched round predates the fence's, the leader's grace period
+        // waits the step out before marking, and every one of its writes
+        // — including ones landing after the next round armed, if the
+        // step straddled a commit — must join the pre-flip image rather
+        // than capture. Without this, a step's first write could be
+        // excluded from round N (logged) and its second excluded from
         // round N+1, splitting one atomic step across two recovery
-        // points. Parked protocols (`arm`) run no grace period, so there
-        // the gate applies to every fence-window write as before.
-        let pre_arm_step = self.fence.flip_protocol() && {
+        // points.
+        let pre_arm_step = {
             let core = crate::cores::current_core();
             core != crate::cores::NO_CORE
                 && crate::cores::current_step_round() != self.fence.round()
@@ -391,7 +389,8 @@ impl Kernel {
         treesls_nvm::crash_site!(self.pers.dev.crash_schedule(), "stw.clean_core_cow");
         let tc = Instant::now();
         self.pers.dev.copy_from_dram(&self.dram, d, frame);
-        self.stats.memcpy_ns.fetch_add(tc.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        let mut copy = Duration::ZERO;
+        self.charge_copy(tc, &mut copy);
         let crc = self.pers.dev.page_crc(frame);
         meta.pairs[dst] = Some(PagePtr::backup(frame, inflight, crc));
         meta.epoch_round = self.fence.round();
@@ -402,8 +401,24 @@ impl Kernel {
             treesls_obs::EventKind::HybridSacCopy,
             [frame.0 as u64, inflight, d.0 as u64, 1, 0, 0],
         );
-        self.stats.fault_ns.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        self.charge_fault(t0, copy);
         Ok(())
+    }
+
+    /// Charges one timed page copy, started at `tc`, to `memcpy_ns` and
+    /// to the calling fault handler's `copy` share.
+    fn charge_copy(&self, tc: Instant, copy: &mut Duration) {
+        let d = tc.elapsed();
+        *copy += d;
+        self.stats.memcpy_ns.fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
+    }
+
+    /// Charges a fault handler's time since `t0` to `fault_ns`, less the
+    /// `copy` share its page copies already charged to `memcpy_ns`: the
+    /// two timers are disjoint, the split Figure 10 reports.
+    fn charge_fault(&self, t0: Instant, copy: Duration) {
+        let d = t0.elapsed().saturating_sub(copy);
+        self.stats.fault_ns.fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
     }
 
     /// Zeroes and persists an in-line log's first record header, so any
@@ -439,14 +454,20 @@ impl Kernel {
     }
 
     /// Writes `img` into a freshly allocated frame, makes it durable and
-    /// returns a backup pointer tagged `version`.
-    fn persist_image(&self, img: &[u8; PAGE_SIZE], version: u64) -> Result<PagePtr, KernelError> {
+    /// returns a backup pointer tagged `version`. The copy time is
+    /// charged to `memcpy_ns` and added to `copy`.
+    fn persist_image(
+        &self,
+        img: &[u8; PAGE_SIZE],
+        version: u64,
+        copy: &mut Duration,
+    ) -> Result<PagePtr, KernelError> {
         let dst = self.pers.alloc.alloc_page()?;
         let tc = Instant::now();
         self.pers.dev.write(dst, 0, &img[..]);
         self.pers.dev.flush_frame(dst, 0, PAGE_SIZE);
         self.pers.dev.fence();
-        self.stats.memcpy_ns.fetch_add(tc.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        self.charge_copy(tc, copy);
         let crc = self.pers.dev.page_crc(dst);
         Ok(PagePtr::backup(dst, version, crc))
     }
@@ -481,6 +502,7 @@ impl Kernel {
         len: usize,
     ) -> Result<bool, KernelError> {
         let t0 = Instant::now();
+        let mut copy = Duration::ZERO;
         self.stats.write_faults.fetch_add(1, Ordering::Relaxed);
         let round = self.fence.round();
         let global = self.pers.global_version();
@@ -508,7 +530,7 @@ impl Kernel {
             if log.arm != round {
                 if log.round >= global && global > 0 && log.used > 0 {
                     let img = self.undo_applied_image(meta, &log);
-                    let ptr = self.persist_image(&img, global)?;
+                    let ptr = self.persist_image(&img, global, &mut copy)?;
                     let old = meta.pairs[0];
                     meta.pairs[0] = Some(ptr);
                     if let Some(p) = old {
@@ -555,7 +577,7 @@ impl Kernel {
                     self.metrics.record_epoch_conflict();
                     self.epoch_captures.lock().push(Arc::clone(slot));
                 }
-                self.stats.fault_ns.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                self.charge_fault(t0, copy);
                 return Ok(first);
             }
             meta.inline_log = Some(log);
@@ -570,7 +592,7 @@ impl Kernel {
             Some(l) if l.arm == round && l.used > 0 => self.undo_applied_image(meta, &l),
             _ => self.runtime_image(meta),
         };
-        let ptr = self.persist_image(&img, inflight)?;
+        let ptr = self.persist_image(&img, inflight, &mut copy)?;
         meta.epoch_capture = Some(ptr);
         meta.epoch_round = round;
         if let Some(log) = meta.inline_log.take() {
@@ -587,7 +609,7 @@ impl Kernel {
             self.metrics.record_epoch_conflict();
             self.epoch_captures.lock().push(Arc::clone(slot));
         }
-        self.stats.fault_ns.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        self.charge_fault(t0, copy);
         Ok(first)
     }
 
@@ -633,6 +655,7 @@ impl Kernel {
     /// don't need this — restore normalizes the capture state itself.
     pub fn fold_epoch_captures_aborted(&self) {
         let global = self.pers.global_version();
+        let mut copy = Duration::ZERO;
         let slots = std::mem::take(&mut *self.epoch_captures.lock());
         for slot in slots {
             let mut meta = slot.meta.lock();
@@ -660,7 +683,7 @@ impl Kernel {
                 if log.round > global {
                     if log.used > 0 && global > 0 {
                         let img = self.undo_applied_image(&meta, &log);
-                        if let Ok(ptr) = self.persist_image(&img, global) {
+                        if let Ok(ptr) = self.persist_image(&img, global, &mut copy) {
                             let old = meta.pairs[0];
                             meta.pairs[0] = Some(ptr);
                             if let Some(p) = old {
@@ -685,8 +708,14 @@ impl Kernel {
 
     /// The classic CoW duplicate (called with the slot lock held): copy
     /// the runtime frame into `pairs[0]` tagged with the committed global
-    /// version, durable before the fault returns.
-    fn plain_cow_locked(&self, meta: &mut PageMeta, global: u64) -> Result<(), KernelError> {
+    /// version, durable before the fault returns. The copy time is
+    /// charged to `memcpy_ns` and added to `copy`.
+    fn plain_cow_locked(
+        &self,
+        meta: &mut PageMeta,
+        global: u64,
+        copy: &mut Duration,
+    ) -> Result<(), KernelError> {
         let runtime = meta.pairs[1].expect("non-migrated page has a runtime NVM frame").frame;
         let dst = match meta.pairs[0] {
             Some(p) => p.frame,
@@ -700,7 +729,7 @@ impl Kernel {
         // under eADR.
         self.pers.dev.flush_frame(dst, 0, treesls_nvm::PAGE_SIZE);
         self.pers.dev.fence();
-        self.stats.memcpy_ns.fetch_add(tc.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        self.charge_copy(tc, copy);
         self.stats.cow_copies.fetch_add(1, Ordering::Relaxed);
         let crc = self.pers.dev.page_crc(dst);
         meta.pairs[0] = Some(PagePtr::backup(dst, global, crc));
@@ -722,10 +751,11 @@ impl Kernel {
         meta: &mut crate::pmo::PageMeta,
     ) -> Result<(), KernelError> {
         let t0 = Instant::now();
+        let mut copy = Duration::ZERO;
         debug_assert!(!meta.eternal, "eternal pages are never marked read-only");
         self.stats.write_faults.fetch_add(1, Ordering::Relaxed);
         let global = self.pers.global_version();
-        if meta.runtime_dram.is_none() && self.config.do_copy {
+        if meta.runtime_dram.is_none() {
             if let Some(c) = meta.epoch_capture.take() {
                 // Lazy fold of an epoch capture (committed round not yet
                 // eagerly folded, or an aborted round): the capture *is*
@@ -758,7 +788,7 @@ impl Kernel {
                     // The committed image is runtime ⊖ the logged window
                     // writes; materialize it durably before the log dies.
                     let img = self.undo_applied_image(meta, &log);
-                    let ptr = self.persist_image(&img, global)?;
+                    let ptr = self.persist_image(&img, global, &mut copy)?;
                     self.stats.cow_copies.fetch_add(1, Ordering::Relaxed);
                     let old = meta.pairs[0];
                     meta.pairs[0] = Some(ptr);
@@ -769,12 +799,12 @@ impl Kernel {
                 } else {
                     // A stale log of an older committed round: the
                     // runtime page has been the image since — plain CoW.
-                    self.plain_cow_locked(meta, global)?;
+                    self.plain_cow_locked(meta, global, &mut copy)?;
                 }
                 self.kill_inline_log(&log);
                 let _ = self.pers.alloc.free_page(log.frame);
             } else {
-                self.plain_cow_locked(meta, global)?;
+                self.plain_cow_locked(meta, global, &mut copy)?;
             }
         }
         meta.writable = true;
@@ -789,9 +819,7 @@ impl Kernel {
         }
         // Re-mark read-only at the next checkpoint.
         self.tracker.dirty_list.lock().push(Arc::clone(slot));
-        self.stats
-            .fault_ns
-            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        self.charge_fault(t0, copy);
         Ok(())
     }
 }
@@ -974,33 +1002,5 @@ mod tests {
             k.vm_write(vs, Vaddr(0), &buf),
             Err(KernelError::PermissionDenied)
         );
-    }
-
-    #[test]
-    fn do_copy_false_skips_memcpy_but_counts_fault() {
-        let k = Kernel::boot(KernelConfig {
-            nvm_frames: 256,
-            dram_pages: 16,
-            do_copy: false,
-            ..KernelConfig::default()
-        });
-        let g = k.create_cap_group("p").unwrap();
-        let vs = k.create_vmspace(g).unwrap();
-        let pmo = k.create_pmo(g, 4, PmoKind::Data).unwrap();
-        k.map_region(vs, Vpn(0), 4, pmo, 0, CapRights::ALL).unwrap();
-        k.vm_write(vs, Vaddr(0), b"x").unwrap();
-        let pmo_obj = k.object(pmo).unwrap();
-        let slot = {
-            let b = pmo_obj.body.read();
-            match &*b {
-                ObjectBody::Pmo(p) => Arc::clone(p.get(0).unwrap()),
-                _ => unreachable!(),
-            }
-        };
-        slot.meta.lock().writable = false;
-        k.vm_write(vs, Vaddr(0), b"y").unwrap();
-        let s = k.stats.snapshot();
-        assert_eq!(s.write_faults, 1);
-        assert_eq!(s.cow_copies, 0);
     }
 }

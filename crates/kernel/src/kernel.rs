@@ -131,12 +131,6 @@ pub struct KernelConfig {
     pub hot_threshold: u32,
     /// Checkpoints without modification before a DRAM page is evicted.
     pub idle_evict_rounds: u32,
-    /// Mark pages read-only at checkpoints (enables CoW tracking).
-    /// Disabled only by the Figure-10 "+checkpoint" measurement mode.
-    pub mark_ro: bool,
-    /// Perform the actual page copy in the CoW handler. Disabled only by
-    /// the Figure-10 "+page fault" measurement mode.
-    pub do_copy: bool,
     /// Enable hybrid copy (hot-page DRAM migration + speculative
     /// stop-and-copy, §4.3).
     pub hybrid_copy: bool,
@@ -144,20 +138,16 @@ pub struct KernelConfig {
     /// O(changes) dirty-queue walk. Kept as the differential oracle and
     /// for measuring the walk cost the dirty queue removes.
     pub force_full_walk: bool,
-    /// Quiesce every core at each checkpoint instead of only the cores
-    /// whose dirty set intersects the round (partial quiescence). Kept as
-    /// the differential oracle for the partial-quiescence protocol, like
-    /// `force_full_walk` is for the dirty walk. Takes precedence over
-    /// `epoch_concurrent`.
+    /// The checkpoint protocol. `false` (the default) runs the epoch
+    /// flip: the stop window shrinks to an O(1) flip (arm the fence, cut
+    /// the dirty queue, resume) and the tree walk + page copies run
+    /// concurrently with mutators, whose first conflicting writes are
+    /// captured in-line (whole-page epoch captures, or ≤64 B undo records
+    /// for small hot writes). `true` runs the paper's stop-the-world
+    /// protocol — every core parks for the whole copy phase — kept as the
+    /// differential oracle for the flip, like `force_full_walk` is for
+    /// the dirty walk.
     pub force_full_quiesce: bool,
-    /// Epoch-concurrent checkpointing: the stop window shrinks to an O(1)
-    /// epoch flip (cut the dirty queue, arm the fence, resume) and the
-    /// tree walk + page copies run concurrently with mutators, whose
-    /// first conflicting writes are captured in-line (whole-page epoch
-    /// captures, or ≤64 B undo records for small hot writes). `false`
-    /// falls back to partial quiescence (dirty-owning cores park for the
-    /// whole copy phase) as a differential oracle.
-    pub epoch_concurrent: bool,
     /// Checkpoint rounds between periodic full walks (the cycle collector
     /// for reference loops the O(deletions) tombstoning cannot reclaim;
     /// see DESIGN.md). `0` disables periodic full walks — unreachable
@@ -183,12 +173,9 @@ impl Default for KernelConfig {
             dram_pages: 2048,  // 8 MiB hot cache
             hot_threshold: 3,
             idle_evict_rounds: 8,
-            mark_ro: true,
-            do_copy: true,
             hybrid_copy: true,
             force_full_walk: false,
             force_full_quiesce: false,
-            epoch_concurrent: true,
             full_walk_interval: 64,
             latency: LatencyProfile::Uniform,
         }
@@ -419,20 +406,20 @@ impl Persistent {
     }
 }
 
-/// The per-round epoch fence of partial quiescence.
+/// The per-round epoch fence of the epoch flip.
 ///
-/// While a checkpoint's copy phase is in progress, cores outside the
-/// round's stop set — under the default epoch-concurrent flip, *every*
-/// core — keep running. A conflicting write to a page whose round image
-/// has not been preserved yet must not destroy that image: the fault
-/// path consults this fence and preserves the image in-line — a small
-/// write (≤ 64 B changed) appends a record-level undo entry to the
-/// page's in-line log, a large one captures the whole pre-write page
-/// (see `fault.rs`). Nobody ever waits the fence out.
+/// While a checkpoint's copy phase is in progress every core keeps
+/// running. A conflicting write to a page whose round image has not been
+/// preserved yet must not destroy that image: the fault path consults
+/// this fence and preserves the image in-line — a small write (≤ 64 B
+/// changed) appends a record-level undo entry to the page's in-line log,
+/// a large one captures the whole pre-write page (see `fault.rs`).
+/// Nobody ever waits the fence out.
 ///
-/// Armed by the checkpoint leader once the stop set (possibly empty) has
-/// parked, disarmed right after the commit record lands (from then on
-/// the ordinary post-commit CoW path preserves images correctly).
+/// Armed only by the epoch flip's leader, disarmed right after the
+/// commit record lands (from then on the ordinary post-commit CoW path
+/// preserves images correctly). The stop-the-world protocol never arms
+/// it: every core is parked for the whole copy phase.
 #[derive(Debug, Default)]
 pub struct EpochFence {
     active: AtomicBool,
@@ -450,52 +437,21 @@ pub struct EpochFence {
     /// entirely before or entirely after the flip image — step-granular
     /// atomicity without parking any core. Steps that started before
     /// the arm write through freely; the leader's grace period waits
-    /// them out before marking. `arm` seals immediately (the historical
-    /// partial-quiescence protocol, where parking provides atomicity);
-    /// only the epoch-concurrent flip uses [`arm_unsealed`]/[`seal`].
-    ///
-    /// [`arm_unsealed`]: Self::arm_unsealed
-    /// [`seal`]: Self::seal
+    /// them out before marking.
     sealed: AtomicBool,
-    /// `true` while the armed round runs the no-park flip protocol
-    /// ([`arm_unsealed`](Self::arm_unsealed)): core steps whose latched
-    /// round predates the arm bypass the capture gate entirely — the
-    /// leader's grace period waits them out, so their writes order as
-    /// pre-flip. Under the parked protocols ([`arm`](Self::arm)) no
-    /// grace period runs and every fence-window write must capture.
-    flip: AtomicBool,
 }
 
 impl EpochFence {
-    /// Arms the fence for the round checkpointing version `inflight`,
-    /// already sealed: captures fire from the first post-arm write.
+    /// Arms the fence, unsealed, for the round checkpointing version
+    /// `inflight`: post-arm steps hold their first write until
+    /// [`seal`](Self::seal). SeqCst so the arm totally orders against
+    /// every core's step-start fence load — a step that missed the arm is
+    /// provably visible to the leader's subsequent grace scan.
     pub fn arm(&self, inflight: u64) {
         self.inflight.store(inflight, Ordering::Release);
-        self.sealed.store(true, Ordering::SeqCst);
-        self.flip.store(false, Ordering::SeqCst);
-        self.round.fetch_add(1, Ordering::SeqCst);
-        self.active.store(true, Ordering::SeqCst);
-    }
-
-    /// Arms the fence unsealed (epoch-concurrent flip): post-arm steps
-    /// hold their first write until [`seal`](Self::seal). SeqCst so the
-    /// arm totally orders against every core's step-start fence load —
-    /// a step that missed the arm is provably visible to the leader's
-    /// subsequent grace scan.
-    pub fn arm_unsealed(&self, inflight: u64) {
-        self.inflight.store(inflight, Ordering::Release);
         self.sealed.store(false, Ordering::SeqCst);
-        self.flip.store(true, Ordering::SeqCst);
         self.round.fetch_add(1, Ordering::SeqCst);
         self.active.store(true, Ordering::SeqCst);
-    }
-
-    /// Returns `true` while the armed round uses the no-park flip
-    /// protocol (pre-arm core steps write through; see
-    /// [`arm_unsealed`](Self::arm_unsealed)).
-    #[inline]
-    pub fn flip_protocol(&self) -> bool {
-        self.flip.load(Ordering::SeqCst)
     }
 
     /// Seals the flip: the round's images are all preserved (or capture-
@@ -504,8 +460,7 @@ impl EpochFence {
         self.sealed.store(true, Ordering::SeqCst);
     }
 
-    /// Returns `true` once the armed round's flip images are defined
-    /// (always `true` for [`arm`](Self::arm)ed rounds).
+    /// Returns `true` once the armed round's flip images are defined.
     #[inline]
     pub fn sealed(&self) -> bool {
         self.sealed.load(Ordering::SeqCst)
@@ -530,7 +485,7 @@ impl EpochFence {
         self.sealed.store(true, Ordering::SeqCst);
     }
 
-    /// Returns `true` while a partial-quiescence round is in flight.
+    /// Returns `true` while an epoch-flip round is in flight.
     #[inline]
     pub fn active(&self) -> bool {
         self.active.load(Ordering::Acquire)
@@ -580,8 +535,8 @@ pub struct Kernel {
     /// (O(deletions), volatile — restore re-derives deletions from
     /// reachability, so losing it is safe).
     pub pending_sweep: Mutex<Vec<OrootId>>,
-    /// Per-round epoch fence consulted by the write-fault path while a
-    /// partial-quiescence pause is in flight.
+    /// Per-round epoch fence consulted by the write-fault path while an
+    /// epoch-flip round is copying concurrently with mutators.
     pub fence: EpochFence,
     /// Per-core step-boundary publication for the epoch flip's no-park
     /// grace period (see [`crate::cores::StepTracker`]).

@@ -203,21 +203,13 @@ impl KObject {
     ///
     /// On the false→true edge the object id is pushed to the kernel's
     /// dirty queue — at most one push per object per checkpoint round, no
-    /// matter how many syscalls touch it. Every call (edge or not) notes
-    /// the calling core in the queue's owner mask, so the checkpoint
-    /// leader knows exactly which cores own state in the round's write
-    /// set and can quiesce only those (partial quiescence).
+    /// matter how many syscalls touch it.
     #[inline]
     pub fn mark_dirty(&self) {
-        let core = crate::cores::current_core();
         if !self.dirty.swap(true, Ordering::AcqRel) {
             if let (Some(sink), Some(id)) = (self.sink.get(), self.id.get()) {
-                sink.push_from(*id, core);
-                return;
+                sink.push(*id);
             }
-        }
-        if let Some(sink) = self.sink.get() {
-            sink.note_owner(core);
         }
     }
 

@@ -31,11 +31,11 @@ struct PinState {
 /// per-core affinity queues for pinned threads.
 ///
 /// Core worker threads park on [`park`] when idle; enqueues and
-/// stop-the-world requests wake them. During a partial-quiescence pause,
-/// cores outside the stop set restrict themselves to their own affinity
+/// stop-the-world requests wake them. During an epoch flip's stop window
+/// no core parks, so every core restricts itself to its own affinity
 /// queue ([`next_for`] with `restricted = true`): an unpinned thread must
-/// never migrate onto a free core mid-pause, or state the round is
-/// copying would keep executing.
+/// not start a slice mid-flip, or its state would change while the
+/// leader defines the round's image.
 ///
 /// [`park`]: Self::park
 /// [`next_for`]: Self::next_for
@@ -150,8 +150,8 @@ impl Scheduler {
     }
 
     /// Dequeues the next thread for `core`: its affinity queue first, then
-    /// (unless `restricted`) the global queue. `restricted` is set by free
-    /// cores during a partial-quiescence pause.
+    /// (unless `restricted`) the global queue. `restricted` is set by
+    /// running cores during an epoch flip's stop window.
     pub fn next_for(&self, core: u32, restricted: bool) -> Option<ObjId> {
         {
             let mut pins = self.pins.lock();

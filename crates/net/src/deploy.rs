@@ -51,8 +51,9 @@ pub struct DeploySpec {
     pub batch: usize,
     /// When `Some(n)`, pin queue `q`'s server thread to simulated core
     /// `q % n`, aligning the service shard with the core that owns its
-    /// dirty pages (partial quiescence then parks exactly the cores
-    /// whose shards wrote). `None` leaves scheduling unconstrained.
+    /// dirty pages (and keeping it runnable through an epoch flip's stop
+    /// window, which holds unpinned threads back). `None` leaves
+    /// scheduling unconstrained.
     pub pin_cores: Option<u32>,
 }
 
@@ -83,10 +84,9 @@ pub fn deploy(
 
     // Eternal ring area above the heap: one eternal PMO *per queue*, so
     // each shard's ring pair is its own checkpoint object. A queue's
-    // request traffic then dirties only its own PMO — the dirty queue
-    // attributes ring writes per shard, partial quiescence parks only the
-    // cores whose shards produced, and the address map is unchanged
-    // (queue `q` still lands at `ring_base + q·2·ring_len`).
+    // request traffic then dirties only its own PMO — a round rewrites
+    // only the records of the shards that produced, and the address map
+    // is unchanged (queue `q` still lands at `ring_base + q·2·ring_len`).
     let ring_base_vpn = spec.heap_pages + 16;
     let layout =
         NicLayout::new(&spec.cfg, ring_base_vpn * 4096, spec.cursor_base, spec.cursor_stride);

@@ -206,15 +206,16 @@ struct QueueState {
     /// to the observed `rx_writer − rx_cursor` by
     /// [`VirtualNic::resync_credits`].
     inflight: AtomicU64,
-    /// TX writer snapshot taken by `on_epoch` inside the checkpoint
-    /// pause; `u64::MAX` when no snapshot is armed (full quiescence or
-    /// no checkpoint in flight). Caps the commit barrier's visibility
-    /// advance so responses produced by clean cores *after* the pause
-    /// wait for the commit that covers their producing state.
+    /// TX writer snapshot taken by `on_epoch` inside the checkpoint's
+    /// stop window; `u64::MAX` when no round is in flight. Caps the
+    /// commit barrier's visibility advance so responses produced *after*
+    /// the epoch flip wait for the commit that covers their producing
+    /// state.
     epoch_tx_writer: AtomicU64,
-    /// RX cursor sample taken at the previous checkpoint; a lower bound
-    /// on the *checkpointed* cursor, so those request slots are safe to
-    /// release for reuse.
+    /// RX cursor sample taken at the previous checkpoint (or, after a
+    /// restore, the restored cursor); a lower bound on the
+    /// *checkpointed* cursor, so those request slots are safe to release
+    /// for reuse.
     prev_cursor_sample: AtomicU64,
     /// Serializes RX-ring appends: `ring::push` is read-modify-write on
     /// the writer header, and concurrent client threads landing on the
@@ -770,10 +771,9 @@ impl CkptCallback for VirtualNic {
         // because this callback runs inside the grace-held flip window:
         // pre-arm steps have finished and post-arm steps are held at
         // their first write until the seal, so no ring append lands
-        // between this read and the flip. Partial quiescence (clean
-        // cores running) needs the same cap; under full quiescence
-        // nothing runs between here and the commit, so the cap is
-        // exactly the barrier-time writer.
+        // between this read and the flip. Under full quiescence nothing
+        // runs between here and the commit, so the cap is exactly the
+        // barrier-time writer.
         for q in 0..self.layout.queues {
             let port = self.layout.port(q);
             if let Ok(w) = ring::header(&self.io, &port.tx, hdr::WRITER) {
@@ -885,8 +885,13 @@ impl CkptCallback for VirtualNic {
             let after = ring::truncate_uncommitted_unfenced(&self.io, &port.tx, version)
                 .unwrap_or(before);
             truncated += before.saturating_sub(after);
-            // The cursor sample is stale for the new epoch.
-            self.queues[q].prev_cursor_sample.store(0, Ordering::SeqCst);
+            // Seed the cursor sample with the restored cursor: it comes
+            // from the committed image, so its slots are never needed
+            // again, and it is ≥ every `ACK` published before the crash.
+            // A zero sample would move `ACK` back to 0 at the next
+            // commit and the ring would read as full for a round.
+            let cursor = self.io.mem_read_u64(port.rx_cursor_addr).unwrap_or(0);
+            self.queues[q].prev_cursor_sample.store(cursor, Ordering::SeqCst);
         }
         self.io.flush();
         // Uniform doorbell re-arm: every queue whose restored cursor

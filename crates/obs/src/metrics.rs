@@ -328,8 +328,9 @@ impl MetricsRegistry {
         let _ = (dirty_queue_depth, shard_contention);
     }
 
-    /// Updates the partial-quiescence gauge: how many cores the last
-    /// stop-the-world round actually parked.
+    /// Updates the quiescence gauge: how many cores the last round
+    /// actually parked (every core under full quiesce, 0 under the epoch
+    /// flip).
     #[inline]
     pub fn set_quiesced_cores(&self, cores: u64) {
         #[cfg(feature = "metrics")]
@@ -338,9 +339,9 @@ impl MetricsRegistry {
         let _ = cores;
     }
 
-    /// Records one epoch-fence conflict capture: a core outside a partial
-    /// pause's stop set wrote a page whose round image was not yet
-    /// preserved, and the fault path duplicated it inline.
+    /// Records one epoch-fence conflict capture: a write racing an epoch
+    /// flip's copy phase hit a page whose round image was not yet
+    /// preserved, and the fault path preserved it in-line.
     #[inline]
     pub fn record_epoch_conflict(&self) {
         #[cfg(feature = "metrics")]
@@ -672,10 +673,11 @@ pub struct MetricsSnapshot {
     pub dirty_queue_depth: u64,
     /// Gauge: cumulative sharded-store lock contention events.
     pub shard_contention: u64,
-    /// Gauge: cores parked by the last stop-the-world round (partial
-    /// quiescence stops only dirty-owning cores).
+    /// Gauge: cores parked by the last round (every registered core
+    /// under full quiesce, 0 under the epoch flip).
     pub quiesced_cores: u64,
-    /// Epoch-fence conflict captures by free cores during partial pauses.
+    /// Epoch-fence conflict captures by writes racing an epoch flip's
+    /// copy phase.
     pub epoch_conflicts: u64,
     /// Epoch-concurrent rounds: O(1) flips whose copy phase ran with
     /// mutators live.

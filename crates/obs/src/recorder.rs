@@ -104,9 +104,12 @@ pub enum EventKind {
     /// not). Payload: `[restored_version, queues, rearmed, truncated_msgs,
     /// 0, 0]`.
     NetRearm = 14,
-    /// A stop-the-world round resolved its stop set (partial quiescence).
-    /// Payload: `[inflight_version, stopped_cores, registered_cores,
-    /// owner_mask, full_quiesce(0|1), epoch_conflicts_so_far]`.
+    /// A round resolved its stop set: every registered core under full
+    /// quiesce, none under the epoch flip. (The name predates the
+    /// deletion of parked partial quiescence; it is pinned by NVM
+    /// images.) Payload: `[inflight_version, stopped_cores,
+    /// registered_cores, stop_mask (0 or all cores), full_quiesce(0|1),
+    /// epoch_conflicts_so_far]`.
     PartialQuiesce = 15,
     /// The replication shipper finished streaming a round to its peers.
     /// Payload: `[round, records, pages, bytes, snapshots, durable_peers]`.
@@ -122,7 +125,7 @@ pub enum EventKind {
     ReplResync = 19,
     /// An epoch-concurrent round flipped its epoch: the O(1) stop window
     /// ended and the drain/copy phase began with mutators live. Payload:
-    /// `[inflight_version, fence_round, cut_depth, owner_mask,
+    /// `[inflight_version, fence_round, cut_depth, stop_mask (0),
     /// flip_pause_ns, 0]`.
     EpochFlip = 20,
     /// A first conflicting write of the round appended an in-line undo

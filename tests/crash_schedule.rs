@@ -105,16 +105,12 @@ fn extsync_cycle_survives_crash_at_every_site() {
     assert!(names.contains("ring.pre_visible_store"), "sites: {names:?}");
     assert!(names.contains("net.pre_barrier"), "sites: {names:?}");
     assert!(names.contains("net.pre_barrier_flush"), "sites: {names:?}");
-    // Partial quiescence adds two cuts to every checkpoint: right after
-    // the dirty-owning cores parked (before any copying), and at the
-    // epoch cut-off where external-synchrony callbacks snapshot their TX
-    // release barrier.
-    assert!(names.contains("stw.partial_gate"), "sites: {names:?}");
+    // The epoch flip adds three cuts to every checkpoint: at the epoch
+    // cut-off where external-synchrony callbacks snapshot their TX
+    // release barrier, right after the O(1) flip (dirty cut taken, cores
+    // already resumed), and at the start of the concurrent drain where
+    // the tree walk races live mutators.
     assert!(names.contains("stw.epoch_fence"), "sites: {names:?}");
-    // Epoch-concurrent checkpointing adds two more: right after the
-    // O(1) epoch flip (dirty cut taken, cores already resumed), and at
-    // the start of the concurrent drain where the tree walk races live
-    // mutators.
     assert!(names.contains("stw.epoch_flip"), "sites: {names:?}");
     assert!(names.contains("ckpt.concurrent_drain"), "sites: {names:?}");
     report.assert_clean();
@@ -189,10 +185,10 @@ fn restore_rearm_crash_is_survivable() {
 }
 
 /// The epoch-fence conflict capture ("stw.clean_core_cow") fires on a
-/// *free* core's write racing a partial-quiescence round, a schedule the
+/// write racing an epoch flip's copy phase, a schedule the
 /// single-threaded site enumeration never produces — so a dedicated drill
-/// covers it: arm the fence the way the checkpoint leader would, issue a
-/// host write to a migrated dirty page, crash inside the capture, and
+/// covers it: arm and seal the fence the way the flip leader would, issue
+/// a host write to a migrated dirty page, crash inside the capture, and
 /// check that recovery rolls back cleanly and the first post-restore
 /// checkpoint runs the healing full walk.
 #[test]
@@ -211,12 +207,13 @@ fn clean_core_cow_crash_is_survivable_and_heals() {
     }
     step(&sys, st.writer, HYBRID_PAGES as usize);
 
-    // Play the leader: arm the epoch fence for the next round, then write
-    // to a migrated page from the host — the conflict CoW must trigger,
-    // and the injected crash cuts it mid-capture.
+    // Play the leader: arm and seal the epoch fence for the next round,
+    // then write to a migrated page from the host — the conflict CoW must
+    // trigger, and the injected crash cuts it mid-capture.
     let sched = {
         let kernel = sys.kernel();
         kernel.fence.arm(kernel.pers.global_version() + 1);
+        kernel.fence.seal();
         std::sync::Arc::clone(kernel.pers.dev.crash_schedule())
     };
     sched.arm(treesls_nvm::CrashPoint::Site { name: "stw.clean_core_cow".into(), skip: 0 });
@@ -256,8 +253,8 @@ fn clean_core_cow_crash_is_survivable_and_heals() {
 /// racing the concurrent copy phase — again a schedule single-threaded
 /// site enumeration never produces. Dedicated drill: commit one round so
 /// the heap pages are read-only but not yet hot enough to migrate, arm
-/// the fence the way the epoch flip would, issue an 8-byte host write
-/// (undo record, not whole-page CoW), crash inside the capture, and
+/// and seal the fence the way the epoch flip would, issue an 8-byte host
+/// write (undo record, not whole-page CoW), crash inside the capture, and
 /// check that recovery rolls back to the last commit and the first
 /// post-restore checkpoint runs the healing full walk.
 #[test]
@@ -277,6 +274,7 @@ fn inline_log_capture_crash_is_survivable_and_heals() {
     let sched = {
         let kernel = sys.kernel();
         kernel.fence.arm(kernel.pers.global_version() + 1);
+        kernel.fence.seal();
         std::sync::Arc::clone(kernel.pers.dev.crash_schedule())
     };
     sched.arm(treesls_nvm::CrashPoint::Site {

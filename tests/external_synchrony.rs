@@ -87,6 +87,47 @@ fn kv_layout(geom: &ShardGeometry, cfg: &treesls::net::NicConfig) -> NicLayout {
     NicLayout::new(cfg, (heap_pages + 16) * 4096, geom.data_stride - 4096, geom.data_stride)
 }
 
+/// Crashes `sys` and recovers it under `cfg` with the same programs (the
+/// "binaries" on disk), then reattaches a single-queue NIC over `geom` to
+/// the restored rings (no re-init!), rebinds the doorbell the restored
+/// server blocks on, re-registers the ext-sync callback and fires the
+/// restore reconciliation. The recovered system is not started.
+fn crash_and_reattach(
+    sys: System,
+    cfg: SystemConfig,
+    geom: &ShardGeometry,
+) -> (System, Arc<VirtualNic>) {
+    let programs: Vec<(String, Arc<dyn treesls::Program>)> = sys
+        .programs()
+        .names()
+        .into_iter()
+        .filter_map(|n| sys.programs().get(&n).map(|p| (n, p)))
+        .collect();
+    let image = sys.crash();
+    let (sys2, report) = System::recover(image, cfg, move |r| {
+        for (n, p) in programs {
+            r.register(&n, p);
+        }
+    })
+    .expect("recovery");
+    let nic_cfg = nic_config(1, true, geom);
+    let layout = kv_layout(geom, &nic_cfg);
+    let nic = VirtualNic::attach(
+        Arc::clone(sys2.kernel()),
+        restored_vmspace(&sys2),
+        layout,
+        &nic_cfg,
+        1_000_000,
+    );
+    let bells = restored_doorbells(&sys2);
+    assert_eq!(bells.len(), 1, "doorbell notification restored");
+    nic.set_doorbell(0, bells[0]);
+    sys2.manager().register_callback(Arc::clone(&nic) as _);
+    // The uniform per-queue re-arm: cursor < writer ⇒ signal the bell.
+    sys2.manager().fire_restore_callbacks(report.version);
+    (sys2, nic)
+}
+
 #[test]
 fn full_crash_recovery_with_server_continuation() {
     // End-to-end: SET observed → crash → recover → re-register programs →
@@ -103,34 +144,7 @@ fn full_crash_recovery_with_server_continuation() {
         .expect("SET acked");
     sys.stop();
 
-    // Capture the programs (the "binaries") for the reboot.
-    let programs: Vec<(String, Arc<dyn treesls::Program>)> = sys
-        .programs()
-        .names()
-        .into_iter()
-        .filter_map(|n| sys.programs().get(&n).map(|p| (n, p)))
-        .collect();
-    let cfg = config(Some(1));
-    let image = sys.crash();
-    let (mut sys2, report) = System::recover(image, cfg, move |r| {
-        for (n, p) in programs {
-            r.register(&n, p);
-        }
-    })
-    .expect("recovery");
-    // Reattach the NIC to the restored rings (no re-init!), re-register
-    // the ext-sync callbacks and fire the restore reconciliation.
-    let vs2 = restored_vmspace(&sys2);
-    let nic_cfg = nic_config(1, true, &geom);
-    let layout = kv_layout(&geom, &nic_cfg);
-    let nic2 = VirtualNic::attach(Arc::clone(sys2.kernel()), vs2, layout, &nic_cfg, 1_000_000);
-    // Rebind the doorbell: the restored server blocks on its notification
-    // and must be woken by incoming requests.
-    let bells = restored_doorbells(&sys2);
-    assert_eq!(bells.len(), 1, "doorbell notification restored");
-    nic2.set_doorbell(0, bells[0]);
-    sys2.manager().register_callback(Arc::clone(&nic2) as _);
-    sys2.manager().fire_restore_callbacks(report.version);
+    let (mut sys2, nic2) = crash_and_reattach(sys, config(Some(1)), &geom);
     sys2.start();
 
     let get = KvOp::Get { key: make_key(b"alive") };
@@ -167,34 +181,7 @@ fn restore_rearms_doorbell_for_uncommitted_requests() {
     dep.nic.send_request(0, &op.encode()).unwrap();
     sys.stop();
 
-    let programs: Vec<(String, Arc<dyn treesls::Program>)> = sys
-        .programs()
-        .names()
-        .into_iter()
-        .filter_map(|n| sys.programs().get(&n).map(|p| (n, p)))
-        .collect();
-    let image = sys.crash();
-    let (mut sys2, report) = System::recover(image, config(None), move |r| {
-        for (n, p) in programs {
-            r.register(&n, p);
-        }
-    })
-    .expect("recovery");
-    let vs2 = restored_vmspace(&sys2);
-    let nic_cfg = nic_config(1, true, &geom);
-    let nic2 = VirtualNic::attach(
-        Arc::clone(sys2.kernel()),
-        vs2,
-        kv_layout(&geom, &nic_cfg),
-        &nic_cfg,
-        1_000_000,
-    );
-    let bells = restored_doorbells(&sys2);
-    assert_eq!(bells.len(), 1);
-    nic2.set_doorbell(0, bells[0]);
-    sys2.manager().register_callback(Arc::clone(&nic2) as _);
-    // The uniform per-queue re-arm: cursor < writer ⇒ signal the bell.
-    sys2.manager().fire_restore_callbacks(report.version);
+    let (mut sys2, nic2) = crash_and_reattach(sys, config(None), &geom);
     sys2.start();
 
     // Without retransmitting the lost SET, the woken server must process
@@ -273,6 +260,60 @@ fn steady_closed_loop_at_half_capacity_never_sheds() {
     }
     let sheds_after = sys.kernel().metrics.snapshot().net_sheds;
     assert_eq!(sheds_after - sheds_before, 0, "steady half-capacity load was shed");
+}
+
+/// Regression (ROADMAP 2(c), first lead): the restore callback used to
+/// reset the RX cursor sample to 0, so the first checkpoint after a
+/// restore moved the ring's `ACK` header back to 0 and a ring that had
+/// been filled past half capacity read as full for a round. The sample is
+/// now seeded with the restored cursor.
+#[test]
+fn first_checkpoint_after_restore_keeps_rx_ack() {
+    use treesls_bench::ringsetup::deploy_kv_cfg;
+    use treesls_kernel::cores::run_slice;
+
+    let sys = System::boot(config(None)); // manual checkpoints + stepping
+    let geom = ShardGeometry { nslots: 32, slot_size: 84, data_stride: 16 * 4096 };
+    let dep = deploy_kv_cfg(&sys, 16, 40, nic_config(1, true, &geom), geom);
+    let nic = &dep.nic;
+    let srv = dep.server_threads[0];
+    let drive = |steps: usize| run_slice(sys.kernel(), srv, steps, sys.manager().stw());
+    drive(4);
+    sys.checkpoint_now().unwrap();
+    nic.pump();
+
+    // Fill the RX ring past half capacity and let the server consume it.
+    let filled = geom.nslots * 3 / 4;
+    for batch in 0..filled / 8 {
+        for i in 0..8 {
+            let key = make_key(format!("k-{batch}-{i}").as_bytes());
+            let op = KvOp::Set { key, value: b"v".to_vec() };
+            nic.send_request(0, &op.encode()).expect("pre-crash request admitted");
+        }
+        nic.flush_wire();
+        drive(16);
+    }
+    assert_eq!(nic.queue_stats(0).rx_cursor, filled, "server consumed every request");
+    // The first commit samples the advanced cursor, the second publishes
+    // it as the RX `ACK`.
+    for _ in 0..2 {
+        sys.checkpoint_now().unwrap();
+        nic.pump();
+    }
+    let ack_before = nic.queue_stats(0).rx_ack;
+    assert_eq!(ack_before, filled, "RX slots released before the crash");
+
+    let (sys2, nic2) = crash_and_reattach(sys, config(None), &geom);
+    sys2.checkpoint_now().unwrap();
+
+    let ack_after = nic2.queue_stats(0).rx_ack;
+    assert!(ack_after >= ack_before, "RX ACK moved backwards: {ack_before} -> {ack_after}");
+    // The ring has room for half a ring of fresh requests.
+    for i in 0..geom.nslots / 2 {
+        let key = make_key(format!("post-{i}").as_bytes());
+        let op = KvOp::Set { key, value: b"v".to_vec() };
+        nic2.send_request(0, &op.encode()).expect("post-restore request refused: ring full");
+    }
 }
 
 #[test]
