@@ -17,9 +17,14 @@
 //!    checkpoint callbacks (transparent external synchrony, §5).
 //!
 //! [`restore()`] rebuilds a whole runtime system from the backup tree after
-//! a simulated power failure (step ❼).
+//! a simulated power failure (step ❼). It, [`CheckpointManager::verify_checkpoint`],
+//! [`CheckpointManager::scrub`] and the replication shipper all read the
+//! committed tree through one [`CommittedImage`].
+
+#![deny(missing_docs)]
 
 pub mod hybrid;
+pub mod image;
 pub mod restore;
 pub mod stats;
 pub mod tree;
@@ -37,7 +42,10 @@ use treesls_kernel::object::ObjType;
 use treesls_kernel::types::KernelError;
 use treesls_kernel::Kernel;
 
-pub use restore::{crash, restore, CrashImage, QuarantinedPage, RecoveryReport, RestoreReport};
+pub use image::{CommittedImage, ImageError, PageCheck, PageSource};
+pub use restore::{
+    crash, restore, CrashImage, QuarantinedPage, RecoveryReport, RestorePhases, RestoreReport,
+};
 pub use stats::{HybridRoundStats, MinMax, ObjectTimeTable, StwBreakdown};
 
 /// Outcome of a [`CheckpointManager::scrub`] pass over the committed
@@ -103,9 +111,6 @@ pub struct RoundDelta {
     pub rewritten: Vec<treesls_kernel::types::OrootId>,
     /// ORoots tombstoned (deleted) this round.
     pub tombstoned: Vec<treesls_kernel::types::OrootId>,
-    /// Whether the round ran a full reachability walk (a healing round
-    /// rewrites every reachable record, so the delta is the whole tree).
-    pub full_walk: bool,
 }
 
 /// What steps ❶–❸ of one round ([`CheckpointManager::pre_commit`])
@@ -507,7 +512,6 @@ impl CheckpointManager {
             round: inflight,
             rewritten: std::mem::take(&mut outcome.rewritten),
             tombstoned: std::mem::take(&mut outcome.tombstoned_ids),
-            full_walk: outcome.full_walk,
         });
 
         // External synchrony callbacks (outside the pause).
@@ -583,90 +587,37 @@ impl CheckpointManager {
     }
 
     /// Verifies the integrity of the committed checkpoint (§8 "Data
-    /// Reliability"): every object reachable from the backup root must
-    /// have a restorable backup slot, every live page entry must resolve
-    /// to a valid in-range frame under the committed version, and the
-    /// allocator metadata must satisfy its invariants. Returns the number
-    /// of objects checked.
+    /// Reliability"): the allocator metadata must satisfy its invariants,
+    /// the [`CommittedImage`] must walk from its root (every reachable
+    /// object has a well-typed committed record), and every live page
+    /// entry of a reachable PMO must resolve — under restore's own rule —
+    /// to an intact committed image ([`CommittedImage::check`]). Returns
+    /// the number of objects checked.
     ///
     /// Intended to run between checkpoints (it takes the backup locks); a
     /// production system would run it against a quiesced or shadow copy.
     pub fn verify_checkpoint(&self) -> Result<usize, String> {
-        use treesls_kernel::oroot::BackupObject;
-        let global = self.kernel.pers.global_version();
-        let Some(root) = self.kernel.pers.root_oroot() else {
-            return Err("no committed checkpoint".into());
-        };
-        self.kernel.pers.alloc.verify()?;
-        let oroots = &self.kernel.pers.oroots;
-        let backups = &self.kernel.pers.backups;
-        let frame_count = self.kernel.pers.dev.frame_count() as u32;
-        let mut seen = std::collections::HashSet::new();
-        let mut stack = vec![root];
-        let mut checked = 0usize;
-        while let Some(id) = stack.pop() {
-            if !seen.insert(id) {
-                continue;
-            }
-            let Some((live, pick, otype)) =
-                oroots.with(id, |r| (r.live_at(global), r.restore_pick(global).map(|k| r.backups[k]), r.otype))
+        use treesls_kernel::oroot::{BackupObject, BkPageEntry};
+        let pers = &self.kernel.pers;
+        let image = CommittedImage::open(pers).map_err(|e| format!("{e:?}"))?;
+        pers.alloc.verify()?;
+        let reachable = image.walk().map_err(|e| format!("{e:?}"))?;
+        for &(id, _, vb) in &reachable {
+            let Some(BackupObject::Pmo { pages, npages, .. }) = pers.backups.get_cloned(vb.slot)
             else {
-                return Err(format!("dangling ORoot {id:?}"));
-            };
-            if !live {
                 continue;
-            }
-            let vb = pick
-                .flatten()
-                .ok_or_else(|| format!("ORoot {id:?}: no restorable backup at v{global}"))?;
-            checked += 1;
-            // Page-level checks + graph edges, under the record's shard lock.
-            let verdict: Option<Result<Vec<treesls_kernel::types::OrootId>, String>> =
-                backups.with(vb.slot, |record| {
-                    if record.otype() != otype {
-                        return Err(format!("ORoot {id:?}: record type mismatch"));
-                    }
-                    Ok(match record {
-                        BackupObject::Pmo { pages, npages, .. } => {
-                            let mut err = None;
-                            pages.for_each(|idx, e| {
-                                if err.is_some() || !e.live_at(global) {
-                                    return;
-                                }
-                                if idx >= *npages {
-                                    err = Some(format!("page index {idx} beyond PMO capacity"));
-                                    return;
-                                }
-                                let meta = e.slot.meta.lock();
-                                match meta.restore_pick(global) {
-                                    None => err = Some(format!("page {idx}: unrecoverable")),
-                                    Some(p) => {
-                                        let frame =
-                                            meta.pairs[p].expect("picked entry exists").frame;
-                                        if frame.0 >= frame_count {
-                                            err = Some(format!(
-                                                "page {idx}: frame {} out of range",
-                                                frame.0
-                                            ));
-                                        }
-                                    }
-                                }
-                            });
-                            if let Some(e) = err {
-                                return Err(e);
-                            }
-                            Vec::new()
-                        }
-                        other => tree::record_edges(other),
-                    })
-                });
-            match verdict {
-                None => return Err(format!("ORoot {id:?}: backup record missing")),
-                Some(Err(e)) => return Err(e),
-                Some(Ok(edges)) => stack.extend(edges),
+            };
+            let intact = |e: &BkPageEntry| {
+                matches!(image.check(&e.slot.meta.lock()), Some(PageCheck::Intact(_)))
+            };
+            let bad = pages.iter().find(|&(idx, e)| {
+                e.live_at(image.version()) && (idx >= npages || !intact(e))
+            });
+            if let Some((idx, _)) = bad {
+                return Err(format!("ORoot {id:?}: page {idx} is unrecoverable or out of range"));
             }
         }
-        Ok(checked)
+        Ok(reachable.len())
     }
 
     /// Total bytes of checkpoint state currently on NVM (Table 2 "Ckpt"):
@@ -709,27 +660,30 @@ impl CheckpointManager {
     /// Only *committed* images are checked (`0 < version ≤ global`):
     /// in-flight tags belong to a checkpoint that does not exist yet, and
     /// version-0 entries are runtime pages the application may be writing.
+    /// Each generation is validated by the rule restore's page check
+    /// ([`CommittedImage::check`]) applies to it.
     pub fn scrub(&self) -> ScrubReport {
         use treesls_kernel::oroot::BackupObject;
-        let global = self.kernel.pers.global_version();
-        let dev = &self.kernel.pers.dev;
+        let pers = &self.kernel.pers;
         let mut report = ScrubReport {
-            invalid_commit_slots: self.kernel.pers.scrub_commit_records(),
+            invalid_commit_slots: pers.scrub_commit_records(),
             ..ScrubReport::default()
         };
-        self.kernel.pers.backups.for_each(|_, record| {
+        // Before the first commit no generation is committed.
+        let Ok(image) = CommittedImage::open(pers) else { return report };
+        pers.backups.for_each(|_, record| {
             let BackupObject::Pmo { pages, .. } = record else { return };
             pages.for_each(|_, e| {
                 let meta = e.slot.meta.lock();
                 for p in meta.pairs.iter().flatten() {
-                    if p.version == 0 || p.version > global {
+                    if p.version == 0 || p.version > image.version() {
                         continue;
                     }
                     match p.crc {
                         None => report.pages_untagged += 1,
-                        Some(crc) => {
+                        Some(_) => {
                             report.pages_scanned += 1;
-                            if dev.page_crc(p.frame) != crc {
+                            if !image.validates(p) {
                                 report.corrupt_pages.push((p.frame, p.version));
                             }
                         }

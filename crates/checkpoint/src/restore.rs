@@ -4,12 +4,12 @@
 //! the persistent state (the NVM device plus the typed backup stores that
 //! conceptually live in its slab space). `restore` then "rolls back the
 //! whole system by reviving state of the backup capability tree": it
-//! replays the allocator journal, walks the backup tree from the root
-//! ORoot, rebuilds every runtime object, resets per-page state according
-//! to the versioning rules of §4.2/§4.3.3, re-enqueues runnable threads,
-//! and finally rebuilds the allocator via mark-and-sweep over the
-//! reachable set ("malloc/free operations after the last checkpoint are
-//! identified and rolled back").
+//! replays the allocator journal, walks the [`CommittedImage`] from the
+//! root ORoot, rebuilds every runtime object, resets per-page state to
+//! the image's checked page sources (§4.2/§4.3.3), re-enqueues runnable
+//! threads, and finally rebuilds the allocator via mark-and-sweep over
+//! the reachable set ("malloc/free operations after the last checkpoint
+//! are identified and rolled back").
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -19,17 +19,21 @@ use treesls_kernel::cap::{CapGroupBody, Capability};
 use treesls_kernel::ipc::{IpcConnBody, IpcMsg};
 use treesls_kernel::kernel::{KernelConfig, Persistent};
 use treesls_kernel::notif::{IrqNotifBody, NotifBody};
-use treesls_kernel::object::{KObject, ObjType, ObjectBody};
-use treesls_kernel::oroot::{BackupObject, BkThreadState, ORoot};
-use treesls_kernel::pmo::{PagePtr, Pmo, PmoKind};
+use treesls_kernel::object::{ObjType, ObjectBody};
+use treesls_kernel::oroot::{
+    BackupObject, BkCap, BkPageEntry, BkThreadState, ORoot, VersionedBackup,
+};
+use treesls_kernel::pmo::{PageMeta, PagePtr, Pmo, PmoKind};
 use treesls_kernel::program::ProgramRegistry;
+use treesls_kernel::radix::Radix;
 use treesls_kernel::thread::{BlockedOn, ThreadBody, ThreadState};
 use treesls_kernel::types::{KernelError, ObjId, OrootId, Vpn};
 use treesls_kernel::vm::{VmRegion, VmSpaceBody};
 use treesls_kernel::Kernel;
-use treesls_nvm::{FrameId, NvmDevice, ShardedStore};
+use treesls_nvm::{FrameId, NvmDevice, ShardedStore, PAGE_SIZE};
 use treesls_pmem_alloc::NvmAddr;
 
+use crate::image::{CommittedImage, ImageError, PageCheck, PageSource};
 use crate::stats::{MinMax, ObjectTimeTable};
 
 /// The persistent state surviving a power failure.
@@ -110,6 +114,23 @@ impl RecoveryReport {
     }
 }
 
+/// Where a restore's time went, phase by phase. Journal replay and
+/// commit-record validation, which run before the first phase, make up
+/// the rest of [`RestoreReport::duration`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RestorePhases {
+    /// The reachability walk over the committed image.
+    pub walk: Duration,
+    /// Reviving the reachable objects: placeholders (pass A), bodies and
+    /// pages (pass B), then the run queue and IRQ lines.
+    pub revive: Duration,
+    /// Dropping the records of every unreachable ORoot.
+    pub sweep: Duration,
+    /// The allocator's mark-and-sweep: collecting the reachable frames
+    /// and slabs, then rebuilding the free lists from them.
+    pub alloc: Duration,
+}
+
 /// Outcome of a whole-system restore.
 #[derive(Debug)]
 pub struct RestoreReport {
@@ -121,6 +142,8 @@ pub struct RestoreReport {
     pub pages: usize,
     /// End-to-end restore time.
     pub duration: Duration,
+    /// Per-phase durations within `duration`.
+    pub phases: RestorePhases,
     /// Per-object-type restore times (Table 3 "Restore").
     pub per_type: HashMap<ObjType, MinMax>,
     /// Integrity outcomes (commit-record fallback, page checksums,
@@ -133,6 +156,10 @@ pub struct RestoreReport {
 /// `register_programs` is called before threads are revived so that every
 /// thread's program name resolves (programs are "executables on disk" and
 /// must be re-registered after reboot, as a real system reloads binaries).
+///
+/// A committed image that cannot be revived — no commit, a reachable
+/// reference to a missing or deleted object, a record of the wrong type —
+/// is an `Err`, never a panic.
 pub fn restore(
     image: CrashImage,
     config: KernelConfig,
@@ -143,96 +170,45 @@ pub fn restore(
     // Journal replay makes the allocator metadata consistent; the global
     // metadata tells us which version committed.
     let pers = Persistent::recover(dev, nvm_frames, backups, oroots);
-    let global = pers.global_version();
     let mut recovery = RecoveryReport {
         commit: pers.commit_recovery(),
         journal_records_truncated: pers.alloc.journal_truncated(),
         flight_events: pers.take_recovered_events(),
         ..RecoveryReport::default()
     };
-    let root_oroot = pers
-        .root_oroot()
-        .ok_or(KernelError::InvalidState("no committed checkpoint to restore"))?;
-
     let kernel = Kernel::from_parts(pers, config);
     register_programs(&kernel.programs);
+    let image = CommittedImage::open(&kernel.pers)?;
+    let mut phases = RestorePhases::default();
 
-    let mut table = ObjectTimeTable::default();
-    let mut pages_revived = 0usize;
-
-    // ---- reachability over the backup graph --------------------------------
-    let mut reachable: Vec<OrootId> = Vec::new();
-    {
-        let oroots = &kernel.pers.oroots;
-        let backups = &kernel.pers.backups;
-        let mut seen: HashMap<OrootId, ()> = HashMap::new();
-        let mut stack = vec![root_oroot];
-        while let Some(id) = stack.pop() {
-            if seen.contains_key(&id) {
-                continue;
-            }
-            let Some(vb) = oroots
-                .with(id, |r| {
-                    if !r.live_at(global) {
-                        return None;
-                    }
-                    r.restore_pick(global).and_then(|keep| r.backups[keep])
-                })
-                .flatten()
-            else {
-                continue;
-            };
-            let Some(kids) = backups.with(vb.slot, crate::tree::record_edges) else { continue };
-            seen.insert(id, ());
-            reachable.push(id);
-            stack.extend(kids);
-        }
-    }
+    let t = Instant::now();
+    let reachable = image.walk()?;
+    phases.walk = t.elapsed();
 
     // ---- pass A: placeholders ----------------------------------------------
-    let mut map: HashMap<OrootId, ObjId> = HashMap::new();
-    {
-        let oroots = &kernel.pers.oroots;
-        for &id in &reachable {
-            let otype = oroots.with(id, |r| r.otype).expect("reachable oroot");
-            let obj = kernel.insert_object(placeholder_body(otype));
-            obj.set_oroot(id);
-            oroots.with_mut(id, |r| r.runtime = Some(obj.id())).expect("reachable oroot");
-            map.insert(id, obj.id());
-        }
+    let t = Instant::now();
+    let mut map: HashMap<OrootId, ObjId> = HashMap::with_capacity(reachable.len());
+    let mut objs = Vec::with_capacity(reachable.len());
+    for &(id, otype, _) in &reachable {
+        let obj = kernel.insert_object(placeholder_body(otype));
+        obj.set_oroot(id);
+        kernel.pers.oroots.with_mut(id, |r| r.runtime = Some(obj.id()));
+        map.insert(id, obj.id());
+        objs.push(obj);
     }
 
     // ---- pass B: fill bodies ------------------------------------------------
-    for &id in &reachable {
+    let mut table = ObjectTimeTable::default();
+    let mut pages_revived = 0usize;
+    for (&(id, otype, vb), obj) in reachable.iter().zip(&objs) {
         let t_obj = Instant::now();
-        let (otype, vb) = kernel
-            .pers
-            .oroots
-            .with(id, |r| {
-                let keep = r.restore_pick(global).expect("picked during walk");
-                (r.otype, r.backups[keep].expect("picked during walk"))
-            })
-            .expect("reachable oroot");
         let record =
-            kernel.pers.backups.get_cloned(vb.slot).expect("record present");
-        let obj_id = map[&id];
-        let obj = kernel.object(obj_id)?;
-        let revived_pages = fill_body(&kernel, &obj, record, &map, global, &mut recovery)?;
-        pages_revived += revived_pages;
-        // The revived state equals the backup: the next checkpoint can
-        // skip this object unless it is mutated again.
-        obj.take_dirty();
-        table.add_restore(otype, t_obj.elapsed());
-    }
-
-    // ---- derived state -------------------------------------------------------
-    *kernel.root_cap_group.lock() = Some(map[&root_oroot]);
-    // Rebuild the run queue "by adding all threads to the scheduler's
-    // queue" (§3), and the IRQ line table.
-    for &id in &reachable {
-        let obj = kernel.object(map[&id])?;
-        let body = obj.body.read();
-        match &*body {
+            kernel.pers.backups.get_cloned(vb.slot).ok_or(ImageError::MissingRecord(id))?;
+        let body = fill_body(&kernel, &image, (id, vb), record, &map, &mut recovery)?;
+        // Rebuild the run queue "by adding all threads to the scheduler's
+        // queue" (§3), and the IRQ line table.
+        match &body {
+            ObjectBody::Pmo(pmo) => pages_revived += pmo.materialized(),
             ObjectBody::Thread(t) if t.state == ThreadState::Runnable => {
                 kernel.sched.enqueue(obj.id());
             }
@@ -241,27 +217,37 @@ pub fn restore(
             }
             _ => {}
         }
+        *obj.body.write() = body;
+        // The revived state equals the backup: the next checkpoint can
+        // skip this object unless it is mutated again.
+        obj.take_dirty();
+        table.add_restore(otype, t_obj.elapsed());
     }
 
+    *kernel.root_cap_group.lock() = map.get(&image.root()).copied();
+    phases.revive = t.elapsed();
+
     // ---- sweep unreachable persistent records --------------------------------
-    {
-        let keep: std::collections::HashSet<OrootId> = reachable.iter().copied().collect();
-        let dead: Vec<OrootId> =
-            kernel.pers.oroots.ids().into_iter().filter(|i| !keep.contains(i)).collect();
-        for id in dead {
-            let r = kernel.pers.oroots.remove(id).expect("listed");
+    // The two-slot rotation keeps a reachable object's *other* slot as
+    // the next overwrite target; its slab accounting is carved below.
+    let t = Instant::now();
+    for id in kernel.pers.oroots.ids() {
+        if map.contains_key(&id) {
+            continue;
+        }
+        if let Some(r) = kernel.pers.oroots.remove(id) {
             for vb in r.backups.into_iter().flatten() {
                 kernel.pers.backups.remove(vb.slot);
             }
         }
-        // Also drop non-kept backup slots' records? No: the two-slot
-        // rotation keeps the *other* slot as the next overwrite target and
-        // its slab accounting is carved below.
     }
+    phases.sweep = t.elapsed();
 
     // ---- allocator mark-and-sweep --------------------------------------------
+    let t = Instant::now();
     let (blocks, slabs) = collect_reachable(&kernel);
     kernel.pers.alloc.rebuild(&blocks, &slabs)?;
+    phases.alloc = t.elapsed();
 
     // The dirty queue filled with every revived object's insertion push,
     // but pass B consumed the flags (revived state equals the backup), so
@@ -289,7 +275,7 @@ pub fn restore(
     kernel.pers.recorder().record(
         treesls_obs::EventKind::Restore,
         [
-            global,
+            image.version(),
             reachable.len() as u64,
             pages_revived as u64,
             recovery.pages_fell_back as u64,
@@ -299,12 +285,12 @@ pub fn restore(
     );
     kernel.metrics.record_restore();
 
-    let version = global;
     let report = RestoreReport {
-        version,
+        version: image.version(),
         objects: reachable.len(),
         pages: pages_revived,
         duration: t0.elapsed(),
+        phases,
         per_type: table.restore,
         recovery,
     };
@@ -330,36 +316,26 @@ fn placeholder_body(otype: ObjType) -> ObjectBody {
     }
 }
 
-/// Fills a placeholder object from its backup record, translating ORoot
-/// references to revived runtime ids. Returns the number of pages revived
-/// (PMOs only).
+/// Builds the runtime body of the object `(oroot, vb)` from its committed
+/// record, translating ORoot references to revived runtime ids.
 fn fill_body(
-    kernel: &Arc<Kernel>,
-    obj: &Arc<KObject>,
+    kernel: &Kernel,
+    image: &CommittedImage<'_>,
+    (oroot, vb): (OrootId, VersionedBackup),
     record: BackupObject,
     map: &HashMap<OrootId, ObjId>,
-    global: u64,
     recovery: &mut RecoveryReport,
-) -> Result<usize, KernelError> {
+) -> Result<ObjectBody, KernelError> {
     let resolve = |o: OrootId| -> Result<ObjId, KernelError> {
         map.get(&o).copied().ok_or(KernelError::DeadObject)
     };
-    let mut pages = 0usize;
-    let body: ObjectBody = match record {
+    Ok(match record {
         BackupObject::CapGroup { name, caps } => {
             let mut g = CapGroupBody::new(name);
-            g.caps = caps
-                .into_iter()
-                .map(|c| {
-                    c.map(|c| {
-                        Ok::<Capability, KernelError>(Capability {
-                            obj: resolve(c.oroot)?,
-                            rights: c.rights,
-                        })
-                    })
-                    .transpose()
-                })
-                .collect::<Result<_, _>>()?;
+            let cap = |c: BkCap| -> Result<Capability, KernelError> {
+                Ok(Capability { obj: resolve(c.oroot)?, rights: c.rights })
+            };
+            g.caps = caps.into_iter().map(|c| c.map(cap).transpose()).collect::<Result<_, _>>()?;
             ObjectBody::CapGroup(g)
         }
         BackupObject::Thread { ctx, state, program, cap_group, vmspace } => {
@@ -409,158 +385,7 @@ fn fill_body(
         }
         BackupObject::Pmo { npages, kind, pages: bk_pages, .. } => {
             let mut pmo = Pmo::new(npages, kind);
-            let eternal = kind == PmoKind::Eternal;
-            // Collect first: purged entries must free their frames, live
-            // entries are normalized and inserted.
-            let mut live = Vec::new();
-            let mut dead = Vec::new();
-            bk_pages.for_each(|idx, e| {
-                if e.live_at(global) {
-                    live.push((idx, Arc::clone(&e.slot)));
-                } else {
-                    dead.push(idx);
-                }
-            });
-            // Dead entries (uncommitted additions or committed removals):
-            // their frames simply stay out of the reachable set and return
-            // to the free lists during the allocator rebuild. They must be
-            // dropped from the backup radix so no stale Arc survives.
-            let _ = dead;
-            let oroot = obj.oroot().expect("set in pass A");
-            // Returns `true` if a pair entry is an acceptable restore
-            // image: checksummed images must match the frame content;
-            // untagged (runtime, version-0) images have nothing to check.
-            let validates = |p: &PagePtr| match p.crc {
-                Some(expect) => kernel.pers.dev.page_crc(p.frame) == expect,
-                None => true,
-            };
-            let mut kept = Vec::new();
-            for (idx, slot) in &live {
-                let mut meta = slot.meta.lock();
-                // Epoch-concurrent leftovers from the crashed round first.
-                // A whole-page capture holds the page's committed image (a
-                // frozen page takes no writes between windows, so the
-                // window-start content the capture froze *is* the last
-                // committed content) while the runtime frame carries
-                // post-flip writes: anchor the capture as the committed
-                // backup so the pick/validate cascade below prefers it. An
-                // in-line log rolls the post-flip writes back in place on
-                // the runtime frame (every record carries its own CRC;
-                // torn or corrupt tails parse as absent, and the already-
-                // applied prefix still undoes the writes it logged).
-                match meta.restore_image(global) {
-                    // On checksum failure the capture falls to the `_`
-                    // arm — dropped, and the cascade falls back to the
-                    // pair entries.
-                    treesls_kernel::pmo::RestoreImage::Capture(c) if global > 0 && validates(&c) => {
-                        meta.pairs[0] = Some(PagePtr {
-                            frame: c.frame,
-                            version: c.version.min(global),
-                            crc: c.crc,
-                        });
-                    }
-                    treesls_kernel::pmo::RestoreImage::Log(log) => {
-                        let rt = meta.pairs[1].expect("logged pages are non-migrated").frame;
-                        let mut img = Box::new([0u8; treesls_nvm::PAGE_SIZE]);
-                        kernel.pers.dev.read_page(rt, &mut img);
-                        let mut raw = vec![0u8; log.used as usize];
-                        kernel.pers.dev.read(log.frame, 0, &mut raw);
-                        let recs = treesls_kernel::pmo::parse_undo_records(&raw);
-                        treesls_kernel::pmo::apply_undo_records(&mut img, &recs);
-                        kernel.pers.dev.write(rt, 0, &img[..]);
-                        kernel.pers.dev.flush_frame(rt, 0, treesls_nvm::PAGE_SIZE);
-                        kernel.pers.dev.fence();
-                    }
-                    _ => {}
-                }
-                meta.epoch_capture = None;
-                meta.inline_log = None;
-                let Some(picked) = meta.restore_pick(global) else { continue };
-                // Integrity gate: verify the picked image's checksum; on
-                // mismatch fall back to the other pair entry (the previous
-                // generation's image) if it is committed and validates;
-                // otherwise quarantine the page.
-                let mut keep = picked;
-                let chosen_ptr = meta.pairs[picked].expect("picked entry has a frame");
-                if validates(&chosen_ptr) {
-                    if chosen_ptr.crc.is_some() {
-                        recovery.pages_verified += 1;
-                    }
-                } else {
-                    let other = 1 - picked;
-                    let fallback = meta.pairs[other]
-                        .filter(|p| p.version <= global && validates(p));
-                    match fallback {
-                        Some(_) => {
-                            keep = other;
-                            recovery.pages_fell_back += 1;
-                        }
-                        None => {
-                            recovery.quarantined.push(QuarantinedPage {
-                                oroot,
-                                index: *idx,
-                                frame: chosen_ptr.frame,
-                            });
-                            continue;
-                        }
-                    }
-                }
-                // Normalize: the chosen image becomes the runtime NVM page
-                // (pair slot 1, version 0); the other frame is kept as the
-                // spare backup target.
-                if keep == 0 {
-                    meta.pairs.swap(0, 1);
-                }
-                let chosen = meta.pairs[1].expect("picked entry has a frame");
-                meta.pairs[1] = Some(PagePtr::runtime(chosen.frame));
-                if let Some(p) = meta.pairs[0].as_mut() {
-                    // Stale data from before the restore point: mark it
-                    // version 0 so no rule can ever prefer it.
-                    p.version = 0;
-                    p.crc = None;
-                }
-                meta.runtime_dram = None;
-                meta.writable = eternal;
-                meta.hotness = 0;
-                meta.epoch_round = 0;
-                meta.dirty = false;
-                meta.on_active_list = false;
-                meta.idle_rounds = 0;
-                meta.eternal = eternal;
-                pmo.insert(*idx, Arc::clone(slot));
-                kept.push((*idx, Arc::clone(slot)));
-                pages += 1;
-            }
-            // Rebuild the backup record's radix to exactly the kept set
-            // with committed tags, and re-sync the structure tick.
-            // Quarantined pages drop out here too, so their frames return
-            // to the free lists during the allocator rebuild.
-            let tick = pmo.structure_tick.load(std::sync::atomic::Ordering::Relaxed);
-            {
-                let vb = kernel
-                    .pers
-                    .oroots
-                    .with(oroot, |r| r.backups[0])
-                    .expect("live oroot")
-                    .expect("PMO record exists");
-                kernel.pers.backups.with_mut(vb.slot, |rec| {
-                    if let BackupObject::Pmo { pages: bkp, synced_tick, .. } = rec {
-                        let mut fresh = treesls_kernel::radix::Radix::new();
-                        for (idx, slot) in &kept {
-                            fresh.insert(
-                                *idx,
-                                treesls_kernel::oroot::BkPageEntry {
-                                    slot: Arc::clone(slot),
-                                    added: 0,
-                                    removed: None,
-                                },
-                            );
-                        }
-                        *bkp = fresh;
-                        *synced_tick = tick;
-                    }
-                });
-            }
+            revive_pages(kernel, image, (oroot, vb), &mut pmo, &bk_pages, recovery);
             ObjectBody::Pmo(pmo)
         }
         BackupObject::IpcConnection { recv_waiter, queue, replies } => {
@@ -588,9 +413,87 @@ fn fill_body(
             irq.inner.waiters = waiters.into_iter().map(resolve).collect::<Result<_, _>>()?;
             ObjectBody::IrqNotification(irq)
         }
-    };
-    *obj.body.write() = body;
-    Ok(pages)
+    })
+}
+
+/// Revives the pages of the PMO `(oroot, vb)` into `pmo` from the live
+/// entries of its committed record. Each page's committed image is
+/// checked and then normalized into the runtime page (pair slot 1,
+/// version 0), with the other frame kept as the spare backup target. The
+/// backup record's radix is rebuilt to exactly the kept set with
+/// committed tags, so dead, unrecoverable and quarantined entries drop out
+/// and their frames return to the free lists in the allocator rebuild.
+fn revive_pages(
+    kernel: &Kernel,
+    image: &CommittedImage<'_>,
+    (oroot, vb): (OrootId, VersionedBackup),
+    pmo: &mut Pmo,
+    bk_pages: &Radix<BkPageEntry>,
+    recovery: &mut RecoveryReport,
+) {
+    let eternal = pmo.kind == PmoKind::Eternal;
+    let mut kept = Radix::new();
+    bk_pages.for_each(|idx, e| {
+        if !e.live_at(image.version()) {
+            return;
+        }
+        let mut meta = e.slot.meta.lock();
+        let src = match image.check(&meta) {
+            None => return,
+            Some(PageCheck::Intact(src)) => {
+                if matches!(src, PageSource::Capture(p) | PageSource::Pair(_, p) if p.crc.is_some())
+                {
+                    recovery.pages_verified += 1;
+                }
+                src
+            }
+            Some(PageCheck::FellBack(src)) => {
+                recovery.pages_fell_back += 1;
+                src
+            }
+            Some(PageCheck::Quarantined(frame)) => {
+                recovery.quarantined.push(QuarantinedPage { oroot, index: idx, frame });
+                return;
+            }
+        };
+        let (keep, frame) = match src {
+            // A whole-page capture holds the committed image while the
+            // runtime frame carries post-flip writes.
+            PageSource::Capture(c) => (0, c.frame),
+            PageSource::Pair(i, p) => (i, p.frame),
+            // An in-line log rolls the post-flip writes back in place on
+            // the runtime frame.
+            PageSource::Log { runtime, .. } => {
+                let mut img = Box::new([0u8; PAGE_SIZE]);
+                image.read(src, &mut img);
+                let dev = &kernel.pers.dev;
+                dev.write(runtime, 0, &img[..]);
+                dev.flush_frame(runtime, 0, PAGE_SIZE);
+                dev.fence();
+                (1, runtime)
+            }
+        };
+        // The other pair entry holds stale data from before the restore
+        // point. It stays the next backup target if its frame is on the
+        // device, at version 0 so no rule can ever prefer it. Everything
+        // else — the crashed round's capture and log included — resets.
+        let spare = meta.pairs[1 - keep].filter(|p| image.on_device(p.frame));
+        *meta = PageMeta {
+            pairs: [spare.map(|p| PagePtr::runtime(p.frame)), Some(PagePtr::runtime(frame))],
+            writable: eternal,
+            eternal,
+            ..PageMeta::new_runtime(frame)
+        };
+        pmo.insert(idx, Arc::clone(&e.slot));
+        kept.insert(idx, BkPageEntry { slot: Arc::clone(&e.slot), added: 0, removed: None });
+    });
+    let tick = pmo.structure_tick.load(std::sync::atomic::Ordering::Relaxed);
+    kernel.pers.backups.with_mut(vb.slot, |rec| {
+        if let BackupObject::Pmo { pages, synced_tick, .. } = rec {
+            *pages = kept;
+            *synced_tick = tick;
+        }
+    });
 }
 
 /// Reachable buddy blocks `(frame, order)` feeding the allocator rebuild.

@@ -107,7 +107,8 @@ pub fn ensure_oroot(oroots: &ShardedStore<ORoot>, obj: &Arc<KObject>) -> OrootId
 }
 
 /// Collects the runtime object ids referenced by `obj` (capability table
-/// entries plus object-internal references), defining tree reachability.
+/// entries plus object-internal references), defining tree reachability;
+/// [`BackupObject::edges`] is its persistent mirror.
 fn children(obj: &Arc<KObject>) -> Vec<ObjId> {
     let body = obj.body.read();
     match &*body {
@@ -142,37 +143,6 @@ fn oroot_of(
     Ok(ensure_oroot(oroots, &obj))
 }
 
-/// The outgoing ORoot edge multiset of a backup record (the persistent
-/// mirror of [`children`]): the edges restore follows, `verify_checkpoint`
-/// checks and [`ORoot::inrefs`] counts.
-pub(crate) fn record_edges(record: &BackupObject) -> Vec<OrootId> {
-    match record {
-        BackupObject::CapGroup { caps, .. } => {
-            caps.iter().flatten().map(|c| c.oroot).collect()
-        }
-        BackupObject::Thread { state, cap_group, vmspace, .. } => {
-            let mut v = vec![*cap_group, *vmspace];
-            match state {
-                BkThreadState::BlockedNotification(o)
-                | BkThreadState::BlockedIpcRecv(o)
-                | BkThreadState::BlockedIpcReply(o) => v.push(*o),
-                BkThreadState::Runnable | BkThreadState::Exited => {}
-            }
-            v
-        }
-        BackupObject::VmSpace { regions } => regions.iter().map(|r| r.pmo).collect(),
-        BackupObject::Pmo { .. } => Vec::new(),
-        BackupObject::IpcConnection { recv_waiter, queue, replies } => {
-            let mut v: Vec<OrootId> = queue.iter().map(|(t, _)| *t).collect();
-            v.extend(replies.iter().map(|(t, _)| *t));
-            v.extend(*recv_waiter);
-            v
-        }
-        BackupObject::Notification { waiters, .. } => waiters.clone(),
-        BackupObject::IrqNotification { waiters, .. } => waiters.clone(),
-    }
-}
-
 /// The backup slot holding the *newest* record of `r` (committed or not).
 /// Its edges are the ones counted in [`ORoot::inrefs`].
 fn newest_slot(r: &ORoot) -> Option<BackupId> {
@@ -188,7 +158,7 @@ fn newest_edges(
     oroots
         .with(id, newest_slot)
         .flatten()
-        .and_then(|slot| backups.with(slot, record_edges))
+        .and_then(|slot| backups.with(slot, BackupObject::edges))
         .unwrap_or_default()
 }
 
@@ -611,7 +581,7 @@ fn dirty_walk(
     for (obj, record, built_in) in built {
         let oroot = ensure_oroot(oroots, &obj);
         let deleted = oroots.with(oroot, |r| r.deleted_at.is_some()).expect("live oroot");
-        let new_edges = record_edges(&record);
+        let new_edges = record.edges();
         // A tombstoned object's edges are uncounted while it stays dead;
         // if a reference resurrects it, the cascade re-acquires the edges
         // of exactly this fresh record.
@@ -662,7 +632,7 @@ fn dirty_walk(
             copy_object(kernel, &obj, id, inflight, None, &mut out)?;
         } else {
             let record = build_record(kernel, oroots, &obj)?;
-            let new_edges = record_edges(&record);
+            let new_edges = record.edges();
             copy_object(kernel, &obj, id, inflight, Some((record, Duration::ZERO)), &mut out)?;
             for e in &new_edges {
                 *deltas.entry(*e).or_default() += 1;

@@ -675,3 +675,60 @@ fn interrupted_then_completed_checkpoint_is_clean() {
     k2.vm_read(vs2, Vaddr(0), &mut buf).unwrap();
     assert_eq!(u64::from_le_bytes(buf), 103);
 }
+
+/// Backup records live in NVM slab space, so they rot like any other NVM
+/// byte. Two corruptions of a committed image: (a) the record of a
+/// reachable notification replaced by a record of another type, and (b) a
+/// committed, checksummed page pointer aimed past the device's last frame.
+/// `verify_checkpoint` rejects both; restore refuses to revive (a) and
+/// falls back or quarantines the page in (b), reporting it — it never
+/// panics and never builds an object whose body disagrees with its type.
+#[test]
+fn corrupt_committed_image_is_rejected_not_revived() {
+    use treesls_kernel::oroot::BackupObject;
+    use treesls_nvm::FrameId;
+
+    // (a) The notification's committed record now says "VM space".
+    let (kernel, mgr) = boot();
+    let (notif, _tid) = blocked_thread(&kernel);
+    mgr.checkpoint().unwrap();
+    let oroot = kernel.object(notif).unwrap().oroot().expect("checkpointed");
+    let slot = kernel
+        .pers
+        .oroots
+        .with(oroot, |r| r.backups.iter().flatten().max_by_key(|b| b.version).map(|b| b.slot))
+        .flatten()
+        .expect("committed record");
+    kernel.pers.backups.with_mut(slot, |r| *r = BackupObject::VmSpace { regions: vec![] });
+    assert!(mgr.verify_checkpoint().is_err(), "verify accepted a mistyped record");
+    assert!(
+        restore(crash(kernel), config(), register_counter).is_err(),
+        "restore revived a mistyped record"
+    );
+
+    // (b) Page 0's committed CoW backup points past the last frame.
+    let (kernel, mgr) = boot();
+    let (_g, vs, pmo) = process(&kernel, "p");
+    kernel.vm_write(vs, Vaddr(0), b"committed").unwrap();
+    mgr.checkpoint().unwrap();
+    kernel.vm_write(vs, Vaddr(0), b"later").unwrap(); // CoW: pairs[0] is the v1 image
+    let page = {
+        let o = kernel.object(pmo).unwrap();
+        let b = o.body.read();
+        let ObjectBody::Pmo(p) = &*b else { unreachable!() };
+        Arc::clone(p.get(0).unwrap())
+    };
+    {
+        let mut meta = page.meta.lock();
+        let backup = meta.pairs[0].as_mut().expect("CoW backup");
+        assert_eq!(backup.version, kernel.pers.global_version());
+        assert!(backup.crc.is_some());
+        backup.frame = FrameId(kernel.pers.dev.frame_count() as u32 + 7);
+    }
+    assert!(mgr.verify_checkpoint().is_err(), "verify accepted an off-device frame");
+    let (k2, report) = restore(crash(kernel), config(), no_programs).expect("degraded recovery");
+    let rec = &report.recovery;
+    assert_eq!(rec.pages_fell_back + rec.quarantined.len(), 1, "{rec:?}");
+    assert!(!rec.is_clean());
+    k2.pers.alloc.verify().unwrap();
+}

@@ -33,8 +33,8 @@ pub use system::{System, SystemConfig};
 // Re-export the layers a downstream user needs.
 pub use treesls_checkpoint::{
     crash as crash_kernel, restore as restore_kernel, CheckpointManager, CkptCallback,
-    CrashImage, HybridRoundStats, QuarantinedPage, RecoveryReport, RestoreReport, ScrubReport,
-    StwBreakdown,
+    CrashImage, HybridRoundStats, QuarantinedPage, RecoveryReport, RestorePhases, RestoreReport,
+    ScrubReport, StwBreakdown,
 };
 pub use treesls_extsync as extsync;
 pub use treesls_net as net;

@@ -31,8 +31,8 @@ use crate::cap::CapRights;
 use crate::kernel::Kernel;
 use crate::object::{ObjType, ObjectBody};
 use crate::pmo::{
-    apply_undo_records, encode_undo_record, parse_undo_records, undo_record_size, InlineLog,
-    PageMeta, PagePtr, PageSlot, PhysLoc, INLINE_LOG_CAP, INLINE_MAX_DATA, UNDO_HEADER,
+    encode_undo_record, undo_record_size, InlineLog, PageMeta, PagePtr, PageSlot, PhysLoc,
+    INLINE_LOG_CAP, INLINE_MAX_DATA, UNDO_HEADER,
 };
 use crate::types::{KernelError, ObjId, Vaddr, Vpn};
 use crate::vm::PteCache;
@@ -432,24 +432,17 @@ impl Kernel {
         self.pers.dev.fence();
     }
 
-    /// Reads the page image "runtime ⊖ reverse(log records)": the frozen
-    /// window-start content of a page whose window writes were undo-logged.
-    fn undo_applied_image(&self, meta: &PageMeta, log: &InlineLog) -> Box<[u8; PAGE_SIZE]> {
-        let rt = meta.pairs[1].expect("logged pages are non-migrated").frame;
-        let mut img = Box::new([0u8; PAGE_SIZE]);
-        self.pers.dev.read_page(rt, &mut img);
-        let mut raw = vec![0u8; log.used as usize];
-        self.pers.dev.read(log.frame, 0, &mut raw);
-        let recs = parse_undo_records(&raw);
-        apply_undo_records(&mut img, &recs);
-        img
-    }
-
-    /// Reads a non-migrated page's runtime frame into a fresh buffer.
-    fn runtime_image(&self, meta: &PageMeta) -> Box<[u8; PAGE_SIZE]> {
+    /// Reads a non-migrated page's runtime frame into a fresh buffer, with
+    /// `log`'s records undone when given ("runtime ⊖ reverse(log
+    /// records)": the frozen window-start content of a page whose window
+    /// writes were undo-logged).
+    fn runtime_image(&self, meta: &PageMeta, log: Option<&InlineLog>) -> Box<[u8; PAGE_SIZE]> {
         let rt = meta.pairs[1].expect("non-migrated page has a runtime NVM frame").frame;
         let mut img = Box::new([0u8; PAGE_SIZE]);
-        self.pers.dev.read_page(rt, &mut img);
+        match log {
+            Some(log) => log.reconstruct(&self.pers.dev, rt, &mut img),
+            None => self.pers.dev.read_page(rt, &mut img),
+        }
         img
     }
 
@@ -529,7 +522,7 @@ impl Kernel {
         if let Some(log) = meta.inline_log {
             if log.arm != round {
                 if log.round >= global && global > 0 && log.used > 0 {
-                    let img = self.undo_applied_image(meta, &log);
+                    let img = self.runtime_image(meta, Some(&log));
                     let ptr = self.persist_image(&img, global, &mut copy)?;
                     let old = meta.pairs[0];
                     meta.pairs[0] = Some(ptr);
@@ -588,10 +581,8 @@ impl Kernel {
         // when nothing was logged). The capture must be durable *before*
         // the log dies.
         treesls_nvm::crash_site!(self.pers.dev.crash_schedule(), "stw.clean_core_cow");
-        let img = match meta.inline_log {
-            Some(l) if l.arm == round && l.used > 0 => self.undo_applied_image(meta, &l),
-            _ => self.runtime_image(meta),
-        };
+        let log = meta.inline_log.filter(|l| l.arm == round && l.used > 0);
+        let img = self.runtime_image(meta, log.as_ref());
         let ptr = self.persist_image(&img, inflight, &mut copy)?;
         meta.epoch_capture = Some(ptr);
         meta.epoch_round = round;
@@ -682,7 +673,7 @@ impl Kernel {
             if let Some(log) = meta.inline_log.take() {
                 if log.round > global {
                     if log.used > 0 && global > 0 {
-                        let img = self.undo_applied_image(&meta, &log);
+                        let img = self.runtime_image(&meta, Some(&log));
                         if let Ok(ptr) = self.persist_image(&img, global, &mut copy) {
                             let old = meta.pairs[0];
                             meta.pairs[0] = Some(ptr);
@@ -787,7 +778,7 @@ impl Kernel {
                 if log.round >= global && global > 0 && log.used > 0 {
                     // The committed image is runtime ⊖ the logged window
                     // writes; materialize it durably before the log dies.
-                    let img = self.undo_applied_image(meta, &log);
+                    let img = self.runtime_image(meta, Some(&log));
                     let ptr = self.persist_image(&img, global, &mut copy)?;
                     self.stats.cow_copies.fetch_add(1, Ordering::Relaxed);
                     let old = meta.pairs[0];

@@ -30,6 +30,8 @@
 //! * [`kernel`] — the `Kernel` struct tying everything together, and the
 //!   persistent/volatile split that defines crash semantics.
 
+#![deny(missing_docs)]
+
 pub mod cap;
 pub mod cores;
 pub mod dirty;

@@ -277,6 +277,82 @@ impl BackupObject {
             BackupObject::IrqNotification { waiters, .. } => 32 + waiters.len() * 8,
         }
     }
+
+    /// The outgoing ORoot edge multiset of this record (the persistent
+    /// mirror of a runtime object's references): the edges a committed
+    /// image is walked along and [`ORoot::inrefs`] counts.
+    pub fn edges(&self) -> Vec<OrootId> {
+        match self {
+            BackupObject::CapGroup { caps, .. } => {
+                caps.iter().flatten().map(|c| c.oroot).collect()
+            }
+            BackupObject::Thread { state, cap_group, vmspace, .. } => {
+                let mut v = vec![*cap_group, *vmspace];
+                match state {
+                    BkThreadState::BlockedNotification(o)
+                    | BkThreadState::BlockedIpcRecv(o)
+                    | BkThreadState::BlockedIpcReply(o) => v.push(*o),
+                    BkThreadState::Runnable | BkThreadState::Exited => {}
+                }
+                v
+            }
+            BackupObject::VmSpace { regions } => regions.iter().map(|r| r.pmo).collect(),
+            BackupObject::Pmo { .. } => Vec::new(),
+            BackupObject::IpcConnection { recv_waiter, queue, replies } => {
+                let mut v: Vec<OrootId> = queue.iter().map(|(t, _)| *t).collect();
+                v.extend(replies.iter().map(|(t, _)| *t));
+                v.extend(*recv_waiter);
+                v
+            }
+            BackupObject::Notification { waiters, .. }
+            | BackupObject::IrqNotification { waiters, .. } => waiters.clone(),
+        }
+    }
+
+    /// A copy of this record with every ORoot reference — exactly the
+    /// [`edges`](Self::edges) — translated by `f`; the first failing
+    /// translation aborts the copy. A replica's promotion maps the
+    /// primary's ids onto its own with it.
+    pub fn map_refs<E>(
+        &self,
+        mut f: impl FnMut(OrootId) -> Result<OrootId, E>,
+    ) -> Result<BackupObject, E> {
+        let mut out = self.clone();
+        for r in out.refs_mut() {
+            *r = f(*r)?;
+        }
+        Ok(out)
+    }
+
+    /// Every ORoot reference field of the record, in [`edges`](Self::edges)
+    /// order.
+    fn refs_mut(&mut self) -> Vec<&mut OrootId> {
+        match self {
+            BackupObject::CapGroup { caps, .. } => {
+                caps.iter_mut().flatten().map(|c| &mut c.oroot).collect()
+            }
+            BackupObject::Thread { state, cap_group, vmspace, .. } => {
+                let mut v = vec![cap_group, vmspace];
+                match state {
+                    BkThreadState::BlockedNotification(o)
+                    | BkThreadState::BlockedIpcRecv(o)
+                    | BkThreadState::BlockedIpcReply(o) => v.push(o),
+                    BkThreadState::Runnable | BkThreadState::Exited => {}
+                }
+                v
+            }
+            BackupObject::VmSpace { regions } => regions.iter_mut().map(|r| &mut r.pmo).collect(),
+            BackupObject::Pmo { .. } => Vec::new(),
+            BackupObject::IpcConnection { recv_waiter, queue, replies } => {
+                let mut v: Vec<&mut OrootId> = queue.iter_mut().map(|(t, _)| t).collect();
+                v.extend(replies.iter_mut().map(|(t, _)| t));
+                v.extend(recv_waiter.as_mut());
+                v
+            }
+            BackupObject::Notification { waiters, .. }
+            | BackupObject::IrqNotification { waiters, .. } => waiters.iter_mut().collect(),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -350,5 +426,30 @@ mod tests {
         assert!(b.approx_size() >= 24);
         let cg = BackupObject::CapGroup { name: "x".into(), caps: vec![None; 10] };
         assert!(cg.approx_size() > b.approx_size());
+    }
+
+    #[test]
+    fn map_refs_translates_exactly_the_edges() {
+        let id = OrootId::from_raw;
+        let shift = |o: OrootId| Ok::<_, ()>(id(o.to_raw() + 100));
+        let records = [
+            BackupObject::Thread {
+                ctx: ThreadContext::new(),
+                state: BkThreadState::BlockedNotification(id(5)),
+                program: String::new(),
+                cap_group: id(1),
+                vmspace: id(2),
+            },
+            BackupObject::IpcConnection {
+                recv_waiter: Some(id(3)),
+                queue: vec![(id(4), vec![1])],
+                replies: vec![(id(6), vec![])],
+            },
+        ];
+        for rec in records {
+            let want: Vec<OrootId> = rec.edges().into_iter().map(|o| shift(o).unwrap()).collect();
+            assert_eq!(rec.map_refs(shift).unwrap().edges(), want);
+            assert_eq!(rec.map_refs(|_| Err::<OrootId, _>("gone")).err(), Some("gone"));
+        }
     }
 }

@@ -26,7 +26,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use treesls_nvm::{crc32, DramId, FrameId, PAGE_SIZE};
+use treesls_nvm::{crc32, DramId, FrameId, NvmDevice, PAGE_SIZE};
 
 use crate::radix::Radix;
 
@@ -128,7 +128,7 @@ pub fn encode_undo_record(version: u64, offset: u16, data: &[u8]) -> Vec<u8> {
 /// tail left over from an earlier, killed round — rounds only grow, and a
 /// live log holds exactly one round's records). Everything before the
 /// terminator is intact by CRC and is returned in append order.
-pub fn parse_undo_records(buf: &[u8]) -> Vec<UndoRecord> {
+fn parse_undo_records(buf: &[u8]) -> Vec<UndoRecord> {
     let mut out = Vec::new();
     let mut pos = 0usize;
     while pos + UNDO_HEADER <= buf.len() {
@@ -162,7 +162,7 @@ pub fn parse_undo_records(buf: &[u8]) -> Vec<UndoRecord> {
 /// Applies parsed undo records to a page image, newest first, recovering
 /// the pre-window content. Idempotent: re-applying after a crash mid-way
 /// converges on the same image.
-pub fn apply_undo_records(page: &mut [u8; PAGE_SIZE], records: &[UndoRecord]) {
+fn apply_undo_records(page: &mut [u8; PAGE_SIZE], records: &[UndoRecord]) {
     for r in records.iter().rev() {
         let off = r.offset as usize;
         page[off..off + r.data.len()].copy_from_slice(&r.data);
@@ -188,20 +188,39 @@ pub struct InlineLog {
     pub arm: u64,
 }
 
-/// The image source [`PageMeta::restore_image`] selects for a page at a
-/// given committed global version.
+impl InlineLog {
+    /// Reads the page image the log protects into `page`: the `runtime`
+    /// frame with the log's records undone newest-first ("runtime ⊖
+    /// reverse(records)"). Every record carries its own CRC, so a torn or
+    /// stale tail parses as absent and the intact prefix still undoes the
+    /// writes it logged.
+    pub fn reconstruct(&self, dev: &NvmDevice, runtime: FrameId, page: &mut [u8; PAGE_SIZE]) {
+        dev.read_page(runtime, page);
+        let mut raw = vec![0u8; self.used as usize];
+        dev.read(self.frame, 0, &mut raw);
+        apply_undo_records(page, &parse_undo_records(&raw));
+    }
+}
+
+/// Where a page's committed bytes are: the source
+/// [`PageMeta::restore_image`] selects at a committed global version.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RestoreImage {
-    /// A whole-page epoch capture frame holds the committed image.
+pub enum PageSource {
+    /// A whole-page epoch capture not folded yet, its version clamped to
+    /// the committed version (an aborted round's capture holds the last
+    /// committed content).
     Capture(PagePtr),
-    /// `pairs[i]` holds the image (the classic CPP rule).
-    Pair(usize),
-    /// The image is the runtime NVM frame with the in-line undo log
-    /// applied newest-first (the page only took small logged writes
-    /// during the epoch window).
-    Log(InlineLog),
-    /// No recoverable data.
-    None,
+    /// Pair entry `.0` holds the image (the classic CPP rule).
+    Pair(usize, PagePtr),
+    /// The runtime frame (`pairs[1]`) with the in-line undo log applied
+    /// newest-first (the page only took small logged writes during the
+    /// epoch window).
+    Log {
+        /// The runtime NVM frame.
+        runtime: FrameId,
+        /// The log holding the window's undo records.
+        log: InlineLog,
+    },
 }
 
 /// Persistent + volatile per-page state.
@@ -346,28 +365,25 @@ impl PageMeta {
     ///    newest-first recovers the frozen image from the runtime frame);
     /// 5. the classic pairs fallback (v0 runtime page / best committed
     ///    backup).
-    pub fn restore_image(&self, global: u64) -> RestoreImage {
-        if self.epoch_capture.is_some_and(|c| c.version == global) {
-            return RestoreImage::Capture(self.epoch_capture.unwrap());
+    ///
+    /// `None` when the page holds no recoverable data.
+    pub fn restore_image(&self, global: u64) -> Option<PageSource> {
+        if let Some(c) = self.epoch_capture.filter(|c| c.version == global) {
+            return Some(PageSource::Capture(c));
         }
-        if self.pairs[0].is_some_and(|p| p.version != 0 && p.version == global) {
-            return RestoreImage::Pair(0);
-        }
-        if self.pairs[1].is_some_and(|p| p.version != 0 && p.version == global) {
-            return RestoreImage::Pair(1);
-        }
-        if self.epoch_capture.is_some_and(|c| c.version > global) {
-            return RestoreImage::Capture(self.epoch_capture.unwrap());
-        }
-        if let Some(log) = self.inline_log {
-            if log.round >= global && !self.is_migrated() {
-                return RestoreImage::Log(log);
+        for i in 0..2 {
+            if let Some(p) = self.pairs[i].filter(|p| p.version != 0 && p.version == global) {
+                return Some(PageSource::Pair(i, p));
             }
         }
-        match self.restore_pick(global) {
-            Some(i) => RestoreImage::Pair(i),
-            None => RestoreImage::None,
+        if let Some(c) = self.epoch_capture.filter(|c| c.version > global) {
+            return Some(PageSource::Capture(PagePtr { version: global, ..c }));
         }
+        if let Some(log) = self.inline_log.filter(|l| l.round >= global && !self.is_migrated()) {
+            return self.pairs[1].map(|p| PageSource::Log { runtime: p.frame, log });
+        }
+        let i = self.restore_pick(global)?;
+        self.pairs[i].map(|p| PageSource::Pair(i, p))
     }
 }
 
@@ -647,10 +663,11 @@ mod tests {
         let mut m = PageMeta::new_runtime(FrameId(1));
         m.pairs[0] = pp(2, 5);
         m.epoch_capture = Some(PagePtr::backup(FrameId(3), 5, 0));
-        assert!(matches!(m.restore_image(5), RestoreImage::Capture(c) if c.frame == FrameId(3)));
+        let src = m.restore_image(5);
+        assert!(matches!(src, Some(PageSource::Capture(c)) if c.frame == FrameId(3)));
         // Exact pair match beats a future-round capture.
         m.epoch_capture = Some(PagePtr::backup(FrameId(3), 6, 0));
-        assert_eq!(m.restore_image(5), RestoreImage::Pair(0));
+        assert_eq!(m.restore_image(5), Some(PageSource::Pair(0, m.pairs[0].unwrap())));
     }
 
     #[test]
@@ -660,21 +677,22 @@ mod tests {
         let mut m = PageMeta::new_runtime(FrameId(1));
         m.epoch_capture = Some(PagePtr::backup(FrameId(3), 6, 0));
         m.inline_log = Some(InlineLog { frame: FrameId(4), round: 6, used: 24, arm: 1 });
-        assert!(matches!(m.restore_image(5), RestoreImage::Capture(c) if c.version == 6));
+        // Its tag is clamped to the committed version it stands for.
+        assert!(matches!(m.restore_image(5), Some(PageSource::Capture(c)) if c.version == 5));
         // Without the capture, the log reconstructs the image.
         m.epoch_capture = None;
-        assert!(matches!(m.restore_image(5), RestoreImage::Log(l) if l.round == 6));
+        assert!(matches!(m.restore_image(5), Some(PageSource::Log { log, .. }) if log.round == 6));
         // Without either, the classic rule falls back to the runtime page.
         m.inline_log = None;
-        assert_eq!(m.restore_image(5), RestoreImage::Pair(1));
+        assert!(matches!(m.restore_image(5), Some(PageSource::Pair(1, _))));
     }
 
     #[test]
     fn restore_image_matches_classic_rule_without_capture_state() {
         let mut m = PageMeta::new_runtime(FrameId(1));
         m.pairs[0] = pp(2, 3);
-        assert_eq!(m.restore_image(5), RestoreImage::Pair(1));
+        assert!(matches!(m.restore_image(5), Some(PageSource::Pair(1, _))));
         m.pairs[0] = pp(2, 5);
-        assert_eq!(m.restore_image(5), RestoreImage::Pair(0));
+        assert!(matches!(m.restore_image(5), Some(PageSource::Pair(0, _))));
     }
 }

@@ -39,4 +39,4 @@ pub mod wire;
 pub use cluster::{Cluster, ClusterConfig};
 pub use replica::{promote, PageImage, PromoteError, Replica, ReplicaStore};
 pub use ship::{ReplHealth, ShipConfig, Shipper, ShipStats};
-pub use wire::{Frame, WireError, WireRecord, WireRegion, WireThreadState};
+pub use wire::{Frame, WireError, WireRecord};

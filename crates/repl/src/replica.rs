@@ -21,21 +21,16 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use treesls::{ProgramRegistry, RestoreReport, System, SystemConfig};
-use treesls_kernel::cap::CapRights;
 use treesls_kernel::kernel::{Kernel, Persistent};
-use treesls_kernel::object::ObjType;
-use treesls_kernel::oroot::{
-    BackupObject, BkCap, BkPageEntry, BkRegion, BkThreadState, ORoot, VersionedBackup,
-};
+use treesls_kernel::oroot::{BackupObject, BkPageEntry, ORoot, VersionedBackup};
 use treesls_kernel::pmo::{PagePtr, PageSlot, PmoKind};
 use treesls_kernel::radix::Radix;
-use treesls_kernel::thread::ThreadContext;
-use treesls_kernel::types::{KernelError, OrootId};
+use treesls_kernel::types::{KernelError, ObjId, OrootId};
 use treesls_net::ReplChannel;
 use treesls_obs::MetricsRegistry;
 use treesls_pmem_alloc::AllocError;
 
-use crate::wire::{Frame, WireRecord, WireThreadState};
+use crate::wire::{Frame, WireRecord};
 
 /// One shipped 4 KiB page image.
 #[derive(Debug, Clone, PartialEq)]
@@ -426,24 +421,9 @@ pub fn promote(
     // Pass 1: allocate an ORoot per mirrored record; build the id map.
     let mut map: HashMap<u64, OrootId> = HashMap::with_capacity(store.records.len());
     for (&raw, rec) in &store.records {
-        let otype = match rec {
-            WireRecord::CapGroup { .. } => ObjType::CapGroup,
-            WireRecord::Thread { .. } => ObjType::Thread,
-            WireRecord::VmSpace { .. } => ObjType::VmSpace,
-            WireRecord::Pmo { .. } => ObjType::Pmo,
-            WireRecord::IpcConnection { .. } => ObjType::IpcConnection,
-            WireRecord::Notification { .. } => ObjType::Notification,
-            WireRecord::IrqNotification { .. } => ObjType::IrqNotification,
-        };
-        let id = kernel.pers.oroots.insert(ORoot {
-            otype,
-            runtime: None,
-            backups: [None, None],
-            ckpt_round: 0,
-            deleted_at: None,
-            // Healed by the restore-time full walk.
-            inrefs: 0,
-        });
+        // Reference counts are healed by the restore-time full walk.
+        let oroot = ORoot { runtime: None, ..ORoot::new(rec.otype(), ObjId::INVALID) };
+        let id = kernel.pers.oroots.insert(oroot);
         map.insert(raw, id);
     }
 
@@ -476,6 +456,9 @@ fn translate(map: &HashMap<u64, OrootId>, from: u64, to: u64) -> Result<OrootId,
     map.get(&to).copied().ok_or(PromoteError::MissingRef { from, to })
 }
 
+/// Rebuilds one mirrored record on this machine: references are
+/// translated through `map`, and a PMO's manifest becomes fresh frames
+/// holding its (CRC-checked) page images.
 fn materialize(
     kernel: &Arc<Kernel>,
     store: &ReplicaStore,
@@ -483,116 +466,34 @@ fn materialize(
     rec: &WireRecord,
     map: &HashMap<u64, OrootId>,
 ) -> Result<BackupObject, PromoteError> {
-    Ok(match rec {
-        WireRecord::CapGroup { name, caps } => BackupObject::CapGroup {
-            name: name.clone(),
-            caps: caps
-                .iter()
-                .map(|c| {
-                    c.map(|(oroot, rights)| {
-                        Ok(BkCap {
-                            oroot: translate(map, raw, oroot)?,
-                            rights: CapRights(rights),
-                        })
-                    })
-                    .transpose()
-                })
-                .collect::<Result<_, PromoteError>>()?,
-        },
-        WireRecord::Thread { regs, pc, state, program, cap_group, vmspace } => {
-            BackupObject::Thread {
-                ctx: ThreadContext { regs: *regs, pc: *pc },
-                state: match state {
-                    WireThreadState::Runnable => BkThreadState::Runnable,
-                    WireThreadState::BlockedNotification(o) => {
-                        BkThreadState::BlockedNotification(translate(map, raw, *o)?)
-                    }
-                    WireThreadState::BlockedIpcRecv(o) => {
-                        BkThreadState::BlockedIpcRecv(translate(map, raw, *o)?)
-                    }
-                    WireThreadState::BlockedIpcReply(o) => {
-                        BkThreadState::BlockedIpcReply(translate(map, raw, *o)?)
-                    }
-                    WireThreadState::Exited => BkThreadState::Exited,
-                },
-                program: program.clone(),
-                cap_group: translate(map, raw, *cap_group)?,
-                vmspace: translate(map, raw, *vmspace)?,
-            }
-        }
-        WireRecord::VmSpace { regions } => BackupObject::VmSpace {
-            regions: regions
-                .iter()
-                .map(|r| {
-                    Ok(BkRegion {
-                        base: r.base,
-                        npages: r.npages,
-                        pmo: translate(map, raw, r.pmo)?,
-                        pmo_off: r.pmo_off,
-                        perm: CapRights(r.perm),
-                    })
-                })
-                .collect::<Result<_, PromoteError>>()?,
-        },
+    let (npages, eternal, synced_tick, pages) = match rec {
+        WireRecord::Object(rec) => return rec.map_refs(|to| translate(map, raw, to.to_raw())),
         WireRecord::Pmo { npages, eternal, synced_tick, pages } => {
-            let mut radix = Radix::new();
-            for &(idx, version, crc) in pages {
-                let img = store
-                    .pages
-                    .get(&(raw, idx))
-                    .ok_or(PromoteError::MissingPage { oroot: raw, idx })?;
-                if img.crc != crc {
-                    return Err(PromoteError::PageMismatch { oroot: raw, idx });
-                }
-                let frame = kernel.pers.alloc.alloc_page()?;
-                kernel.pers.dev.write_page(frame, &img.data);
-                let slot = PageSlot::new(idx, frame);
-                {
-                    let mut meta = slot.meta.lock();
-                    meta.pairs = [Some(PagePtr::backup(frame, version, crc)), None];
-                    meta.writable = false;
-                    meta.eternal = *eternal;
-                }
-                radix.insert(idx, BkPageEntry { slot, added: 0, removed: None });
-            }
-            BackupObject::Pmo {
-                npages: *npages,
-                kind: if *eternal { PmoKind::Eternal } else { PmoKind::Data },
-                pages: radix,
-                synced_tick: *synced_tick,
-            }
+            (*npages, *eternal, *synced_tick, pages)
         }
-        WireRecord::IpcConnection { recv_waiter, queue, replies } => {
-            BackupObject::IpcConnection {
-                recv_waiter: recv_waiter
-                    .map(|o| translate(map, raw, o))
-                    .transpose()?,
-                queue: queue
-                    .iter()
-                    .map(|(o, m)| Ok((translate(map, raw, *o)?, m.clone())))
-                    .collect::<Result<_, PromoteError>>()?,
-                replies: replies
-                    .iter()
-                    .map(|(o, m)| Ok((translate(map, raw, *o)?, m.clone())))
-                    .collect::<Result<_, PromoteError>>()?,
-            }
+    };
+    let mut radix = Radix::new();
+    for &(idx, version, crc) in pages {
+        let img =
+            store.pages.get(&(raw, idx)).ok_or(PromoteError::MissingPage { oroot: raw, idx })?;
+        if img.crc != crc {
+            return Err(PromoteError::PageMismatch { oroot: raw, idx });
         }
-        WireRecord::Notification { count, waiters } => BackupObject::Notification {
-            count: *count,
-            waiters: waiters
-                .iter()
-                .map(|&o| translate(map, raw, o))
-                .collect::<Result<_, PromoteError>>()?,
-        },
-        WireRecord::IrqNotification { line, count, waiters } => {
-            BackupObject::IrqNotification {
-                line: *line,
-                count: *count,
-                waiters: waiters
-                    .iter()
-                    .map(|&o| translate(map, raw, o))
-                    .collect::<Result<_, PromoteError>>()?,
-            }
+        let frame = kernel.pers.alloc.alloc_page()?;
+        kernel.pers.dev.write_page(frame, &img.data);
+        let slot = PageSlot::new(idx, frame);
+        {
+            let mut meta = slot.meta.lock();
+            meta.pairs = [Some(PagePtr::backup(frame, version, crc)), None];
+            meta.writable = false;
+            meta.eternal = eternal;
         }
+        radix.insert(idx, BkPageEntry { slot, added: 0, removed: None });
+    }
+    Ok(BackupObject::Pmo {
+        npages,
+        kind: if eternal { PmoKind::Eternal } else { PmoKind::Data },
+        pages: radix,
+        synced_tick,
     })
 }

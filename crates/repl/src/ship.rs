@@ -21,20 +21,23 @@
 //! and the health flips to degraded until a later round reaches quorum.
 
 use std::collections::{HashMap, HashSet};
+use std::iter::once;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-use treesls_checkpoint::{CheckpointManager, CkptCallback, RoundDelta};
+use treesls_checkpoint::{CheckpointManager, CkptCallback, CommittedImage, PageSource, RoundDelta};
 use treesls_kernel::kernel::Kernel;
-use treesls_kernel::oroot::{BackupObject, BkThreadState};
+use treesls_kernel::oroot::BackupObject;
+use treesls_kernel::pmo::PmoKind;
+use treesls_kernel::types::OrootId;
 use treesls_net::repl::ReleaseGate;
 use treesls_net::{ReplChannel, ShipError};
-use treesls_nvm::crash_site;
+use treesls_nvm::{crash_site, PAGE_SIZE};
 use treesls_obs::EventKind;
 
-use crate::wire::{Frame, WireRecord, WireRegion, WireThreadState};
+use crate::wire::{Frame, WireRecord};
 
 /// Replication tunables.
 #[derive(Debug, Clone)]
@@ -153,12 +156,32 @@ pub struct ShipStats {
     pub degraded: bool,
 }
 
+#[derive(Default)]
 struct BuiltFrames {
     frames: Vec<Vec<u8>>,
     records: u64,
     tombstones: u64,
     pages: u64,
     bytes: u64,
+}
+
+impl BuiltFrames {
+    /// Encodes `frames`, counting the records, tombstones and pages among
+    /// them.
+    fn encode(frames: impl Iterator<Item = Frame>) -> Self {
+        let mut built = Self::default();
+        for f in frames {
+            match f {
+                Frame::Record { .. } => built.records += 1,
+                Frame::Tombstone { .. } => built.tombstones += 1,
+                Frame::Page { .. } => built.pages += 1,
+                _ => {}
+            }
+            built.frames.push(f.encode());
+        }
+        built.bytes = built.frames.iter().map(|f| f.len() as u64).sum();
+        built
+    }
 }
 
 /// The checkpoint-shipping callback installed on the primary.
@@ -266,160 +289,73 @@ impl Shipper {
         }
     }
 
-    /// Serializes one backup record; PMO page images whose CRC changed
-    /// since the last ship are appended to `pages` (pass `ship_all` to
-    /// bypass the cache for snapshots).
-    fn wire_of(
+    /// Appends the committed record of `id` to `records` in wire form,
+    /// returning `false` when the image holds none (deleted or never
+    /// committed). Any object but a PMO travels as itself. A PMO becomes
+    /// its page manifest, and the page images whose CRC changed since the
+    /// last ship are appended to `pages` (pass `ship_all` to bypass the
+    /// cache for snapshots).
+    fn ship_record(
         &self,
-        raw: u64,
-        rec: &BackupObject,
-        round: u64,
+        image: &CommittedImage<'_>,
+        id: OrootId,
         ship_all: bool,
+        records: &mut Vec<Frame>,
         pages: &mut Vec<Frame>,
-    ) -> WireRecord {
-        let to_raw = |id: treesls_kernel::types::OrootId| id.to_raw();
-        match rec {
-            BackupObject::CapGroup { name, caps } => WireRecord::CapGroup {
-                name: name.clone(),
-                caps: caps
-                    .iter()
-                    .map(|c| c.map(|bk| (to_raw(bk.oroot), bk.rights.0)))
-                    .collect(),
-            },
-            BackupObject::Thread { ctx, state, program, cap_group, vmspace } => {
-                WireRecord::Thread {
-                    regs: ctx.regs,
-                    pc: ctx.pc,
-                    state: match state {
-                        BkThreadState::Runnable => WireThreadState::Runnable,
-                        BkThreadState::BlockedNotification(o) => {
-                            WireThreadState::BlockedNotification(to_raw(*o))
-                        }
-                        BkThreadState::BlockedIpcRecv(o) => {
-                            WireThreadState::BlockedIpcRecv(to_raw(*o))
-                        }
-                        BkThreadState::BlockedIpcReply(o) => {
-                            WireThreadState::BlockedIpcReply(to_raw(*o))
-                        }
-                        BkThreadState::Exited => WireThreadState::Exited,
-                    },
-                    program: program.clone(),
-                    cap_group: to_raw(*cap_group),
-                    vmspace: to_raw(*vmspace),
-                }
-            }
-            BackupObject::VmSpace { regions } => WireRecord::VmSpace {
-                regions: regions
-                    .iter()
-                    .map(|r| WireRegion {
-                        base: r.base,
-                        npages: r.npages,
-                        pmo: to_raw(r.pmo),
-                        pmo_off: r.pmo_off,
-                        perm: r.perm.0,
-                    })
-                    .collect(),
-            },
-            BackupObject::Pmo { npages, kind, pages: radix, synced_tick } => {
-                if matches!(kind, treesls_kernel::pmo::PmoKind::Eternal) {
-                    self.eternal.lock().insert(raw);
-                }
-                let mut manifest = Vec::new();
-                let mut cache = self.page_crc.lock();
-                radix.for_each(|idx, entry| {
-                    if !entry.live_at(round) {
-                        return;
-                    }
-                    let meta = entry.slot.meta.lock();
-                    // The shipped bytes must be the *frozen* round image,
-                    // not the live runtime — under epoch-concurrent
-                    // checkpointing a page's round image may live in a
-                    // not-yet-folded whole-page capture, or be
-                    // reconstructible only as runtime ⊖ its in-line undo
-                    // log (mutators kept writing through the copy phase).
-                    use treesls_kernel::pmo::RestoreImage;
-                    let mut data = Box::new([0u8; 4096]);
-                    let (version, stored_crc) = match meta.restore_image(round) {
-                        RestoreImage::Capture(c) => {
-                            self.kernel.pers.dev.read_page(c.frame, &mut data);
-                            (c.version.min(round), c.crc)
-                        }
-                        RestoreImage::Log(log) => {
-                            let rt = meta.pairs[1]
-                                .expect("logged pages are non-migrated")
-                                .frame;
-                            self.kernel.pers.dev.read_page(rt, &mut data);
-                            let mut raw_log = vec![0u8; log.used as usize];
-                            self.kernel.pers.dev.read(log.frame, 0, &mut raw_log);
-                            let recs = treesls_kernel::pmo::parse_undo_records(&raw_log);
-                            treesls_kernel::pmo::apply_undo_records(&mut data, &recs);
-                            (round, None)
-                        }
-                        // Version 0 ("the runtime page is the image")
-                        // travels as-is: it is round-independent, so
-                        // re-serializing an unchanged record at a later
-                        // round yields identical bytes, and the promotion
-                        // path accepts it (a v0 backup is picked by the
-                        // (Some, None) fallthrough).
-                        RestoreImage::Pair(pick) => {
-                            let ptr = meta.pairs[pick].expect("picked pair exists");
-                            self.kernel.pers.dev.read_page(ptr.frame, &mut data);
-                            (ptr.version, ptr.crc)
-                        }
-                        RestoreImage::None => return,
-                    };
-                    // Backup pages are frozen, so their stored CRC matches
-                    // the bytes read. A runtime page (no stored CRC) may be
-                    // an eternal ring a host client is writing right now,
-                    // and a log reconstruction is computed on the fly:
-                    // hash the bytes we actually read, not the frame again.
-                    let crc = stored_crc.unwrap_or_else(|| treesls_nvm::crc32(&data[..]));
-                    manifest.push((idx, version, crc));
-                    if ship_all || cache.get(&(raw, idx)) != Some(&crc) {
-                        pages.push(Frame::Page { oroot: raw, idx, version, crc, data });
-                    }
-                    cache.insert((raw, idx), crc);
-                });
-                WireRecord::Pmo {
-                    npages: *npages,
-                    eternal: matches!(kind, treesls_kernel::pmo::PmoKind::Eternal),
-                    synced_tick: *synced_tick,
-                    pages: manifest,
-                }
-            }
-            BackupObject::IpcConnection { recv_waiter, queue, replies } => {
-                WireRecord::IpcConnection {
-                    recv_waiter: recv_waiter.map(to_raw),
-                    queue: queue.iter().map(|(o, m)| (to_raw(*o), m.clone())).collect(),
-                    replies: replies.iter().map(|(o, m)| (to_raw(*o), m.clone())).collect(),
-                }
-            }
-            BackupObject::Notification { count, waiters } => WireRecord::Notification {
-                count: *count,
-                waiters: waiters.iter().copied().map(to_raw).collect(),
-            },
-            BackupObject::IrqNotification { line, count, waiters } => {
-                WireRecord::IrqNotification {
-                    line: *line,
-                    count: *count,
-                    waiters: waiters.iter().copied().map(to_raw).collect(),
-                }
-            }
+    ) -> bool {
+        let Some(rec) = image.record(id).ok().flatten() else { return false };
+        let raw = id.to_raw();
+        let BackupObject::Pmo { npages, kind, pages: radix, synced_tick } = rec else {
+            records.push(Frame::Record { oroot: raw, rec: WireRecord::Object(rec) });
+            return true;
+        };
+        let eternal = kind == PmoKind::Eternal;
+        if eternal {
+            self.eternal.lock().insert(raw);
         }
+        let mut manifest = Vec::new();
+        let mut cache = self.page_crc.lock();
+        radix.for_each(|idx, entry| {
+            if !entry.live_at(image.version()) {
+                return;
+            }
+            // The shipped bytes must be the *frozen* round image, not the
+            // live runtime — mutators keep writing through the copy phase
+            // — so they come from the image's page source, read under the
+            // slot lock. The page is not `check`ed: that would cost a CRC
+            // per shipped page, and a promoted replica runs restore's own
+            // check anyway.
+            let meta = entry.slot.meta.lock();
+            let Some(src) = image.page(&meta) else { return };
+            let mut data = Box::new([0u8; PAGE_SIZE]);
+            image.read(src, &mut data);
+            // Version 0 ("the runtime page is the image") travels as-is:
+            // it is round-independent, so re-serializing an unchanged
+            // record at a later round yields identical bytes, and the
+            // promotion path accepts it (a v0 backup is picked by the
+            // (Some, None) fallthrough).
+            let (version, stored_crc) = match src {
+                PageSource::Capture(p) | PageSource::Pair(_, p) => (p.version, p.crc),
+                PageSource::Log { .. } => (image.version(), None),
+            };
+            // Backup pages are frozen, so their stored CRC matches the
+            // bytes read. A runtime page (no stored CRC) may be an eternal
+            // ring a host client is writing right now, and a log
+            // reconstruction is computed on the fly: hash the bytes we
+            // actually read, not the frame again.
+            let crc = stored_crc.unwrap_or_else(|| treesls_nvm::crc32(&data[..]));
+            manifest.push((idx, version, crc));
+            if ship_all || cache.get(&(raw, idx)) != Some(&crc) {
+                pages.push(Frame::Page { oroot: raw, idx, version, crc, data });
+            }
+            cache.insert((raw, idx), crc);
+        });
+        let rec = WireRecord::Pmo { npages, eternal, synced_tick, pages: manifest };
+        records.push(Frame::Record { oroot: raw, rec });
+        true
     }
 
-    /// The record a raw id maps to at `round`, if it is live and
-    /// restorable (a rewritten-then-deleted id yields `None`).
-    fn live_record(&self, id: treesls_kernel::types::OrootId, round: u64) -> Option<BackupObject> {
-        let oroot = self.kernel.pers.oroots.get_cloned(id)?;
-        if !oroot.live_at(round) {
-            return None;
-        }
-        let pick = oroot.restore_pick(round)?;
-        self.kernel.pers.backups.get_cloned(oroot.backups[pick]?.slot)
-    }
-
-    fn build_delta(&self, delta: &RoundDelta, epoch: u64, root: u64) -> BuiltFrames {
+    fn build_delta(&self, image: &CommittedImage, delta: &RoundDelta, epoch: u64) -> BuiltFrames {
         let round = delta.round;
         let mut tombs: HashSet<u64> =
             delta.tombstoned.iter().map(|id| id.to_raw()).collect();
@@ -431,16 +367,10 @@ impl Shipper {
             if tombs.contains(&raw) || !shipped.insert(raw) {
                 continue;
             }
-            match self.live_record(*id, round) {
-                Some(rec) => {
-                    let wire = self.wire_of(raw, &rec, round, false, &mut pages);
-                    records.push(Frame::Record { oroot: raw, rec: wire });
-                }
-                // Rewritten then deleted before the callbacks ran: the
-                // store no longer has it, so it is a tombstone.
-                None => {
-                    tombs.insert(raw);
-                }
+            // Rewritten then deleted before the callbacks ran: the store
+            // no longer has it, so it is a tombstone.
+            if !self.ship_record(image, *id, false, &mut records, &mut pages) {
+                tombs.insert(raw);
             }
         }
         // Eternal PMOs ride along every round (see the `eternal` field):
@@ -448,19 +378,11 @@ impl Shipper {
         // know about their content changes.
         let eternal: Vec<u64> = self.eternal.lock().iter().copied().collect();
         for raw in eternal {
-            if tombs.contains(&raw) || shipped.contains(&raw) {
+            if tombs.contains(&raw) || !shipped.insert(raw) {
                 continue;
             }
-            let id = treesls_kernel::types::OrootId::from_raw(raw);
-            match self.live_record(id, round) {
-                Some(rec) => {
-                    shipped.insert(raw);
-                    let wire = self.wire_of(raw, &rec, round, false, &mut pages);
-                    records.push(Frame::Record { oroot: raw, rec: wire });
-                }
-                None => {
-                    self.eternal.lock().remove(&raw);
-                }
+            if !self.ship_record(image, OrootId::from_raw(raw), false, &mut records, &mut pages) {
+                self.eternal.lock().remove(&raw);
             }
         }
         {
@@ -469,58 +391,35 @@ impl Shipper {
             cache.retain(|(o, _), _| !tombs.contains(o));
             self.eternal.lock().retain(|o| !tombs.contains(o));
         }
-        let mut frames = Vec::with_capacity(records.len() + pages.len() + tombs.len() + 2);
-        frames.push(
-            Frame::DeltaBegin {
-                epoch,
-                round,
-                records: records.len() as u32,
-                tombstones: tombs.len() as u32,
-                pages: pages.len() as u32,
-            }
-            .encode(),
-        );
-        let (nrec, npg, ntomb) = (records.len() as u64, pages.len() as u64, tombs.len() as u64);
-        for f in records.into_iter().chain(pages) {
-            frames.push(f.encode());
-        }
-        for t in &tombs {
-            frames.push(Frame::Tombstone { oroot: *t }.encode());
-        }
-        frames.push(Frame::DeltaCommit { epoch, round, root }.encode());
-        let bytes = frames.iter().map(|f| f.len() as u64).sum();
-        BuiltFrames { frames, records: nrec, tombstones: ntomb, pages: npg, bytes }
+        let begin = Frame::DeltaBegin {
+            epoch,
+            round,
+            records: records.len() as u32,
+            tombstones: tombs.len() as u32,
+            pages: pages.len() as u32,
+        };
+        let commit = Frame::DeltaCommit { epoch, round, root: image.root().to_raw() };
+        let tombs = tombs.into_iter().map(|oroot| Frame::Tombstone { oroot });
+        let frames = once(begin).chain(records).chain(pages).chain(tombs);
+        BuiltFrames::encode(frames.chain(once(commit)))
     }
 
     /// A full-state transfer: every live, restorable record and every
-    /// live page image at `round`.
-    fn build_snapshot(&self, epoch: u64, round: u64, root: u64) -> BuiltFrames {
+    /// live page image of the committed image.
+    fn build_snapshot(&self, image: &CommittedImage<'_>, epoch: u64, round: u64) -> BuiltFrames {
         let mut records = Vec::new();
         let mut pages = Vec::new();
         for id in self.kernel.pers.oroots.ids() {
-            if let Some(rec) = self.live_record(id, round) {
-                let raw = id.to_raw();
-                let wire = self.wire_of(raw, &rec, round, true, &mut pages);
-                records.push(Frame::Record { oroot: raw, rec: wire });
-            }
+            self.ship_record(image, id, true, &mut records, &mut pages);
         }
-        let mut frames = Vec::with_capacity(records.len() + pages.len() + 2);
-        frames.push(
-            Frame::SnapBegin {
-                epoch,
-                round,
-                records: records.len() as u32,
-                pages: pages.len() as u32,
-            }
-            .encode(),
-        );
-        let (nrec, npg) = (records.len() as u64, pages.len() as u64);
-        for f in records.into_iter().chain(pages) {
-            frames.push(f.encode());
-        }
-        frames.push(Frame::SnapCommit { epoch, round, root }.encode());
-        let bytes = frames.iter().map(|f| f.len() as u64).sum();
-        BuiltFrames { frames, records: nrec, tombstones: 0, pages: npg, bytes }
+        let begin = Frame::SnapBegin {
+            epoch,
+            round,
+            records: records.len() as u32,
+            pages: pages.len() as u32,
+        };
+        let commit = Frame::SnapCommit { epoch, round, root: image.root().to_raw() };
+        BuiltFrames::encode(once(begin).chain(records).chain(pages).chain(once(commit)))
     }
 
     /// Pushes `frames` to one peer with bounded retry and capped
@@ -570,7 +469,7 @@ impl CkptCallback for Shipper {
         self.drain_acks();
         crash_site!(sched, "repl.pre_ship");
 
-        let Some(root) = self.kernel.pers.root_oroot().map(|r| r.to_raw()) else {
+        let Ok(image) = CommittedImage::open(&self.kernel.pers) else {
             return;
         };
         let delta = self
@@ -578,7 +477,7 @@ impl CkptCallback for Shipper {
             .upgrade()
             .and_then(|m| m.take_round_delta())
             .filter(|d| d.round == version)
-            .map(|d| self.build_delta(&d, epoch, root));
+            .map(|d| self.build_delta(&image, &d, epoch));
 
         let mut stats = ShipStats { round: version, ..ShipStats::default() };
         if let Some(b) = &delta {
@@ -599,7 +498,7 @@ impl CkptCallback for Shipper {
                     Some(d) if !peer.needs_snapshot => d,
                     _ => {
                         if snapshot.is_none() {
-                            snapshot = Some(self.build_snapshot(epoch, version, root));
+                            snapshot = Some(self.build_snapshot(&image, epoch, version));
                         }
                         stats.snapshots += 1;
                         peer.needs_snapshot = false;

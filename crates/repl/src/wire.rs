@@ -7,13 +7,19 @@
 //! *structurally* bad frames, e.g. from a software bug, and it does so
 //! with errors, never panics).
 //!
-//! Backup records travel as [`WireRecord`]: the same shape as the
-//! kernel's `BackupObject`, but with every `OrootId` flattened to its raw
-//! `u64` (slot ids are machine-local — the receiving machine re-assigns
-//! them on promotion) and the PMO page radix replaced by a page
-//! *manifest* of `(index, version, crc)`. Page images travel in separate
+//! Backup records travel as [`WireRecord`]: the kernel's own
+//! `BackupObject`, each `OrootId` encoded as its raw `u64` (slot ids are
+//! machine-local — the receiving machine re-assigns them on promotion),
+//! except that a PMO's page radix is replaced by a page *manifest* of
+//! `(index, version, crc)`. Page images travel in separate
 //! [`Frame::Page`] frames so a delta only carries the pages whose content
 //! actually changed.
+
+use treesls_kernel::cap::CapRights;
+use treesls_kernel::object::ObjType;
+use treesls_kernel::oroot::{BackupObject, BkCap, BkRegion, BkThreadState};
+use treesls_kernel::thread::ThreadContext;
+use treesls_kernel::types::OrootId;
 
 /// A replication frame. Deltas stream as `DeltaBegin · (Record | Page |
 /// Tombstone)* · DeltaCommit`; snapshots as `SnapBegin · (Record | Page)*
@@ -106,37 +112,18 @@ pub enum Frame {
     },
 }
 
-/// A backup record in wire form (raw ids, page manifest).
-#[derive(Debug, Clone, PartialEq)]
+/// A backup record in wire form.
+///
+/// Every object but a PMO travels as the kernel's own [`BackupObject`],
+/// its ORoot references being the *primary's* ids (slot ids are
+/// machine-local — promotion re-assigns them with
+/// [`BackupObject::map_refs`]). A PMO travels as a page *manifest*
+/// instead of its page radix; the images follow in separate
+/// [`Frame::Page`] frames.
+#[derive(Debug, Clone)]
 pub enum WireRecord {
-    /// A capability group: its name and its slots as
-    /// `Option<(target_oroot, rights_bits)>`.
-    CapGroup {
-        /// Group name (process identity across promotion).
-        name: String,
-        /// Capability slots; `None` for empty slots.
-        caps: Vec<Option<(u64, u32)>>,
-    },
-    /// A thread: full register file plus scheduling references.
-    Thread {
-        /// General-purpose registers.
-        regs: [u64; 16],
-        /// Program counter.
-        pc: u64,
-        /// Scheduling state (with raw blocked-on references).
-        state: WireThreadState,
-        /// Program name resolved through the registry on promotion.
-        program: String,
-        /// Raw ORoot id of the owning cap group.
-        cap_group: u64,
-        /// Raw ORoot id of the address space.
-        vmspace: u64,
-    },
-    /// An address space as a list of mapped regions.
-    VmSpace {
-        /// The mapped regions.
-        regions: Vec<WireRegion>,
-    },
+    /// Any non-PMO object; never a `BackupObject::Pmo`.
+    Object(BackupObject),
     /// A physical memory object: geometry plus the page manifest
     /// `(index, version, crc)` the delta's `Page` frames must satisfy.
     Pmo {
@@ -149,61 +136,18 @@ pub enum WireRecord {
         /// Per-page manifest entries `(index, version, crc)`.
         pages: Vec<(u64, u64, u32)>,
     },
-    /// An IPC connection: queued messages and parked reply slots.
-    IpcConnection {
-        /// Thread blocked in `recv`, if any (raw ORoot id).
-        recv_waiter: Option<u64>,
-        /// Queued `(sender_thread, message)` pairs.
-        queue: Vec<(u64, Vec<u8>)>,
-        /// Parked `(sender_thread, reply)` pairs.
-        replies: Vec<(u64, Vec<u8>)>,
-    },
-    /// A notification object: its count and blocked waiters.
-    Notification {
-        /// Pending signal count.
-        count: u64,
-        /// Raw ORoot ids of blocked waiter threads.
-        waiters: Vec<u64>,
-    },
-    /// An IRQ notification object bound to a line.
-    IrqNotification {
-        /// Interrupt line number.
-        line: u32,
-        /// Pending signal count.
-        count: u64,
-        /// Raw ORoot ids of blocked waiter threads.
-        waiters: Vec<u64>,
-    },
 }
 
-/// Thread scheduling state with raw ORoot references.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WireThreadState {
-    /// Runnable (or running; on-CPU state is not shipped).
-    Runnable,
-    /// Blocked waiting on a notification (raw ORoot id).
-    BlockedNotification(u64),
-    /// Blocked in IPC receive on a connection (raw ORoot id).
-    BlockedIpcRecv(u64),
-    /// Blocked awaiting an IPC reply on a connection (raw ORoot id).
-    BlockedIpcReply(u64),
-    /// Exited; kept for capability-table consistency.
-    Exited,
-}
-
-/// A VM region with a raw PMO reference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WireRegion {
-    /// Base virtual page number.
-    pub base: u64,
-    /// Region length in pages.
-    pub npages: u64,
-    /// Raw ORoot id of the backing PMO.
-    pub pmo: u64,
-    /// Page offset into the PMO.
-    pub pmo_off: u64,
-    /// Permission bits (`CapRights`).
-    pub perm: u32,
+/// Two records are equal when they put the same bytes on the wire.
+impl PartialEq for WireRecord {
+    fn eq(&self, other: &Self) -> bool {
+        let bytes = |r: &WireRecord| {
+            let mut b = Vec::new();
+            r.encode_into(&mut b);
+            b
+        };
+        bytes(self) == bytes(other)
+    }
 }
 
 /// Structural decode failures (distinct from wire corruption, which the
@@ -415,239 +359,205 @@ const TS_RECV: u8 = 2;
 const TS_REPLY: u8 = 3;
 const TS_EXITED: u8 = 4;
 
+fn put_id(buf: &mut Vec<u8>, id: OrootId) {
+    put_u64(buf, id.to_raw());
+}
+
+/// A `u32` count followed by each item.
+fn put_list<T>(buf: &mut Vec<u8>, items: &[T], mut put: impl FnMut(&mut Vec<u8>, &T)) {
+    put_u32(buf, items.len() as u32);
+    for item in items {
+        put(buf, item);
+    }
+}
+
+fn put_opt_id(buf: &mut Vec<u8>, id: Option<OrootId>) {
+    match id {
+        Some(id) => {
+            buf.push(1);
+            put_id(buf, id);
+        }
+        None => buf.push(0),
+    }
+}
+
+impl Reader<'_> {
+    fn id(&mut self) -> Result<OrootId, WireError> {
+        Ok(OrootId::from_raw(self.u64()?))
+    }
+
+    /// The inverse of [`put_list`].
+    fn list<T>(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<T, WireError>,
+    ) -> Result<Vec<T>, WireError> {
+        let n = self.u32()? as usize;
+        // Every item takes at least one byte: a count beyond the bytes left
+        // is truncation, so it must not size the allocation.
+        let mut out = Vec::with_capacity(n.min(self.buf.len() - self.off));
+        for _ in 0..n {
+            out.push(item(self)?);
+        }
+        Ok(out)
+    }
+}
+
 impl WireRecord {
-    fn encode_into(&self, b: &mut Vec<u8>) {
+    /// The object type of the record.
+    pub(crate) fn otype(&self) -> ObjType {
         match self {
-            WireRecord::CapGroup { name, caps } => {
-                b.push(R_CAP_GROUP);
-                put_bytes(b, name.as_bytes());
-                put_u32(b, caps.len() as u32);
-                for c in caps {
-                    match c {
-                        Some((oroot, rights)) => {
-                            b.push(1);
-                            put_u64(b, *oroot);
-                            put_u32(b, *rights);
-                        }
-                        None => b.push(0),
-                    }
-                }
-            }
-            WireRecord::Thread { regs, pc, state, program, cap_group, vmspace } => {
-                b.push(R_THREAD);
-                for r in regs {
-                    put_u64(b, *r);
-                }
-                put_u64(b, *pc);
-                match state {
-                    WireThreadState::Runnable => b.push(TS_RUNNABLE),
-                    WireThreadState::BlockedNotification(o) => {
-                        b.push(TS_NOTIF);
-                        put_u64(b, *o);
-                    }
-                    WireThreadState::BlockedIpcRecv(o) => {
-                        b.push(TS_RECV);
-                        put_u64(b, *o);
-                    }
-                    WireThreadState::BlockedIpcReply(o) => {
-                        b.push(TS_REPLY);
-                        put_u64(b, *o);
-                    }
-                    WireThreadState::Exited => b.push(TS_EXITED),
-                }
-                put_bytes(b, program.as_bytes());
-                put_u64(b, *cap_group);
-                put_u64(b, *vmspace);
-            }
-            WireRecord::VmSpace { regions } => {
-                b.push(R_VMSPACE);
-                put_u32(b, regions.len() as u32);
-                for rg in regions {
-                    put_u64(b, rg.base);
-                    put_u64(b, rg.npages);
-                    put_u64(b, rg.pmo);
-                    put_u64(b, rg.pmo_off);
-                    put_u32(b, rg.perm);
-                }
-            }
+            WireRecord::Object(rec) => rec.otype(),
+            WireRecord::Pmo { .. } => ObjType::Pmo,
+        }
+    }
+
+    fn encode_into(&self, b: &mut Vec<u8>) {
+        let rec = match self {
             WireRecord::Pmo { npages, eternal, synced_tick, pages } => {
                 b.push(R_PMO);
                 put_u64(b, *npages);
                 b.push(u8::from(*eternal));
                 put_u64(b, *synced_tick);
-                put_u32(b, pages.len() as u32);
-                for (idx, version, crc) in pages {
-                    put_u64(b, *idx);
-                    put_u64(b, *version);
-                    put_u32(b, *crc);
-                }
+                put_list(b, pages, |b, &(idx, version, crc)| {
+                    put_u64(b, idx);
+                    put_u64(b, version);
+                    put_u32(b, crc);
+                });
+                return;
             }
-            WireRecord::IpcConnection { recv_waiter, queue, replies } => {
+            WireRecord::Object(rec) => rec,
+        };
+        let msg = |b: &mut Vec<u8>, (o, m): &(OrootId, Vec<u8>)| {
+            put_id(b, *o);
+            put_bytes(b, m);
+        };
+        match rec {
+            BackupObject::CapGroup { name, caps } => {
+                b.push(R_CAP_GROUP);
+                put_bytes(b, name.as_bytes());
+                put_list(b, caps, |b, c| {
+                    put_opt_id(b, c.map(|c| c.oroot));
+                    if let Some(c) = c {
+                        put_u32(b, c.rights.0);
+                    }
+                });
+            }
+            BackupObject::Thread { ctx, state, program, cap_group, vmspace } => {
+                b.push(R_THREAD);
+                for r in ctx.regs {
+                    put_u64(b, r);
+                }
+                put_u64(b, ctx.pc);
+                let (tag, on) = match *state {
+                    BkThreadState::Runnable => (TS_RUNNABLE, None),
+                    BkThreadState::BlockedNotification(o) => (TS_NOTIF, Some(o)),
+                    BkThreadState::BlockedIpcRecv(o) => (TS_RECV, Some(o)),
+                    BkThreadState::BlockedIpcReply(o) => (TS_REPLY, Some(o)),
+                    BkThreadState::Exited => (TS_EXITED, None),
+                };
+                b.push(tag);
+                if let Some(o) = on {
+                    put_id(b, o);
+                }
+                put_bytes(b, program.as_bytes());
+                put_id(b, *cap_group);
+                put_id(b, *vmspace);
+            }
+            BackupObject::VmSpace { regions } => {
+                b.push(R_VMSPACE);
+                put_list(b, regions, |b, rg| {
+                    put_u64(b, rg.base);
+                    put_u64(b, rg.npages);
+                    put_id(b, rg.pmo);
+                    put_u64(b, rg.pmo_off);
+                    put_u32(b, rg.perm.0);
+                });
+            }
+            BackupObject::Pmo { .. } => unreachable!("PMOs travel as WireRecord::Pmo"),
+            BackupObject::IpcConnection { recv_waiter, queue, replies } => {
                 b.push(R_IPC);
-                match recv_waiter {
-                    Some(o) => {
-                        b.push(1);
-                        put_u64(b, *o);
-                    }
-                    None => b.push(0),
-                }
-                for list in [queue, replies] {
-                    put_u32(b, list.len() as u32);
-                    for (o, msg) in list {
-                        put_u64(b, *o);
-                        put_bytes(b, msg);
-                    }
-                }
+                put_opt_id(b, *recv_waiter);
+                put_list(b, queue, msg);
+                put_list(b, replies, msg);
             }
-            WireRecord::Notification { count, waiters } => {
+            BackupObject::Notification { count, waiters } => {
                 b.push(R_NOTIF);
                 put_u64(b, *count);
-                put_u32(b, waiters.len() as u32);
-                for w in waiters {
-                    put_u64(b, *w);
-                }
+                put_list(b, waiters, |b, w| put_id(b, *w));
             }
-            WireRecord::IrqNotification { line, count, waiters } => {
+            BackupObject::IrqNotification { line, count, waiters } => {
                 b.push(R_IRQ);
                 put_u32(b, *line);
                 put_u64(b, *count);
-                put_u32(b, waiters.len() as u32);
-                for w in waiters {
-                    put_u64(b, *w);
-                }
+                put_list(b, waiters, |b, w| put_id(b, *w));
             }
         }
     }
 
     fn decode_from(r: &mut Reader<'_>) -> Result<WireRecord, WireError> {
-        Ok(match r.u8()? {
-            R_CAP_GROUP => {
-                let name = r.string()?;
-                let n = r.u32()?;
-                let mut caps = Vec::with_capacity(n as usize);
-                for _ in 0..n {
-                    caps.push(match r.u8()? {
-                        0 => None,
-                        _ => Some((r.u64()?, r.u32()?)),
-                    });
-                }
-                WireRecord::CapGroup { name, caps }
-            }
+        let opt_id = |r: &mut Reader<'_>| match r.u8()? {
+            0 => Ok(None),
+            _ => r.id().map(Some),
+        };
+        let msg = |r: &mut Reader<'_>| Ok((r.id()?, r.bytes()?));
+        let rec = match r.u8()? {
+            R_CAP_GROUP => BackupObject::CapGroup {
+                name: r.string()?,
+                caps: r.list(|r| {
+                    let Some(oroot) = opt_id(r)? else { return Ok(None) };
+                    Ok(Some(BkCap { oroot, rights: CapRights(r.u32()?) }))
+                })?,
+            },
             R_THREAD => {
-                let mut regs = [0u64; 16];
-                for reg in &mut regs {
+                let mut ctx = ThreadContext::new();
+                for reg in &mut ctx.regs {
                     *reg = r.u64()?;
                 }
-                let pc = r.u64()?;
+                ctx.pc = r.u64()?;
                 let state = match r.u8()? {
-                    TS_RUNNABLE => WireThreadState::Runnable,
-                    TS_NOTIF => WireThreadState::BlockedNotification(r.u64()?),
-                    TS_RECV => WireThreadState::BlockedIpcRecv(r.u64()?),
-                    TS_REPLY => WireThreadState::BlockedIpcReply(r.u64()?),
-                    TS_EXITED => WireThreadState::Exited,
+                    TS_RUNNABLE => BkThreadState::Runnable,
+                    TS_NOTIF => BkThreadState::BlockedNotification(r.id()?),
+                    TS_RECV => BkThreadState::BlockedIpcRecv(r.id()?),
+                    TS_REPLY => BkThreadState::BlockedIpcReply(r.id()?),
+                    TS_EXITED => BkThreadState::Exited,
                     t => return Err(WireError::BadTag(t)),
                 };
                 let program = r.string()?;
-                WireRecord::Thread {
-                    regs,
-                    pc,
-                    state,
-                    program,
-                    cap_group: r.u64()?,
-                    vmspace: r.u64()?,
-                }
+                BackupObject::Thread { ctx, state, program, cap_group: r.id()?, vmspace: r.id()? }
             }
-            R_VMSPACE => {
-                let n = r.u32()?;
-                let mut regions = Vec::with_capacity(n as usize);
-                for _ in 0..n {
-                    regions.push(WireRegion {
+            R_VMSPACE => BackupObject::VmSpace {
+                regions: r.list(|r| {
+                    Ok(BkRegion {
                         base: r.u64()?,
                         npages: r.u64()?,
-                        pmo: r.u64()?,
+                        pmo: r.id()?,
                         pmo_off: r.u64()?,
-                        perm: r.u32()?,
-                    });
-                }
-                WireRecord::VmSpace { regions }
-            }
+                        perm: CapRights(r.u32()?),
+                    })
+                })?,
+            },
             R_PMO => {
-                let npages = r.u64()?;
-                let eternal = r.u8()? != 0;
-                let synced_tick = r.u64()?;
-                let n = r.u32()?;
-                let mut pages = Vec::with_capacity(n as usize);
-                for _ in 0..n {
-                    pages.push((r.u64()?, r.u64()?, r.u32()?));
-                }
-                WireRecord::Pmo { npages, eternal, synced_tick, pages }
+                return Ok(WireRecord::Pmo {
+                    npages: r.u64()?,
+                    eternal: r.u8()? != 0,
+                    synced_tick: r.u64()?,
+                    pages: r.list(|r| Ok((r.u64()?, r.u64()?, r.u32()?)))?,
+                })
             }
-            R_IPC => {
-                let recv_waiter = match r.u8()? {
-                    0 => None,
-                    _ => Some(r.u64()?),
-                };
-                let mut lists = [Vec::new(), Vec::new()];
-                for list in &mut lists {
-                    let n = r.u32()?;
-                    for _ in 0..n {
-                        list.push((r.u64()?, r.bytes()?));
-                    }
-                }
-                let [queue, replies] = lists;
-                WireRecord::IpcConnection { recv_waiter, queue, replies }
-            }
-            R_NOTIF => {
-                let count = r.u64()?;
-                let n = r.u32()?;
-                let mut waiters = Vec::with_capacity(n as usize);
-                for _ in 0..n {
-                    waiters.push(r.u64()?);
-                }
-                WireRecord::Notification { count, waiters }
-            }
-            R_IRQ => {
-                let line = r.u32()?;
-                let count = r.u64()?;
-                let n = r.u32()?;
-                let mut waiters = Vec::with_capacity(n as usize);
-                for _ in 0..n {
-                    waiters.push(r.u64()?);
-                }
-                WireRecord::IrqNotification { line, count, waiters }
-            }
+            R_IPC => BackupObject::IpcConnection {
+                recv_waiter: opt_id(r)?,
+                queue: r.list(msg)?,
+                replies: r.list(msg)?,
+            },
+            R_NOTIF => BackupObject::Notification { count: r.u64()?, waiters: r.list(Reader::id)? },
+            R_IRQ => BackupObject::IrqNotification {
+                line: r.u32()?,
+                count: r.u64()?,
+                waiters: r.list(Reader::id)?,
+            },
             t => return Err(WireError::BadTag(t)),
-        })
-    }
-
-    /// Every raw ORoot id this record references (edges of the shipped
-    /// tree; promotion translates each through the id map).
-    pub fn refs(&self) -> Vec<u64> {
-        match self {
-            WireRecord::CapGroup { caps, .. } => {
-                caps.iter().flatten().map(|(o, _)| *o).collect()
-            }
-            WireRecord::Thread { state, cap_group, vmspace, .. } => {
-                let mut v = vec![*cap_group, *vmspace];
-                match state {
-                    WireThreadState::BlockedNotification(o)
-                    | WireThreadState::BlockedIpcRecv(o)
-                    | WireThreadState::BlockedIpcReply(o) => v.push(*o),
-                    WireThreadState::Runnable | WireThreadState::Exited => {}
-                }
-                v
-            }
-            WireRecord::VmSpace { regions } => regions.iter().map(|r| r.pmo).collect(),
-            WireRecord::Pmo { .. } => Vec::new(),
-            WireRecord::IpcConnection { recv_waiter, queue, replies } => {
-                let mut v: Vec<u64> = recv_waiter.iter().copied().collect();
-                v.extend(queue.iter().map(|(o, _)| *o));
-                v.extend(replies.iter().map(|(o, _)| *o));
-                v
-            }
-            WireRecord::Notification { waiters, .. } => waiters.clone(),
-            WireRecord::IrqNotification { waiters, .. } => waiters.clone(),
-        }
+        };
+        Ok(WireRecord::Object(rec))
     }
 }
 
@@ -679,65 +589,86 @@ mod tests {
         roundtrip(Frame::Page { oroot: 5, idx: 17, version: 3, crc: 0x1234_5678, data });
     }
 
+    fn id(raw: u64) -> OrootId {
+        OrootId::from_raw(raw)
+    }
+
+    /// One record per variant, every reference a distinct raw id.
+    fn records() -> Vec<WireRecord> {
+        let mut ctx = ThreadContext::new();
+        ctx.regs = [7; 16];
+        ctx.pc = 3;
+        let objects = vec![
+            BackupObject::CapGroup {
+                name: "root".into(),
+                caps: vec![
+                    Some(BkCap { oroot: id(1), rights: CapRights(0b111) }),
+                    None,
+                    Some(BkCap { oroot: id(9 | 3 << 32), rights: CapRights(0b1) }),
+                ],
+            },
+            BackupObject::Thread {
+                ctx,
+                state: BkThreadState::BlockedIpcReply(id(12)),
+                program: "kv-server".into(),
+                cap_group: id(1),
+                vmspace: id(2),
+            },
+            BackupObject::VmSpace {
+                regions: vec![BkRegion {
+                    base: 0x1000,
+                    npages: 4,
+                    pmo: id(8),
+                    pmo_off: 0,
+                    perm: CapRights(3),
+                }],
+            },
+            BackupObject::IpcConnection {
+                recv_waiter: Some(id(4)),
+                queue: vec![(id(5), vec![1, 2, 3])],
+                replies: vec![(id(6), vec![]), (id(7), vec![9])],
+            },
+            BackupObject::Notification { count: 2, waiters: vec![id(10), id(11)] },
+            BackupObject::IrqNotification { line: 33, count: 0, waiters: vec![] },
+        ];
+        let mut recs: Vec<WireRecord> = objects.into_iter().map(WireRecord::Object).collect();
+        recs.push(WireRecord::Pmo {
+            npages: 16,
+            eternal: true,
+            synced_tick: 5,
+            pages: vec![(0, 3, 0xaa), (7, 2, 0xbb)],
+        });
+        recs
+    }
+
     #[test]
     fn every_record_variant_roundtrips() {
-        let records = vec![
-            WireRecord::CapGroup {
-                name: "root".into(),
-                caps: vec![Some((1, 0b111)), None, Some((9, 0b1))],
-            },
-            WireRecord::Thread {
-                regs: [7; 16],
-                pc: 3,
-                state: WireThreadState::BlockedIpcReply(12),
-                program: "kv-server".into(),
-                cap_group: 1,
-                vmspace: 2,
-            },
-            WireRecord::VmSpace {
-                regions: vec![WireRegion { base: 0x1000, npages: 4, pmo: 8, pmo_off: 0, perm: 3 }],
-            },
-            WireRecord::Pmo {
-                npages: 16,
-                eternal: true,
-                synced_tick: 5,
-                pages: vec![(0, 3, 0xaa), (7, 2, 0xbb)],
-            },
-            WireRecord::IpcConnection {
-                recv_waiter: Some(4),
-                queue: vec![(5, vec![1, 2, 3])],
-                replies: vec![(6, vec![]), (7, vec![9])],
-            },
-            WireRecord::Notification { count: 2, waiters: vec![10, 11] },
-            WireRecord::IrqNotification { line: 33, count: 0, waiters: vec![] },
-        ];
-        for rec in records {
-            roundtrip(Frame::Record { oroot: 99, rec });
+        for rec in records() {
+            let Ok(Frame::Record { oroot: 99, rec: back }) =
+                Frame::decode(&Frame::Record { oroot: 99, rec: rec.clone() }.encode())
+            else {
+                panic!("{rec:?} did not decode as a record");
+            };
+            assert_eq!(back.otype(), rec.otype());
+            if let (WireRecord::Object(a), WireRecord::Object(b)) = (&back, &rec) {
+                assert_eq!(a.edges(), b.edges(), "references survive the wire");
+            }
+            assert_eq!(back, rec, "roundtrip moved the bytes");
         }
     }
 
     #[test]
     fn truncation_and_bad_tags_are_errors_not_panics() {
-        let full = Frame::DeltaCommit { epoch: 1, round: 2, root: 3 }.encode();
-        for cut in 0..full.len() {
-            assert!(Frame::decode(&full[..cut]).is_err());
+        let control = Frame::DeltaCommit { epoch: 1, round: 2, root: 3 }.encode();
+        let records = records().into_iter().map(|rec| Frame::Record { oroot: 99, rec }.encode());
+        for full in std::iter::once(control.clone()).chain(records) {
+            for cut in 0..full.len() {
+                assert!(Frame::decode(&full[..cut]).is_err());
+            }
         }
         assert_eq!(Frame::decode(&[0xff]), Err(WireError::BadTag(0xff)));
-        let mut trailing = full.clone();
+        let mut trailing = control;
         trailing.push(0);
         assert_eq!(Frame::decode(&trailing), Err(WireError::Trailing));
-    }
-
-    #[test]
-    fn refs_cover_every_edge() {
-        let rec = WireRecord::Thread {
-            regs: [0; 16],
-            pc: 0,
-            state: WireThreadState::BlockedNotification(5),
-            program: String::new(),
-            cap_group: 1,
-            vmspace: 2,
-        };
-        assert_eq!(rec.refs(), vec![1, 2, 5]);
     }
 }

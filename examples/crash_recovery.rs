@@ -142,6 +142,11 @@ fn main() {
             a + b
         );
         println!("         integrity: {}", describe(&report.recovery));
+        let p = report.phases;
+        println!(
+            "         restore {:?}: walk {:?}, revive {:?}, sweep {:?}, allocator {:?}",
+            report.duration, p.walk, p.revive, p.sweep, p.alloc
+        );
     }
 
     // A periodic scrub pass proves the media still matches every stored

@@ -317,7 +317,8 @@ fn faulty_wire_delta_stream_matches_snapshot_resync() {
     assert_eq!(cluster.replicas[1].applied_round(), version);
 
     // The delta-fed mirror and the snapshot-built mirror must agree:
-    // identical records and root, and every page the snapshot carries
+    // records that encode to identical wire bytes (`WireRecord`'s
+    // equality), the same root, and every page the snapshot carries
     // present with identical bytes. (The delta-fed side may additionally
     // hold stale images of pages a later round freed — cumulative by
     // design — so the comparison is containment, not equality.)
