@@ -5,7 +5,9 @@
 //! sub-lists of the *dual-function active page list*:
 //!
 //! * dirty DRAM-cached pages are **stop-and-copied** into the non-keeper
-//!   NVM backup slot and tagged with the in-flight version;
+//!   NVM backup slot and tagged with the in-flight version
+//!   (`Kernel::stop_and_copy`, the same copy a write racing the epoch flip
+//!   runs first);
 //! * pages newly appended since the last checkpoint are **migrated** to
 //!   DRAM;
 //! * pages idle for too many checkpoints are **migrated back** to NVM and
@@ -71,14 +73,10 @@ pub fn process_slot(kernel: &Kernel, slot: &Arc<PageSlot>, inflight: u64, counte
         return;
     }
     if !meta.is_migrated() {
-        if meta.epoch_capture.is_some() || meta.inline_log.is_some() {
-            // An epoch-window conflict already captured (or is logging)
-            // this page's round image against the runtime frame. Migrating
-            // in would retag that frame with the in-flight version while
-            // it carries post-flip writes, letting the fuzzy runtime
-            // shadow the capture/log at restore. Defer: the state folds at
-            // commit (or on the next CoW fault) and the page stays on the
-            // active list for the next round.
+        if meta.pending_fold() {
+            // A window capture or log still holds this page's image:
+            // migrating in would retag the runtime frame, which carries
+            // post-flip writes, over it. Defer to a round after the fold.
             meta.idle_rounds = 0;
             return;
         }
@@ -118,7 +116,6 @@ pub fn process_slot(kernel: &Kernel, slot: &Arc<PageSlot>, inflight: u64, counte
     }
     if meta.dirty {
         // Speculative stop-and-copy of the dirty DRAM page.
-        let dst_idx = meta.sac_dst(global);
         if kernel.fence.active() && meta.epoch_round == kernel.fence.round() {
             // An epoch-fence conflict capture (free-core write during this
             // very pause) already preserved the round's image; the dirty
@@ -129,29 +126,21 @@ pub fn process_slot(kernel: &Kernel, slot: &Arc<PageSlot>, inflight: u64, counte
             meta.idle_rounds = 0;
             return;
         }
-        let frame = match meta.pairs[dst_idx] {
-            Some(p) => p.frame,
-            None => match kernel.pers.alloc.alloc_page() {
-                Ok(f) => f,
-                Err(_) => return, // out of NVM: leave dirty; CoW-less DRAM
-            },
-        };
-        let d = meta.runtime_dram.expect("migrated page has a DRAM copy");
-        treesls_nvm::crash_site!(kernel.pers.dev.crash_schedule(), "hybrid.pre_sac_copy");
-        kernel.pers.dev.copy_from_dram(&kernel.dram, d, frame);
-        let crc = kernel.pers.dev.page_crc(frame);
-        meta.pairs[dst_idx] = Some(PagePtr::backup(frame, inflight, crc));
+        if kernel.stop_and_copy(&mut meta, inflight, false).is_err() {
+            return; // out of NVM: leave dirty; CoW-less DRAM
+        }
         meta.dirty = false;
         meta.idle_rounds = 0;
         counters.sac_copies.fetch_add(1, Ordering::Relaxed);
-        kernel.metrics.record_backup_page(inflight);
-        kernel.pers.recorder().record(
-            treesls_obs::EventKind::HybridSacCopy,
-            [frame.0 as u64, inflight, d.0 as u64, 0, 0, 0],
-        );
     } else {
         meta.idle_rounds += 1;
-        if meta.idle_rounds >= kernel.config.idle_evict_rounds {
+        // Eviction rebuilds the runtime page from the committed copy, equal
+        // to the clean DRAM copy only when no later copy exists. An aborted
+        // round's stop-and-copy (tagged above the committed version) holds
+        // newer DRAM content, so the page stays cached until a round
+        // commits that copy.
+        let copies_committed = meta.pairs.iter().flatten().all(|p| p.version <= global);
+        if meta.idle_rounds >= kernel.config.idle_evict_rounds && copies_committed {
             treesls_nvm::crash_site!(kernel.pers.dev.crash_schedule(), "hybrid.pre_evict");
             // Migrate DRAM→NVM (§4.3.3): ensure the second backup holds the
             // latest data, mark it version 0, and make it the runtime page.

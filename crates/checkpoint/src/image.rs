@@ -183,12 +183,7 @@ impl<'a> CommittedImage<'a> {
     /// this is the reconstruction runtime ⊖ reverse(undo records). The
     /// source's frames must lie on the device.
     pub fn read(&self, src: PageSource, buf: &mut [u8; PAGE_SIZE]) {
-        match src {
-            PageSource::Capture(p) | PageSource::Pair(_, p) => {
-                self.pers.dev.read_page(p.frame, buf)
-            }
-            PageSource::Log { runtime, log } => log.reconstruct(&self.pers.dev, runtime, buf),
-        }
+        src.read(&self.pers.dev, buf)
     }
 
     /// The integrity verdict on a page's committed image. The source is

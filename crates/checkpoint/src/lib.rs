@@ -229,17 +229,15 @@ impl CheckpointManager {
     ///
     /// [`checkpoint`]: Self::checkpoint
     /// [`checkpoint_interrupted_before_commit`]: Self::checkpoint_interrupted_before_commit
-    fn pre_commit(&self) -> PreCommit {
+    fn pre_commit(&self) -> Result<PreCommit, KernelError> {
         let kernel = &self.kernel;
         let inflight = kernel.pers.global_version() + 1;
 
-        // A previous round that aborted in-process (or a deliberately
-        // interrupted test round) may have left epoch captures and in-line
-        // logs tagged with this very in-flight version; fold them down to
-        // the committed image *before* the new window captures anything,
-        // or the post-commit eager fold would anchor stale content under a
-        // now-valid tag. Near-free when the list is empty.
-        kernel.fold_epoch_captures_aborted();
+        // Fold what an aborted (or deliberately interrupted) round left
+        // tagged with this very in-flight version, or this round's commit
+        // would validate it. A page whose fold cannot get a frame keeps the
+        // round from starting. Near-free when the list is empty.
+        kernel.fold_epoch_captures()?;
 
         let counters = Arc::new(hybrid::RoundCounters::default());
         let work = hybrid::build_work(kernel, inflight, Arc::clone(&counters));
@@ -358,7 +356,7 @@ impl CheckpointManager {
         treesls_nvm::crash_site!(sched, "ckpt.hybrid_drained");
         counters.busy_ns.store(work.busy_ns(), Ordering::Relaxed);
 
-        PreCommit {
+        Ok(PreCommit {
             inflight,
             work,
             counters,
@@ -370,7 +368,7 @@ impl CheckpointManager {
             cap_tree,
             hybrid_wait,
             flip_pause,
-        }
+        })
     }
 
     /// Takes one whole-system checkpoint (Figure 5 ❶–❺).
@@ -406,7 +404,7 @@ impl CheckpointManager {
             cap_tree,
             hybrid_wait,
             flip_pause,
-        } = self.pre_commit();
+        } = self.pre_commit()?;
 
         let mut outcome = match tree {
             Ok(o) => o,
@@ -417,10 +415,11 @@ impl CheckpointManager {
                 // restore (tags never became valid). Under the flip the
                 // world already resumed, and leftover captures/logs are
                 // folded down so a committing re-run of the same version
-                // cannot mistake them for its own.
+                // cannot mistake them for its own (`pre_commit` retries a
+                // page whose fold fails here).
                 kernel.fence.disarm();
                 if flip_pause.is_some() {
-                    kernel.fold_epoch_captures_aborted();
+                    let _ = kernel.fold_epoch_captures();
                 } else {
                     self.stw.resume_world();
                 }
@@ -438,11 +437,10 @@ impl CheckpointManager {
         // the fence has nothing left to protect.
         kernel.fence.disarm();
         treesls_nvm::crash_site!(sched, "ckpt.post_commit");
-        // Eager fold: whole-page captures tagged with the just-committed
-        // version become their pages' `pairs[0]` backups and the pages
-        // turn writable again (in-line-logged pages fold lazily — the log
-        // *is* their durable image).
-        kernel.fold_epoch_captures(inflight);
+        // Eager fold: the round's whole-page captures become their pages'
+        // backups (anchoring allocates nothing, so this cannot fail);
+        // in-line logs stay, they are the pages' durable images.
+        let _ = kernel.fold_epoch_captures();
         let _ = tree::sweep_deleted(kernel, inflight);
         let cached = hybrid::compact_active_list(kernel, Some(&work));
         let others = t_others.elapsed();
@@ -571,7 +569,7 @@ impl CheckpointManager {
     /// crash-and-restore must reproduce the **previous** committed version
     /// exactly, ignoring all in-flight tags. Not used by production paths.
     pub fn checkpoint_interrupted_before_commit(&self) -> Result<(), KernelError> {
-        let round = self.pre_commit();
+        let round = self.pre_commit()?;
         // Power failure here: no commit, no sweep, no callbacks — but the
         // machine keeps running until the simulated crash, so the taken
         // active list must go back to the tracker. Epoch captures and
@@ -632,21 +630,8 @@ impl CheckpointManager {
             bytes += record.approx_size() as u64;
             if let BackupObject::Pmo { pages, .. } = record {
                 pages.for_each(|_, e| {
-                    let meta = e.slot.meta.lock();
-                    for p in meta.pairs.iter().flatten() {
-                        if p.version != 0 {
-                            bytes += treesls_nvm::PAGE_SIZE as u64;
-                        }
-                    }
-                    // Epoch-window capture and in-line-log frames are
-                    // checkpoint state too (they hold or reconstruct a
-                    // round image).
-                    if meta.epoch_capture.is_some() {
-                        bytes += treesls_nvm::PAGE_SIZE as u64;
-                    }
-                    if meta.inline_log.is_some() {
-                        bytes += treesls_nvm::PAGE_SIZE as u64;
-                    }
+                    let held = e.slot.meta.lock().frames().filter(|&(_, v)| v != 0).count();
+                    bytes += (held * treesls_nvm::PAGE_SIZE) as u64;
                 });
             }
         });

@@ -357,14 +357,8 @@ fn sync_pmo(
         for idx in to_purge {
             let entry = pages.remove(idx).expect("entry present");
             let meta = entry.slot.meta.lock();
-            for p in meta.pairs.iter().flatten() {
-                kernel.pers.alloc.free_page(p.frame)?;
-            }
-            if let Some(c) = meta.epoch_capture {
-                kernel.pers.alloc.free_page(c.frame)?;
-            }
-            if let Some(l) = meta.inline_log {
-                kernel.pers.alloc.free_page(l.frame)?;
+            for (frame, _) in meta.frames() {
+                kernel.pers.alloc.free_page(frame)?;
             }
             if let Some(d) = meta.runtime_dram {
                 kernel.dram.free(d);
@@ -928,14 +922,8 @@ pub fn sweep_deleted(kernel: &Kernel, committed: u64) -> Result<usize, KernelErr
                     if let Some(BackupObject::Pmo { pages, .. }) = backups.remove(vb.slot) {
                         pages.for_each(|_, e| {
                             let meta = e.slot.meta.lock();
-                            for p in meta.pairs.iter().flatten() {
-                                let _ = kernel.pers.alloc.free_page(p.frame);
-                            }
-                            if let Some(c) = meta.epoch_capture {
-                                let _ = kernel.pers.alloc.free_page(c.frame);
-                            }
-                            if let Some(l) = meta.inline_log {
-                                let _ = kernel.pers.alloc.free_page(l.frame);
+                            for (frame, _) in meta.frames() {
+                                let _ = kernel.pers.alloc.free_page(frame);
                             }
                             if let Some(d) = meta.runtime_dram {
                                 kernel.dram.free(d);

@@ -13,7 +13,16 @@
 //!   of Figure 5 step ❻: duplicate the page into its backup slot tagged
 //!   with the current global version (§4.2 case ❶), make the runtime page
 //!   writable again, and bump the hotness counter that drives hybrid copy
-//!   (§4.3.2).
+//!   (§4.3.2);
+//! * a write racing an epoch flip preserves the round's image in-line:
+//!   a migrated page through the hybrid batch's stop-and-copy
+//!   ([`Kernel::stop_and_copy`]), a frozen NVM page through an in-line
+//!   undo record or a whole-page capture.
+//!
+//! [`PageMeta::restore_image`], restore's rule, is also the in-process
+//! rule: a capture or log leaves a page only through one fold, which
+//! first makes the source that rule picks the committed backup, and a CoW
+//! fault copies the runtime frame only when the rule picks it.
 //!
 //! The fault handler's time and the page-copy time are measured separately
 //! because Figure 10 of the paper breaks runtime overhead into exactly
@@ -31,8 +40,8 @@ use crate::cap::CapRights;
 use crate::kernel::Kernel;
 use crate::object::{ObjType, ObjectBody};
 use crate::pmo::{
-    encode_undo_record, undo_record_size, InlineLog, PageMeta, PagePtr, PageSlot, PhysLoc,
-    INLINE_LOG_CAP, INLINE_MAX_DATA, UNDO_HEADER,
+    encode_undo_record, undo_record_size, InlineLog, PageMeta, PagePtr, PageSlot, PageSource,
+    PhysLoc, INLINE_LOG_CAP, INLINE_MAX_DATA, UNDO_HEADER,
 };
 use crate::types::{KernelError, ObjId, Vaddr, Vpn};
 use crate::vm::PteCache;
@@ -253,8 +262,8 @@ impl Kernel {
     /// image must not be destroyed. No write ever waits out the copy
     /// phase; every first conflicting write preserves the image in-line:
     ///
-    /// * **migrated pages** whose in-flight image is not yet preserved get
-    ///   an inline pre-write capture into the speculative-copy slot (the
+    /// * **migrated pages** whose in-flight image is not yet preserved run
+    ///   the hybrid batch's stop-and-copy in-line ([`stop_and_copy`], the
     ///   "conflict CoW") — the hybrid worker then skips the slot;
     /// * **non-migrated read-only pages** capture in-line too: a small
     ///   write (≤ one cache line of changed bytes) appends a pre-write
@@ -277,6 +286,7 @@ impl Kernel {
     /// dirty.
     ///
     /// [`EpochFence`]: crate::kernel::EpochFence
+    /// [`stop_and_copy`]: Self::stop_and_copy
     pub fn write_page_slot(
         &self,
         slot: &Arc<PageSlot>,
@@ -335,8 +345,14 @@ impl Kernel {
                 // aborted round leaves captures carrying the same
                 // in-flight version, and this round must re-capture.
                 if meta.epoch_round != self.fence.round() {
-                    let dst = meta.sac_dst(inflight - 1);
-                    self.epoch_capture_locked(&mut meta, inflight, dst)?;
+                    let t0 = Instant::now();
+                    self.stats.write_faults.fetch_add(1, Ordering::Relaxed);
+                    let mut copy = Duration::ZERO;
+                    self.charge_copy(self.stop_and_copy(&mut meta, inflight, true)?, &mut copy);
+                    meta.epoch_round = self.fence.round();
+                    self.stats.epoch_conflicts.fetch_add(1, Ordering::Relaxed);
+                    self.metrics.record_epoch_conflict();
+                    self.charge_fault(t0, copy);
                     duplicated = true;
                 }
             } else if !meta.writable && meta.epoch_round != self.fence.round() {
@@ -367,48 +383,48 @@ impl Kernel {
         Ok(duplicated)
     }
 
-    /// Epoch-fence conflict capture (called with the slot lock held): a
-    /// write from a free core is about to modify a migrated page whose
-    /// in-flight round image has not been preserved yet. Capture the
-    /// pre-write DRAM content into the speculative-copy slot, tagged with
-    /// the in-flight version, exactly as the hybrid worker would have —
-    /// whichever of the two runs first wins, the other skips.
-    fn epoch_capture_locked(
+    /// The one DRAM stop-and-copy (called with the slot lock held): copies
+    /// a migrated page's DRAM content into the pair slot the restore rule
+    /// would *not* pick at the committed version ([`PageMeta::sac_dst`], so
+    /// a torn copy never destroys the recoverable image), reusing that
+    /// slot's frame, and tags it `inflight`. The hybrid batch runs it for a
+    /// dirty page (`conflict = false`); a write racing the epoch flip runs
+    /// it first (`conflict = true`), and whichever of the two runs first
+    /// wins — the other skips. Returns the copy's wall time.
+    pub fn stop_and_copy(
         &self,
-        meta: &mut crate::pmo::PageMeta,
+        meta: &mut PageMeta,
         inflight: u64,
-        dst: usize,
-    ) -> Result<(), KernelError> {
-        let t0 = Instant::now();
-        self.stats.write_faults.fetch_add(1, Ordering::Relaxed);
+        conflict: bool,
+    ) -> Result<Duration, KernelError> {
+        let dst = meta.sac_dst(inflight - 1);
         let frame = match meta.pairs[dst] {
             Some(p) => p.frame,
             None => self.pers.alloc.alloc_page()?,
         };
-        let d = meta.runtime_dram.expect("epoch capture is for migrated pages");
-        treesls_nvm::crash_site!(self.pers.dev.crash_schedule(), "stw.clean_core_cow");
+        let d = meta.runtime_dram.expect("stop-and-copy is for migrated pages");
+        let sched = self.pers.dev.crash_schedule();
+        if conflict {
+            treesls_nvm::crash_site!(sched, "stw.clean_core_cow");
+        } else {
+            treesls_nvm::crash_site!(sched, "hybrid.pre_sac_copy");
+        }
         let tc = Instant::now();
         self.pers.dev.copy_from_dram(&self.dram, d, frame);
-        let mut copy = Duration::ZERO;
-        self.charge_copy(tc, &mut copy);
+        let copied = tc.elapsed();
         let crc = self.pers.dev.page_crc(frame);
         meta.pairs[dst] = Some(PagePtr::backup(frame, inflight, crc));
-        meta.epoch_round = self.fence.round();
-        self.stats.epoch_conflicts.fetch_add(1, Ordering::Relaxed);
         self.metrics.record_backup_page(inflight);
-        self.metrics.record_epoch_conflict();
         self.pers.recorder().record(
             treesls_obs::EventKind::HybridSacCopy,
-            [frame.0 as u64, inflight, d.0 as u64, 1, 0, 0],
+            [frame.0 as u64, inflight, d.0 as u64, u64::from(conflict), 0, 0],
         );
-        self.charge_fault(t0, copy);
-        Ok(())
+        Ok(copied)
     }
 
-    /// Charges one timed page copy, started at `tc`, to `memcpy_ns` and
-    /// to the calling fault handler's `copy` share.
-    fn charge_copy(&self, tc: Instant, copy: &mut Duration) {
-        let d = tc.elapsed();
+    /// Charges one page copy of duration `d` to `memcpy_ns` and to the
+    /// calling fault handler's `copy` share.
+    fn charge_copy(&self, d: Duration, copy: &mut Duration) {
         *copy += d;
         self.stats.memcpy_ns.fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
     }
@@ -421,68 +437,93 @@ impl Kernel {
         self.stats.fault_ns.fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
     }
 
-    /// Zeroes and persists an in-line log's first record header, so any
-    /// future parse of the frame yields no records. Must run *after* the
-    /// state the log protected is durable elsewhere (a materialized fold
-    /// image or a whole-page capture) — a crash between the two must find
-    /// either the log or its replacement.
-    fn kill_inline_log(&self, log: &InlineLog) {
-        self.pers.dev.write(log.frame, 0, &[0u8; UNDO_HEADER]);
-        self.pers.dev.flush_frame(log.frame, 0, UNDO_HEADER);
-        self.pers.dev.fence();
-    }
-
-    /// Reads a non-migrated page's runtime frame into a fresh buffer, with
-    /// `log`'s records undone when given ("runtime ⊖ reverse(log
-    /// records)": the frozen window-start content of a page whose window
-    /// writes were undo-logged).
-    fn runtime_image(&self, meta: &PageMeta, log: Option<&InlineLog>) -> Box<[u8; PAGE_SIZE]> {
-        let rt = meta.pairs[1].expect("non-migrated page has a runtime NVM frame").frame;
-        let mut img = Box::new([0u8; PAGE_SIZE]);
-        match log {
-            Some(log) => log.reconstruct(&self.pers.dev, rt, &mut img),
-            None => self.pers.dev.read_page(rt, &mut img),
+    /// Kills the page's in-line log, if any — its first record header is
+    /// zeroed durably, so no later parse of the frame yields a record —
+    /// and frees its frame. Must run *after* the image the log protected
+    /// is durable elsewhere: a crash between the two finds one or the
+    /// other.
+    fn drop_inline_log(&self, meta: &mut PageMeta) {
+        if let Some(log) = meta.inline_log.take() {
+            self.pers.dev.write(log.frame, 0, &[0u8; UNDO_HEADER]);
+            self.pers.dev.flush_frame(log.frame, 0, UNDO_HEADER);
+            self.pers.dev.fence();
+            let _ = self.pers.alloc.free_page(log.frame);
         }
-        img
     }
 
-    /// Writes `img` into a freshly allocated frame, makes it durable and
-    /// returns a backup pointer tagged `version`. The copy time is
-    /// charged to `memcpy_ns` and added to `copy`.
+    /// Writes the bytes of `src` into a freshly allocated frame, makes
+    /// them durable and returns a backup pointer tagged `version`. The
+    /// copy time is charged to `memcpy_ns` and added to `copy`.
     fn persist_image(
         &self,
-        img: &[u8; PAGE_SIZE],
+        src: PageSource,
         version: u64,
         copy: &mut Duration,
     ) -> Result<PagePtr, KernelError> {
+        let mut img = Box::new([0u8; PAGE_SIZE]);
+        src.read(&self.pers.dev, &mut img);
         let dst = self.pers.alloc.alloc_page()?;
         let tc = Instant::now();
         self.pers.dev.write(dst, 0, &img[..]);
         self.pers.dev.flush_frame(dst, 0, PAGE_SIZE);
         self.pers.dev.fence();
-        self.charge_copy(tc, copy);
+        self.charge_copy(tc.elapsed(), copy);
+        self.metrics.record_backup_page(version);
         let crc = self.pers.dev.page_crc(dst);
         Ok(PagePtr::backup(dst, version, crc))
     }
 
+    /// The one fold (called with the slot lock held): makes the source
+    /// [`PageMeta::restore_image`] picks at the committed version `global`
+    /// the page's committed backup — a capture is anchored in `pairs[0]`,
+    /// a logged page's runtime ⊖ log is materialized there durably, a pair
+    /// is kept — then frees every capture or log frame it did not anchor.
+    /// A crash restores the same bytes before and after. Before the first
+    /// commit there is nothing to keep. On `Err` (no frame to materialize
+    /// into) the page is untouched.
+    fn fold_locked(
+        &self,
+        meta: &mut PageMeta,
+        global: u64,
+        copy: &mut Duration,
+    ) -> Result<(), KernelError> {
+        if !meta.pending_fold() {
+            return Ok(());
+        }
+        let anchor = match (global > 0).then(|| meta.restore_image(global)).flatten() {
+            Some(PageSource::Capture(c)) => {
+                meta.epoch_capture = None;
+                Some(c)
+            }
+            Some(log @ PageSource::Log { .. }) => {
+                let ptr = self.persist_image(log, global, copy)?;
+                self.stats.cow_copies.fetch_add(1, Ordering::Relaxed);
+                Some(ptr)
+            }
+            Some(PageSource::Pair(..)) | None => None,
+        };
+        if let Some(old) = anchor.and_then(|new| meta.pairs[0].replace(new)) {
+            let _ = self.pers.alloc.free_page(old.frame);
+        }
+        if let Some(c) = meta.epoch_capture.take() {
+            let _ = self.pers.alloc.free_page(c.frame);
+        }
+        self.drop_inline_log(meta);
+        Ok(())
+    }
+
     /// First conflicting write of the epoch window to a non-migrated
-    /// read-only page (called with the slot lock held; the generalized
-    /// form of [`epoch_capture_locked`](Self::epoch_capture_locked) that
-    /// lets *every* core keep running through the copy phase).
+    /// read-only page (called with the slot lock held): the form of the
+    /// conflict CoW that lets *every* core keep running through the copy
+    /// phase.
     ///
-    /// A small write (≤ [`INLINE_MAX_DATA`] bytes) appends a pre-write
-    /// undo record to the page's in-line log — the round image stays
-    /// reconstructible as runtime ⊖ reverse(records) while the write
-    /// itself lands directly on the runtime frame. A big write, or a log
-    /// overflow, escalates to a whole-page capture of the window image
-    /// into a fresh frame ([`PageMeta::epoch_capture`]); the previous
-    /// committed image anchored in `pairs` is never touched.
-    ///
-    /// Stale capture state from an aborted earlier window (same in-flight
-    /// version, different fence arm) is folded first: its content *is*
-    /// the committed image — frozen pages take no writes between windows
-    /// without a CoW fold — so it re-anchors into `pairs[0]` before this
-    /// window captures anything.
+    /// An earlier window's capture or log is folded first. Then a small
+    /// write (≤ [`INLINE_MAX_DATA`] bytes) appends a pre-write undo record
+    /// to the page's in-line log — the round image stays reconstructible
+    /// as runtime ⊖ reverse(records) while the write itself lands directly
+    /// on the runtime frame. A big write, or a log overflow, escalates to
+    /// a whole-page capture, into a fresh frame, of the image this round
+    /// would restore ([`PageMeta::epoch_capture`]).
     ///
     /// Returns `true` on the page's first preserved conflict of the round
     /// (the PMO must re-enter the dirty queue for the *next* round).
@@ -498,49 +539,14 @@ impl Kernel {
         let mut copy = Duration::ZERO;
         self.stats.write_faults.fetch_add(1, Ordering::Relaxed);
         let round = self.fence.round();
-        let global = self.pers.global_version();
-        let mut first = true;
-
-        // Fold a stale whole-page capture (aborted earlier window).
-        if let Some(c) = meta.epoch_capture.take() {
-            if global > 0 {
-                let old = meta.pairs[0];
-                meta.pairs[0] =
-                    Some(PagePtr { frame: c.frame, version: c.version.min(global), crc: c.crc });
-                if let Some(p) = old {
-                    if p.frame != c.frame {
-                        let _ = self.pers.alloc.free_page(p.frame);
-                    }
-                }
-            } else {
-                let _ = self.pers.alloc.free_page(c.frame);
-            }
-        }
-        // Fold a stale in-line log the same way (undo back to the
-        // committed image, durably, before the log dies), then reuse its
-        // frame for this window.
-        if let Some(log) = meta.inline_log {
-            if log.arm != round {
-                if log.round >= global && global > 0 && log.used > 0 {
-                    let img = self.runtime_image(meta, Some(&log));
-                    let ptr = self.persist_image(&img, global, &mut copy)?;
-                    let old = meta.pairs[0];
-                    meta.pairs[0] = Some(ptr);
-                    if let Some(p) = old {
-                        let _ = self.pers.alloc.free_page(p.frame);
-                    }
-                }
-                self.kill_inline_log(&log);
-                meta.inline_log =
-                    Some(InlineLog { frame: log.frame, round: inflight, used: 0, arm: round });
-            } else {
-                // This window already logged: the slot is registered and
-                // the PMO already rides the next round's queue.
-                first = false;
-            }
+        // A log of this very window means the slot is registered and the
+        // PMO already rides the next round's queue.
+        let first = meta.inline_log.is_none_or(|l| l.arm != round);
+        if first {
+            self.fold_locked(meta, self.pers.global_version(), &mut copy)?;
         }
 
-        if len <= INLINE_MAX_DATA {
+        let logged = len <= INLINE_MAX_DATA && {
             let mut log = match meta.inline_log {
                 Some(l) => l,
                 None => {
@@ -549,7 +555,8 @@ impl Kernel {
                     InlineLog { frame, round: inflight, used: 0, arm: round }
                 }
             };
-            if log.used as usize + undo_record_size(len) <= INLINE_LOG_CAP {
+            let fits = log.used as usize + undo_record_size(len) <= INLINE_LOG_CAP;
+            if fits {
                 treesls_nvm::crash_site!(self.pers.dev.crash_schedule(), "ckpt.inline_log_capture");
                 let rt = meta.pairs[1].expect("non-migrated page has a runtime NVM frame").frame;
                 let mut pre = vec![0u8; len];
@@ -559,42 +566,30 @@ impl Kernel {
                 self.pers.dev.flush_frame(log.frame, log.used as usize, rec.len());
                 self.pers.dev.fence();
                 log.used += rec.len() as u32;
-                meta.inline_log = Some(log);
                 self.metrics.record_inline_log(rec.len() as u64);
                 self.pers.recorder().record(
                     treesls_obs::EventKind::InlineLog,
                     [log.frame.0 as u64, inflight, off as u64, len as u64, log.used as u64, 0],
                 );
-                if first {
-                    self.stats.epoch_conflicts.fetch_add(1, Ordering::Relaxed);
-                    self.metrics.record_epoch_conflict();
-                    self.epoch_captures.lock().push(Arc::clone(slot));
-                }
-                self.charge_fault(t0, copy);
-                return Ok(first);
             }
             meta.inline_log = Some(log);
+            fits
+        };
+        if !logged {
+            // Whole-page escalation: capture the image this round would
+            // restore (the runtime frame, minus this window's logged
+            // writes), durable *before* the log dies.
+            treesls_nvm::crash_site!(self.pers.dev.crash_schedule(), "stw.clean_core_cow");
+            let src = meta.restore_image(inflight).expect("non-migrated page has a runtime frame");
+            let ptr = self.persist_image(src, inflight, &mut copy)?;
+            meta.epoch_capture = Some(ptr);
+            meta.epoch_round = round;
+            self.drop_inline_log(meta);
+            self.pers.recorder().record(
+                treesls_obs::EventKind::HybridSacCopy,
+                [ptr.frame.0 as u64, inflight, 0, 2, 0, 0],
+            );
         }
-
-        // Whole-page escalation: the window image is the runtime frame
-        // with this window's logged writes undone (or the runtime itself
-        // when nothing was logged). The capture must be durable *before*
-        // the log dies.
-        treesls_nvm::crash_site!(self.pers.dev.crash_schedule(), "stw.clean_core_cow");
-        let log = meta.inline_log.filter(|l| l.arm == round && l.used > 0);
-        let img = self.runtime_image(meta, log.as_ref());
-        let ptr = self.persist_image(&img, inflight, &mut copy)?;
-        meta.epoch_capture = Some(ptr);
-        meta.epoch_round = round;
-        if let Some(log) = meta.inline_log.take() {
-            self.kill_inline_log(&log);
-            let _ = self.pers.alloc.free_page(log.frame);
-        }
-        self.metrics.record_backup_page(inflight);
-        self.pers.recorder().record(
-            treesls_obs::EventKind::HybridSacCopy,
-            [ptr.frame.0 as u64, inflight, 0, 2, 0, 0],
-        );
         if first {
             self.stats.epoch_conflicts.fetch_add(1, Ordering::Relaxed);
             self.metrics.record_epoch_conflict();
@@ -604,199 +599,88 @@ impl Kernel {
         Ok(first)
     }
 
-    /// Post-commit eager fold (leader, after the commit record lands and
-    /// the fence disarms): every whole-page capture tagged with the
-    /// just-committed version becomes the page's `pairs[0]` backup, and
-    /// the page turns writable again — its runtime divergence was already
-    /// queued for the next round when the capture happened. In-line-logged
-    /// pages are left alone: the log *is* their durable image, and the
-    /// next CoW fault folds it lazily. Returns the number folded.
-    pub fn fold_epoch_captures(&self, committed: u64) -> u64 {
-        let slots = std::mem::take(&mut *self.epoch_captures.lock());
-        let mut folded = 0u64;
-        for slot in slots {
-            let mut meta = slot.meta.lock();
-            let Some(c) = meta.epoch_capture else { continue };
-            if c.version != committed {
-                continue; // aborted leftover: the lazy CoW fold handles it
-            }
-            meta.epoch_capture = None;
-            let old = meta.pairs[0];
-            meta.pairs[0] = Some(c);
-            if let Some(p) = old {
-                if p.frame != c.frame {
-                    let _ = self.pers.alloc.free_page(p.frame);
-                }
-            }
-            meta.writable = true;
-            drop(meta);
-            self.tracker.dirty_list.lock().push(slot);
-            folded += 1;
-        }
-        folded
-    }
-
-    /// Abort fold: the round armed for the fence's in-flight version died
-    /// before committing (in-process error path). Leftover captures and
-    /// logs carry a version tag that a *re-run* of the same version would
-    /// mistake for its own at eager-fold time, so they are folded down to
-    /// the committed version now: a capture's content is the committed
-    /// image (frozen pages take no writes between windows), and a logged
-    /// page's committed image is runtime ⊖ its records. Crash aborts
-    /// don't need this — restore normalizes the capture state itself.
-    pub fn fold_epoch_captures_aborted(&self) {
+    /// Folds every page the last fence window captured or logged, under
+    /// the committed version: the checkpoint leader runs it after a
+    /// commit, after an abort, and before arming a round (so a re-run of
+    /// an aborted version never mistakes the leftovers for its own). A
+    /// committed round's in-line log stays — it *is* the page's durable
+    /// image until the page's next fault folds it — so the post-commit
+    /// path writes no page. A folded page whose committed image is off its
+    /// runtime frame turns writable again. A page whose fold fails keeps
+    /// its capture or log and stays listed for the next call; the first
+    /// such error is returned.
+    pub fn fold_epoch_captures(&self) -> Result<(), KernelError> {
         let global = self.pers.global_version();
         let mut copy = Duration::ZERO;
-        let slots = std::mem::take(&mut *self.epoch_captures.lock());
-        for slot in slots {
+        let mut failed = Vec::new();
+        let mut result = Ok(());
+        for slot in std::mem::take(&mut *self.epoch_captures.lock()) {
             let mut meta = slot.meta.lock();
-            let mut diverged = false;
-            if let Some(c) = meta.epoch_capture.take() {
-                if c.version > global {
-                    if global > 0 {
-                        let old = meta.pairs[0];
-                        meta.pairs[0] =
-                            Some(PagePtr { frame: c.frame, version: global, crc: c.crc });
-                        if let Some(p) = old {
-                            if p.frame != c.frame {
-                                let _ = self.pers.alloc.free_page(p.frame);
-                            }
-                        }
-                    } else {
-                        let _ = self.pers.alloc.free_page(c.frame);
-                    }
-                    diverged = true;
-                } else {
-                    meta.epoch_capture = Some(c);
-                }
+            if !meta.pending_fold()
+                || matches!(meta.restore_image(global),
+                    Some(PageSource::Log { log, .. }) if log.round == global)
+            {
+                continue;
             }
-            if let Some(log) = meta.inline_log.take() {
-                if log.round > global {
-                    if log.used > 0 && global > 0 {
-                        let img = self.runtime_image(&meta, Some(&log));
-                        if let Ok(ptr) = self.persist_image(&img, global, &mut copy) {
-                            let old = meta.pairs[0];
-                            meta.pairs[0] = Some(ptr);
-                            if let Some(p) = old {
-                                let _ = self.pers.alloc.free_page(p.frame);
-                            }
-                        }
-                    }
-                    self.kill_inline_log(&log);
-                    let _ = self.pers.alloc.free_page(log.frame);
-                    diverged = true;
-                } else {
-                    meta.inline_log = Some(log);
-                }
+            if let Err(e) = self.fold_locked(&mut meta, global, &mut copy) {
+                drop(meta);
+                failed.push(slot);
+                result = result.and(Err(e));
+                continue;
             }
-            if diverged {
+            if !meta.runtime_is_image(global) {
                 meta.writable = true;
                 drop(meta);
                 self.tracker.dirty_list.lock().push(slot);
             }
         }
-    }
-
-    /// The classic CoW duplicate (called with the slot lock held): copy
-    /// the runtime frame into `pairs[0]` tagged with the committed global
-    /// version, durable before the fault returns. The copy time is
-    /// charged to `memcpy_ns` and added to `copy`.
-    fn plain_cow_locked(
-        &self,
-        meta: &mut PageMeta,
-        global: u64,
-        copy: &mut Duration,
-    ) -> Result<(), KernelError> {
-        let runtime = meta.pairs[1].expect("non-migrated page has a runtime NVM frame").frame;
-        let dst = match meta.pairs[0] {
-            Some(p) => p.frame,
-            None => self.pers.alloc.alloc_page()?,
-        };
-        let tc = Instant::now();
-        self.pers.dev.copy_frame(runtime, dst);
-        // Ordering point (ADR): the duplicate is the only version-N
-        // image once the triggering store lands on the runtime page,
-        // so it must be durable *before* this fault returns. A no-op
-        // under eADR.
-        self.pers.dev.flush_frame(dst, 0, treesls_nvm::PAGE_SIZE);
-        self.pers.dev.fence();
-        self.charge_copy(tc, copy);
-        self.stats.cow_copies.fetch_add(1, Ordering::Relaxed);
-        let crc = self.pers.dev.page_crc(dst);
-        meta.pairs[0] = Some(PagePtr::backup(dst, global, crc));
-        self.metrics.record_backup_page(global);
-        self.pers.recorder().record(
-            treesls_obs::EventKind::CowFault,
-            [dst.0 as u64, global, runtime.0 as u64, 0, 0, 0],
-        );
-        Ok(())
+        self.epoch_captures.lock().extend(failed);
+        result
     }
 
     /// The copy-on-write fault handler (called with the slot lock held).
     ///
     /// Figure 5 step ❻: "the memory page will be duplicated to the backup
-    /// capability tree, finishing the copy-on-write procedure".
+    /// capability tree, finishing the copy-on-write procedure". An earlier
+    /// window's capture or log folds first, and the runtime frame is copied
+    /// into `pairs[0]` (tagged with the committed version, durable before
+    /// the fault returns) only when it is the committed image.
     fn cow_fault_locked(
         &self,
         slot: &Arc<PageSlot>,
-        meta: &mut crate::pmo::PageMeta,
+        meta: &mut PageMeta,
     ) -> Result<(), KernelError> {
         let t0 = Instant::now();
         let mut copy = Duration::ZERO;
         debug_assert!(!meta.eternal, "eternal pages are never marked read-only");
         self.stats.write_faults.fetch_add(1, Ordering::Relaxed);
         let global = self.pers.global_version();
-        if meta.runtime_dram.is_none() {
-            if let Some(c) = meta.epoch_capture.take() {
-                // Lazy fold of an epoch capture (committed round not yet
-                // eagerly folded, or an aborted round): the capture *is*
-                // the page's best committed image — anchor it in
-                // `pairs[0]` instead of copying anything. A tag above the
-                // committed version retags down to it (the content is the
-                // frozen committed image either way).
-                if global > 0 {
-                    let old = meta.pairs[0];
-                    meta.pairs[0] = Some(PagePtr {
-                        frame: c.frame,
-                        version: c.version.min(global),
-                        crc: c.crc,
-                    });
-                    if let Some(p) = old {
-                        if p.frame != c.frame {
-                            let _ = self.pers.alloc.free_page(p.frame);
-                        }
-                    }
-                } else {
-                    let _ = self.pers.alloc.free_page(c.frame);
-                }
-                // An escalation leftover log is stale by construction.
-                if let Some(log) = meta.inline_log.take() {
-                    self.kill_inline_log(&log);
-                    let _ = self.pers.alloc.free_page(log.frame);
-                }
-            } else if let Some(log) = meta.inline_log.take() {
-                if log.round >= global && global > 0 && log.used > 0 {
-                    // The committed image is runtime ⊖ the logged window
-                    // writes; materialize it durably before the log dies.
-                    let img = self.runtime_image(meta, Some(&log));
-                    let ptr = self.persist_image(&img, global, &mut copy)?;
-                    self.stats.cow_copies.fetch_add(1, Ordering::Relaxed);
-                    let old = meta.pairs[0];
-                    meta.pairs[0] = Some(ptr);
-                    if let Some(p) = old {
-                        let _ = self.pers.alloc.free_page(p.frame);
-                    }
-                    self.metrics.record_backup_page(global);
-                } else {
-                    // A stale log of an older committed round: the
-                    // runtime page has been the image since — plain CoW.
-                    self.plain_cow_locked(meta, global, &mut copy)?;
-                }
-                self.kill_inline_log(&log);
-                let _ = self.pers.alloc.free_page(log.frame);
-            } else {
-                self.plain_cow_locked(meta, global, &mut copy)?;
-            }
+        if !meta.is_migrated() {
+            self.fold_locked(meta, global, &mut copy)?;
+        }
+        if meta.runtime_is_image(global) {
+            let runtime = meta.pairs[1].expect("non-migrated page has a runtime NVM frame").frame;
+            let dst = match meta.pairs[0] {
+                Some(p) => p.frame,
+                None => self.pers.alloc.alloc_page()?,
+            };
+            let tc = Instant::now();
+            self.pers.dev.copy_frame(runtime, dst);
+            // Ordering point (ADR): the duplicate is the only version-N
+            // image once the triggering store lands on the runtime page,
+            // so it must be durable *before* this fault returns. A no-op
+            // under eADR.
+            self.pers.dev.flush_frame(dst, 0, PAGE_SIZE);
+            self.pers.dev.fence();
+            self.charge_copy(tc.elapsed(), &mut copy);
+            self.stats.cow_copies.fetch_add(1, Ordering::Relaxed);
+            let crc = self.pers.dev.page_crc(dst);
+            meta.pairs[0] = Some(PagePtr::backup(dst, global, crc));
+            self.metrics.record_backup_page(global);
+            self.pers.recorder().record(
+                treesls_obs::EventKind::CowFault,
+                [dst.0 as u64, global, runtime.0 as u64, 0, 0, 0],
+            );
         }
         meta.writable = true;
         meta.hotness = meta.hotness.saturating_add(1);

@@ -542,10 +542,10 @@ pub struct Kernel {
     /// grace period (see [`crate::cores::StepTracker`]).
     pub steps: crate::cores::StepTracker,
     /// Page slots that took a whole-page epoch capture or an in-line undo
-    /// log during the current round's fence window. The leader folds the
-    /// committed captures into the pairs right after commit (and the CoW
-    /// fault path folds any stragglers lazily); volatile — restore
-    /// re-derives everything from the per-slot persistent state.
+    /// log during the current round's fence window, until the leader's
+    /// `fold_epoch_captures` after the round commits or aborts (a page
+    /// whose fold failed stays listed); volatile — restore re-derives
+    /// everything from the per-slot persistent state.
     pub epoch_captures: Mutex<Vec<Arc<crate::pmo::PageSlot>>>,
     /// Fault/copy counters and timers (Figure 10 / Table 4).
     pub stats: KernelStats,

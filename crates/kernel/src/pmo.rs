@@ -20,6 +20,11 @@
 //! when the page skipped checkpoint `V`), rolling a single page forward to
 //! an uncommitted state. The filter preserves the paper's behaviour in all
 //! committed cases and closes that window; see DESIGN.md.
+//!
+//! [`PageMeta::restore_image`] extends the rule to an epoch window's
+//! capture and in-line undo log. It is the in-process rule too: the fault
+//! path's one fold keeps exactly the source it picks, and a CoW fault
+//! copies the runtime frame only when it picks that frame.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -223,6 +228,18 @@ pub enum PageSource {
     },
 }
 
+impl PageSource {
+    /// Reads the source's bytes into `page`; for a logged page this is the
+    /// reconstruction runtime ⊖ reverse(undo records). The source's
+    /// frames must lie on the device.
+    pub fn read(&self, dev: &NvmDevice, page: &mut [u8; PAGE_SIZE]) {
+        match self {
+            PageSource::Capture(p) | PageSource::Pair(_, p) => dev.read_page(p.frame, page),
+            PageSource::Log { runtime, log } => log.reconstruct(dev, *runtime, page),
+        }
+    }
+}
+
 /// Persistent + volatile per-page state.
 ///
 /// The `pairs` array is persistent checkpoint metadata; the remaining
@@ -259,8 +276,9 @@ pub struct PageMeta {
     /// round image preserved by the first big conflicting write of an
     /// epoch window (version = the in-flight round). Persistent: restore
     /// prefers it over the pairs when its version matches the committed
-    /// global. Folded into `pairs[0]` after commit (eagerly by the leader
-    /// or lazily by the next CoW fault) and the frame is then reused.
+    /// global. Folded away after the round commits or aborts: anchored in
+    /// `pairs[0]` when [`restore_image`](Self::restore_image) picks it,
+    /// freed otherwise.
     pub epoch_capture: Option<PagePtr>,
     /// In-line undo log for small hot writes during an epoch window:
     /// instead of a whole-page copy, each ≤[`INLINE_MAX_DATA`]-byte first
@@ -357,9 +375,11 @@ impl PageMeta {
     /// 2. a pair slot tagged exactly `global` (the classic CPP case ❶);
     /// 3. an epoch capture tagged `> global` (the window's round aborted,
     ///    but the capture content *is* the last committed image: captures
-    ///    only happen on read-only pages, frozen since their last commit).
-    ///    A capture beats a same-round log because escalation stops
-    ///    logging — post-escalation writes are only undone by the capture;
+    ///    only happen on read-only pages, and a page written after that
+    ///    commit carries a CoW backup tagged exactly `global`, which case 2
+    ///    already picked). A capture beats a same-round log because
+    ///    escalation stops logging — post-escalation writes are only
+    ///    undone by the capture;
     /// 4. the in-line log when its round is `>= global` (the page took
     ///    only small logged writes during the window; undoing them
     ///    newest-first recovers the frozen image from the runtime frame);
@@ -384,6 +404,31 @@ impl PageMeta {
         }
         let i = self.restore_pick(global)?;
         self.pairs[i].map(|p| PageSource::Pair(i, p))
+    }
+
+    /// `true` while an epoch window's capture or in-line log is still
+    /// attached to the page, i.e. until the fault path folds it.
+    pub fn pending_fold(&self) -> bool {
+        self.epoch_capture.is_some() || self.inline_log.is_some()
+    }
+
+    /// `true` when the committed image at `global` is the runtime NVM
+    /// frame itself, so the page's next write must copy it out first.
+    pub fn runtime_is_image(&self, global: u64) -> bool {
+        matches!(self.restore_image(global), Some(PageSource::Pair(1, p)) if p.version == 0)
+    }
+
+    /// Every NVM frame the page holds — both pair entries, the epoch
+    /// capture and the in-line log — with the version its content stands
+    /// for (0 = the runtime page).
+    pub fn frames(&self) -> impl Iterator<Item = (FrameId, u64)> + '_ {
+        let log = self.inline_log.map(|l| (l.frame, l.round));
+        self.pairs
+            .iter()
+            .chain([&self.epoch_capture])
+            .flatten()
+            .map(|p| (p.frame, p.version))
+            .chain(log)
     }
 }
 

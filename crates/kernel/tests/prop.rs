@@ -89,118 +89,3 @@ proptest! {
         }
     }
 }
-
-/// Simulates the page lifecycle (CoW faults, speculative copies,
-/// migrations, commits, crashes) against a model of "content at each
-/// committed version" and checks restore always yields the committed
-/// image.
-#[test]
-fn page_version_lifecycle_model() {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    for seed in 0..40u64 {
-        let mut rng = StdRng::seed_from_u64(seed);
-        // frame id -> content tag
-        let mut frames: std::collections::HashMap<u32, u64> = std::collections::HashMap::new();
-        let mut next_frame = 1u32;
-        let mut alloc = |frames: &mut std::collections::HashMap<u32, u64>| {
-            let f = next_frame;
-            next_frame += 1;
-            frames.insert(f, u64::MAX);
-            f
-        };
-        let home = alloc(&mut frames);
-        let mut meta = PageMeta::new_runtime(FrameId(home));
-        let mut runtime_content = 0u64; // content tag of the runtime page
-        frames.insert(home, 0);
-        let mut global = 0u64;
-        // content at each committed version
-        let mut committed: Vec<u64> = vec![0];
-        // The version of the first checkpoint that included this page: a
-        // page is only reachable from backup trees of that version onward
-        // (earlier restores simply do not contain it), so content checks
-        // only apply from here.
-        let mut first_ckpt: Option<u64> = None;
-
-        for _ in 0..200 {
-            match rng.gen_range(0..3) {
-                // Write (with CoW fault if armed).
-                0 => {
-                    if !meta.writable && !meta.is_migrated() {
-                        // Fault: copy runtime into pairs[0] tagged global.
-                        let rt = meta.pairs[1].unwrap().frame.0;
-                        let dst = match meta.pairs[0] {
-                            Some(p) => p.frame.0,
-                            None => alloc(&mut frames),
-                        };
-                        let content = frames[&rt];
-                        frames.insert(dst, content);
-                        meta.pairs[0] =
-                            Some(PagePtr { frame: FrameId(dst), version: global, crc: None });
-                        meta.writable = true;
-                    }
-                    runtime_content = global + 1; // "content of next version"
-                    if let Some(p) = meta.pairs[1] {
-                        if !meta.is_migrated() {
-                            frames.insert(p.frame.0, runtime_content);
-                        }
-                    }
-                    meta.dirty = true;
-                }
-                // Checkpoint (STW): mark R/O, maybe speculative copy, commit.
-                1 => {
-                    let inflight = global + 1;
-                    if meta.is_migrated() && meta.dirty {
-                        let dst_idx = meta.sac_dst(global);
-                        let dst = match meta.pairs[dst_idx] {
-                            Some(p) => p.frame.0,
-                            None => alloc(&mut frames),
-                        };
-                        frames.insert(dst, runtime_content);
-                        meta.pairs[dst_idx] =
-                            Some(PagePtr { frame: FrameId(dst), version: inflight, crc: None });
-                        meta.dirty = false;
-                    } else if !meta.is_migrated() {
-                        meta.writable = false;
-                        meta.dirty = false;
-                    }
-                    global = inflight;
-                    committed.push(runtime_content);
-                    first_ckpt.get_or_insert(global);
-                }
-                // Crash + restore to the committed version. Only
-                // meaningful once the page is part of a committed backup
-                // tree (before that, a restore simply omits the page).
-                _ => {
-                    let Some(first) = first_ckpt else { continue };
-                    assert!(global >= first);
-                    let pick = meta.restore_pick(global).expect("recoverable");
-                    let chosen = meta.pairs[pick].unwrap();
-                    let content = frames[&chosen.frame.0];
-                    assert_eq!(
-                        content, committed[global as usize],
-                        "seed {seed}: restored content {content} != committed \
-                         {} at version {global}",
-                        committed[global as usize]
-                    );
-                    // Normalize as the restore path does.
-                    if pick == 0 {
-                        meta.pairs.swap(0, 1);
-                    }
-                    let c = meta.pairs[1].unwrap();
-                    meta.pairs[1] = Some(PagePtr { frame: c.frame, version: 0, crc: None });
-                    if let Some(p) = meta.pairs[0].as_mut() {
-                        p.version = 0;
-                    }
-                    meta.runtime_dram = None;
-                    meta.writable = false;
-                    meta.dirty = false;
-                    runtime_content = content;
-                    // History beyond the restore point is gone.
-                    committed.truncate(global as usize + 1);
-                }
-            }
-        }
-    }
-}

@@ -37,6 +37,19 @@ pub fn step(sys: &System, tid: ObjId, steps: usize) {
 /// a process. Slot order matches creation order, so multi-queue NIC
 /// deployments get their per-queue threads and doorbells back aligned.
 pub fn find_process_all(sys: &System, name: &str) -> (ObjId, Vec<ObjId>, Vec<ObjId>) {
+    let found = find_caps(sys, name);
+    assert!(!found.1.is_empty(), "thread restored");
+    found
+}
+
+/// The vmspace of the cap group named `name`, for a heap-only process
+/// that owns no thread.
+pub fn find_vmspace(sys: &System, name: &str) -> ObjId {
+    find_caps(sys, name).0
+}
+
+/// [`find_process_all`] without the "thread restored" check.
+fn find_caps(sys: &System, name: &str) -> (ObjId, Vec<ObjId>, Vec<ObjId>) {
     let kernel = sys.kernel();
     let objects = kernel.objects.read();
     let group = objects
@@ -61,7 +74,6 @@ pub fn find_process_all(sys: &System, name: &str) -> (ObjId, Vec<ObjId>, Vec<Obj
             _ => {}
         }
     }
-    assert!(!threads.is_empty(), "thread restored");
     (vmspace.expect("vmspace restored"), threads, notifs)
 }
 
@@ -70,6 +82,17 @@ pub fn find_process_all(sys: &System, name: &str) -> (ObjId, Vec<ObjId>, Vec<Obj
 pub fn find_process(sys: &System, name: &str) -> (ObjId, ObjId, Option<ObjId>) {
     let (vmspace, threads, notifs) = find_process_all(sys, name);
     (vmspace, threads[0], notifs.first().copied())
+}
+
+/// Plays the epoch-flip leader for the round after the last commit, the
+/// way `CheckpointManager::pre_commit` does when no core is running: arm
+/// the fence, mark the write set read-only, seal. Host writes from here
+/// on race the round's copy phase until `fence.disarm()` aborts it.
+pub fn open_window(sys: &System) {
+    let kernel = sys.kernel();
+    kernel.fence.arm(kernel.pers.global_version() + 1);
+    treesls_checkpoint::hybrid::mark_readonly(kernel);
+    kernel.fence.seal();
 }
 
 /// Reads the whole data heap of `vmspace` (`pages` 4 KiB pages).
@@ -887,6 +910,95 @@ impl CrashScenario for HybridScenario {
         }
         // The restored program must be able to keep running and commit.
         step(sys, st.writer, HYBRID_PAGES as usize);
+        sys.checkpoint_now().map_err(|e| format!("post-restore checkpoint: {e:?}"))?;
+        Ok(())
+    }
+}
+
+// ---------------------------------------------------------------------------
+// An aborted epoch window: captures and in-line logs of a round that never
+// commits, folded down to the committed image before the re-run commits.
+// ---------------------------------------------------------------------------
+
+pub const WINDOW_HEAP: u64 = 4;
+
+/// One round: commit (setup), interval writes to pages 0 and 1 (CoW, so
+/// their committed image moves to a backup), flip, window writes — small
+/// (undo record) to pages 0 and 2, big (whole-page capture) to page 1,
+/// small then big (log escalated to a capture) to page 3 — abort, fold,
+/// commit. The fold keeps page 0's and 1's CoW backups, materializes page
+/// 2's runtime ⊖ log and anchors page 3's capture, so the enumerations cut
+/// every one of its stores, and the claim that a new image is durable
+/// before a log dies, in every order a crash can see them.
+pub struct AbortedWindowScenario;
+
+pub struct WindowState {
+    pub vmspace: ObjId,
+    pub snapshots: Snapshots,
+}
+
+impl CrashScenario for AbortedWindowScenario {
+    type State = WindowState;
+
+    fn config(&self) -> SystemConfig {
+        let mut c = SystemConfig::small();
+        c.kernel.nvm_frames = 1024;
+        c.kernel.hybrid_copy = false;
+        c.checkpoint_interval = None;
+        c
+    }
+
+    fn setup(&self, sys: &mut System) -> WindowState {
+        let p = sys.spawn(&treesls::ProcessSpec::new("window").heap(WINDOW_HEAP)).expect("spawn");
+        for page in 0..WINDOW_HEAP {
+            let fill = vec![0xA0 + page as u8; 4096];
+            sys.write_mem(p.vmspace, page * 4096, &fill).expect("fill");
+        }
+        let mut st = WindowState { vmspace: p.vmspace, snapshots: Snapshots::default() };
+        st.snapshots.checkpoint(sys, st.vmspace, WINDOW_HEAP);
+        st
+    }
+
+    fn workload(&self, sys: &mut System, st: &mut WindowState) {
+        let write = |page: u64, off: u64, byte: u8, len: usize| {
+            sys.write_mem(st.vmspace, page * 4096 + off, &vec![byte; len]).expect("write");
+        };
+        write(0, 512, 0xB0, 256);
+        write(1, 512, 0xB1, 256);
+        open_window(sys);
+        write(0, 64, 0xC0, 8);
+        write(1, 64, 0xC1, 128);
+        write(2, 64, 0xC2, 8);
+        write(3, 64, 0xC3, 8);
+        write(3, 1024, 0xD3, 128);
+        sys.kernel().fence.disarm();
+        sys.kernel().fold_epoch_captures().expect("fold the aborted window");
+        st.snapshots.checkpoint(sys, st.vmspace, WINDOW_HEAP);
+    }
+
+    fn programs(&self, _reg: &ProgramRegistry) {}
+
+    fn reattach(&self, sys: &mut System, st: &mut WindowState) {
+        st.vmspace = find_vmspace(sys, "window");
+    }
+
+    fn verify(
+        &self,
+        sys: &mut System,
+        st: &mut WindowState,
+        report: &RestoreReport,
+    ) -> Result<(), String> {
+        st.snapshots.verify(sys, st.vmspace, WINDOW_HEAP, report.version)?;
+        let rec = &report.recovery;
+        if rec.pages_fell_back != 0 || !rec.quarantined.is_empty() {
+            return Err(format!(
+                "picked page image failed its CRC: {} fell back, {} quarantined",
+                rec.pages_fell_back,
+                rec.quarantined.len()
+            ));
+        }
+        // The restored heap must keep taking writes and commit.
+        sys.write_mem(st.vmspace, 0, &[0xEE; 8]).map_err(|e| format!("{e:?}"))?;
         sys.checkpoint_now().map_err(|e| format!("post-restore checkpoint: {e:?}"))?;
         Ok(())
     }

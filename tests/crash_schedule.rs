@@ -22,7 +22,10 @@
 
 mod common;
 
-use common::{step, stride, HybridScenario, KvRingScenario, HYBRID_HEAP, HYBRID_PAGES};
+use common::{
+    step, stride, AbortedWindowScenario, HybridScenario, KvRingScenario, HYBRID_HEAP, HYBRID_PAGES,
+    WINDOW_HEAP,
+};
 use treesls::net::NetFaultConfig;
 use treesls::{enumerate_crashes, enumerate_site_crashes, CrashScenario, System};
 
@@ -77,6 +80,39 @@ fn hybrid_round_survives_crash_at_every_write() {
     let report = enumerate_crashes(&HybridScenario, stride());
     eprintln!(
         "hybrid: {} writes, {} runs ({} crashed), {} site hits",
+        report.writes,
+        report.runs,
+        report.injected,
+        report.sites.len()
+    );
+    assert!(report.writes > 0, "workload performed no NVM writes");
+    assert!(report.injected > 0, "no crash ever fired");
+    report.assert_clean();
+}
+
+#[test]
+fn aborted_window_round_logs_captures_and_folds() {
+    // Guard that the aborted-window scenario exercises what it claims:
+    // one conflict per heap page, undo records on pages 0, 2 and 3, and
+    // one materialized runtime ⊖ log (page 2) next to the two interval
+    // CoW copies — otherwise the enumerations below would be vacuous.
+    let scenario = AbortedWindowScenario;
+    let mut sys = System::boot(scenario.config());
+    let mut st = scenario.setup(&mut sys);
+    let (stats, metrics) = (sys.kernel().stats.snapshot(), sys.kernel().metrics.snapshot());
+    scenario.workload(&mut sys, &mut st);
+    let stats = sys.kernel().stats.snapshot().since(&stats);
+    let logged = sys.kernel().metrics.snapshot().inline_log_captures - metrics.inline_log_captures;
+    assert_eq!(stats.epoch_conflicts, WINDOW_HEAP, "{stats:?}");
+    assert_eq!(logged, 3, "undo records appended");
+    assert_eq!(stats.cow_copies, 3, "two interval CoWs plus one materialized log: {stats:?}");
+}
+
+#[test]
+fn aborted_window_fold_survives_crash_at_every_write() {
+    let report = enumerate_crashes(&AbortedWindowScenario, stride());
+    eprintln!(
+        "aborted window: {} writes, {} runs ({} crashed), {} site hits",
         report.writes,
         report.runs,
         report.injected,

@@ -7,12 +7,15 @@
 //! the machine at arbitrary wall-clock points, recover, and verify the
 //! programs continue to their expected final states.
 
+mod common;
+
 use std::sync::Arc;
 use std::time::Duration;
 
+use common::{find_vmspace, open_window, AbortedWindowScenario};
 use treesls::{
-    CapRights, ObjType, ProcessSpec, Program, StepOutcome, System, SystemConfig, ThreadSpec,
-    UserCtx, Vpn,
+    CapRights, CrashScenario, ObjType, ProcessSpec, Program, StepOutcome, System, SystemConfig,
+    ThreadSpec, UserCtx, Vpn,
 };
 use treesls_kernel::object::ObjectBody;
 use treesls_kernel::program::ProgramRegistry;
@@ -463,5 +466,102 @@ fn hybrid_copy_never_tears_a_page_under_multicore_load() {
             "torn page at recovery {round} (version {}): A={a} B={b}",
             report.version
         );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Aborted epoch windows: what a fold of the leftovers keeps.
+// ---------------------------------------------------------------------------
+
+const A: u8 = 0xA5;
+const B: u8 = 0xB6;
+const C: u8 = 0xC7;
+
+/// A one-page process whose page holds `A` in a committed checkpoint.
+/// The aborted-window config has no hybrid copy and no timer: the test
+/// plays the checkpoint leader.
+fn committed_page_a() -> (System, treesls::ObjId) {
+    let sys = System::boot(AbortedWindowScenario.config());
+    let p = sys.spawn(&ProcessSpec::new("window").heap(1)).unwrap();
+    sys.write_mem(p.vmspace, 0, &[A; 4096]).unwrap();
+    sys.checkpoint_now().unwrap();
+    (sys, p.vmspace)
+}
+
+/// Crashes `sys`, recovers it and reads the page back.
+fn recovered_page(sys: System) -> Vec<u8> {
+    let (sys2, _) =
+        System::recover(sys.crash(), AbortedWindowScenario.config(), |_| {}).expect("recover");
+    let vs = find_vmspace(&sys2, "window");
+    let mut page = vec![0u8; 4096];
+    sys2.read_mem(vs, 0, &mut page).unwrap();
+    page
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Fold {
+    /// Crash with the leftovers attached.
+    None,
+    /// The leader's fold over the window's pages.
+    Eager,
+    /// The page's next CoW fault.
+    Lazy,
+}
+
+#[test]
+fn aborted_window_fold_keeps_the_committed_image() {
+    // Write A and commit; write B (an interval CoW: the backup pair holds
+    // A, tagged with the committed version); flip; C races the window as
+    // an undo record (8 B) or a whole-page capture (128 B) of B; abort.
+    // Whichever fold runs, the recoverable image stays A — the aborted
+    // round's B was never committed.
+    for len in [8usize, 128] {
+        for fold in [Fold::None, Fold::Eager, Fold::Lazy] {
+            let (sys, vs) = committed_page_a();
+            sys.write_mem(vs, 0, &[B; 4096]).unwrap();
+            open_window(&sys);
+            sys.write_mem(vs, 0, &vec![C; len]).unwrap();
+            sys.kernel().fence.disarm();
+            match fold {
+                Fold::None => {}
+                Fold::Eager => sys.kernel().fold_epoch_captures().unwrap(),
+                Fold::Lazy => sys.write_mem(vs, 2048, &[0xD8; 8]).unwrap(),
+            }
+            let page = recovered_page(sys);
+            assert!(
+                page.iter().all(|&b| b == A),
+                "{len} B window write, {fold:?} fold: restored {:#04x}.., committed {A:#04x}",
+                page[0]
+            );
+        }
+    }
+}
+
+#[test]
+fn fold_out_of_frames_keeps_the_log_and_errs() {
+    // Page A committed and untouched since, so the 8 B window write's undo
+    // record is the only way back to A: the fold has to materialize
+    // runtime ⊖ log into a fresh frame. With every frame held it must fail
+    // and keep the log; once the frames are back, the next round folds it
+    // and commits A with C's 8 bytes on top.
+    for release in [false, true] {
+        let (sys, vs) = committed_page_a();
+        open_window(&sys);
+        sys.write_mem(vs, 0, &[C; 8]).unwrap();
+        sys.kernel().fence.disarm();
+        let alloc = &sys.kernel().pers.alloc;
+        let held: Vec<_> = std::iter::from_fn(|| alloc.alloc_page().ok()).collect();
+        assert!(sys.kernel().fold_epoch_captures().is_err(), "fold got a frame from nowhere");
+        let mut want = vec![A; 4096];
+        if release {
+            for frame in held {
+                alloc.free_page(frame).unwrap();
+            }
+            sys.checkpoint_now().expect("the next round folds the log and commits");
+            want[..8].fill(C);
+        }
+        let page = recovered_page(sys);
+        let diff = page.iter().zip(&want).position(|(a, b)| a != b);
+        assert_eq!(diff, None, "release={release}: restored page diverges at that byte");
     }
 }

@@ -24,8 +24,8 @@ mod common;
 use std::sync::Arc;
 
 use common::{
-    find_process, read_heap, step, stride, DirtyPages, HybridScenario, KvRingScenario,
-    Snapshots, HYBRID_HEAP, HYBRID_PAGES,
+    find_process, read_heap, step, stride, AbortedWindowScenario, DirtyPages, HybridScenario,
+    KvRingScenario, Snapshots, HYBRID_HEAP, HYBRID_PAGES,
 };
 use treesls::{
     enumerate_torn_crashes, run_with_crash_schedule, run_with_crash_schedule_ex, CrashImage,
@@ -93,6 +93,35 @@ fn hybrid_round_survives_adr_reorder_window_drops() {
     );
     eprintln!(
         "hybrid adr: {} writes, {} runs ({} crashed)",
+        report.writes, report.runs, report.injected
+    );
+    assert!(report.injected > 0, "no torn crash ever fired");
+    report.assert_clean();
+}
+
+#[test]
+fn aborted_window_fold_survives_torn_crash_at_every_write_and_cut() {
+    let report = enumerate_torn_crashes(&AbortedWindowScenario, stride(), PersistMode::Eadr, &[0]);
+    eprintln!(
+        "aborted window torn: {} writes, {} runs ({} crashed)",
+        report.writes, report.runs, report.injected
+    );
+    assert!(report.injected > 0, "no torn crash ever fired");
+    report.assert_clean();
+}
+
+#[test]
+fn aborted_window_fold_survives_adr_reorder_window_drops() {
+    // Drop every unfenced line at the cut: a fold that killed a log
+    // before its materialized image was fenced loses both.
+    let report = enumerate_torn_crashes(
+        &AbortedWindowScenario,
+        stride(),
+        PersistMode::Adr { reorder_window: 64 },
+        &[u64::MAX],
+    );
+    eprintln!(
+        "aborted window adr: {} writes, {} runs ({} crashed)",
         report.writes, report.runs, report.injected
     );
     assert!(report.injected > 0, "no torn crash ever fired");
