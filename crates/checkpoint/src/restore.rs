@@ -169,7 +169,7 @@ pub fn restore(
     let CrashImage { dev, nvm_frames, backups, oroots } = image;
     // Journal replay makes the allocator metadata consistent; the global
     // metadata tells us which version committed.
-    let pers = Persistent::recover(dev, nvm_frames, backups, oroots);
+    let pers = Persistent::recover(dev, nvm_frames, backups, oroots)?;
     let mut recovery = RecoveryReport {
         commit: pers.commit_recovery(),
         journal_records_truncated: pers.alloc.journal_truncated(),
@@ -229,7 +229,7 @@ pub fn restore(
 
     // ---- sweep unreachable persistent records --------------------------------
     // The two-slot rotation keeps a reachable object's *other* slot as
-    // the next overwrite target; its slab accounting is carved below.
+    // the next overwrite target; its slab accounting is claimed below.
     let t = Instant::now();
     for id in kernel.pers.oroots.ids() {
         if map.contains_key(&id) {

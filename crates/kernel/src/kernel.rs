@@ -298,24 +298,23 @@ impl Persistent {
 
     /// Reattaches after a power failure: replays the allocator journal and
     /// reloads the version mirror. The caller (restore path) then rebuilds
-    /// the runtime tree.
+    /// the runtime tree. A device that was never formatted, or whose
+    /// allocator header is corrupt, is an `Err`.
     pub fn recover(
         dev: Arc<NvmDevice>,
         nvm_frames: u32,
         backups: ShardedStore<BackupObject>,
         oroots: ShardedStore<ORoot>,
-    ) -> Arc<Self> {
-        assert_eq!(
-            dev.meta().read_u64(global_meta::MAGIC_OFF),
-            global_meta::MAGIC,
-            "device was never formatted as TreeSLS NVM"
-        );
+    ) -> Result<Arc<Self>, KernelError> {
+        if dev.meta().read_u64(global_meta::MAGIC_OFF) != global_meta::MAGIC {
+            return Err(KernelError::InvalidState("device was never formatted as TreeSLS NVM"));
+        }
         let layout = AllocLayout::for_device(0, nvm_frames);
-        let alloc = Arc::new(PmemAllocator::recover(Arc::clone(&dev), layout));
+        let alloc = Arc::new(PmemAllocator::recover(Arc::clone(&dev), layout)?);
         let (rec, commit_recovery) = Self::validate_commit_records(&dev);
         let (recorder, tail) =
             FlightRecorder::recover(&dev, layout.recorder_off, layout.recorder_slots);
-        Arc::new(Self {
+        Ok(Arc::new(Self {
             dev,
             alloc,
             backups,
@@ -326,7 +325,7 @@ impl Persistent {
             commit_recovery,
             recorder,
             recovered_tail: Mutex::new(tail),
-        })
+        }))
     }
 
     /// Commit-record validation outcome of the recovery that produced this

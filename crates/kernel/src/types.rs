@@ -91,6 +91,9 @@ impl From<treesls_pmem_alloc::AllocError> for KernelError {
     fn from(e: treesls_pmem_alloc::AllocError) -> Self {
         match e {
             treesls_pmem_alloc::AllocError::OutOfMemory => KernelError::OutOfMemory,
+            treesls_pmem_alloc::AllocError::Corrupt => {
+                KernelError::InvalidState("allocator metadata header is corrupt")
+            }
             _ => KernelError::InvalidState("allocator rejected operation"),
         }
     }

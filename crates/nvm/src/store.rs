@@ -39,14 +39,14 @@ impl SlotId {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Slot<T> {
     gen: u32,
     val: Option<T>,
 }
 
 /// A generational arena with stable identifiers.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ObjectStore<T> {
     slots: Vec<Slot<T>>,
     free: Vec<u32>,

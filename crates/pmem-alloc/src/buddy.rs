@@ -1,9 +1,10 @@
 //! Binary buddy allocator over NVM page frames.
 //!
 //! All allocator state lives in the NVM metadata arena so it survives power
-//! failures; every mutation goes through a journal [`Tx`], making each
-//! alloc/free atomic (§3 of the paper, "the checkpoint manager needs to be
-//! failure-resilient").
+//! failures; every alloc/free goes through a journal [`Tx`], making each
+//! atomic (§3 of the paper, "the checkpoint manager needs to be
+//! failure-resilient"). Format and the restore-time rebuild instead rewrite
+//! the whole region in one `Buddy::sweep`.
 //!
 //! Persistent layout at `layout.buddy_off`:
 //!
@@ -27,12 +28,14 @@ use treesls_nvm::{FrameId, NvmDevice};
 
 use crate::error::AllocError;
 use crate::journal::Tx;
-use crate::layout::{align8, AllocLayout, MAX_ORDER};
+use crate::layout::{align8, put_u32, AllocLayout, MAX_ORDER};
 
 const MAGIC: u64 = 0xB0DD_15B0_DD15_0001;
 const NONE: u32 = u32::MAX;
 const ALLOC_BIT: u8 = 1 << 6;
 const ORDER_MASK: u8 = 0x0F;
+/// A frame no reachable block covers, in a rebuild's used-frame map.
+pub(crate) const FREE: u8 = u8::MAX;
 
 /// The buddy allocator. Holds only volatile offsets; all state is in NVM.
 #[derive(Debug)]
@@ -65,68 +68,106 @@ impl Buddy {
         Offsets { heads, meta, next, prev }
     }
 
-    /// Formats a fresh buddy system covering the layout's frame range.
+    fn at(l: &AllocLayout) -> Self {
+        Self { off: l.buddy_off, first_frame: l.first_frame, frame_count: l.frame_count }
+    }
+
+    fn header(&self) -> [u64; 3] {
+        [MAGIC, self.frame_count as u64, self.first_frame as u64]
+    }
+
+    /// Formats a fresh buddy system covering the layout's frame range: the
+    /// sweep over an empty reachable set.
     pub fn format(dev: &NvmDevice, layout: &AllocLayout) -> Self {
-        let b = Self {
-            off: layout.buddy_off,
-            first_frame: layout.first_frame,
-            frame_count: layout.frame_count,
-        };
-        b.reformat(dev);
+        let b = Self::at(layout);
+        b.sweep(dev, &b.empty_map());
         b
     }
 
-    /// Re-initializes all metadata to "everything free".
-    ///
-    /// Direct (unjournaled) writes: reformatting is idempotent, so a crash
-    /// in the middle simply restarts it.
-    pub fn reformat(&self, dev: &NvmDevice) {
-        let meta = dev.meta();
-        meta.write_u64(self.off, MAGIC);
-        meta.write_u64(self.off + 8, self.frame_count as u64);
-        meta.write_u64(self.off + 16, self.first_frame as u64);
-        let o = self.offsets();
-        for ord in 0..=MAX_ORDER {
-            meta.write_u32(o.heads + 4 * ord as usize, NONE);
-        }
-        // Greedily cover the range with maximal aligned free blocks.
-        let mut r: u32 = 0;
-        while r < self.frame_count {
-            let mut ord = MAX_ORDER;
-            loop {
-                let size = 1u32 << ord;
-                if r.is_multiple_of(size) && r + size <= self.frame_count {
-                    break;
-                }
-                ord -= 1;
-            }
-            // Insert directly (unjournaled format path).
-            let head = meta.read_u32(o.heads + 4 * ord as usize);
-            meta.write_u8(o.meta + r as usize, ord);
-            meta.write_u32(o.next + 4 * r as usize, head);
-            meta.write_u32(o.prev + 4 * r as usize, NONE);
-            if head != NONE {
-                meta.write_u32(o.prev + 4 * head as usize, r);
-            }
-            meta.write_u32(o.heads + 4 * ord as usize, r);
-            r += 1 << ord;
-        }
+    /// Reattaches to already-formatted metadata (after journal recovery). A
+    /// header that does not match `layout` is [`AllocError::Corrupt`].
+    pub fn attach(dev: &NvmDevice, layout: &AllocLayout) -> Result<Self, AllocError> {
+        let b = Self::at(layout);
+        let intact = (0..3).all(|i| dev.meta().read_u64(b.off + 8 * i) == b.header()[i]);
+        intact.then_some(b).ok_or(AllocError::Corrupt)
     }
 
-    /// Reattaches to already-formatted metadata (after journal recovery).
+    /// A rebuild's used-frame map with nothing claimed: per frame, [`FREE`]
+    /// or the meta byte of the allocated block covering it.
+    pub(crate) fn empty_map(&self) -> Vec<u8> {
+        vec![FREE; self.frame_count as usize]
+    }
+
+    /// Marks the block `(head, order)` allocated in the used-frame `map`.
     ///
-    /// # Panics
-    ///
-    /// Panics if the magic number does not match (the arena was never
-    /// formatted or is corrupt).
-    pub fn attach(dev: &NvmDevice, layout: &AllocLayout) -> Self {
-        let meta = dev.meta();
-        assert_eq!(meta.read_u64(layout.buddy_off), MAGIC, "buddy magic mismatch");
-        Self {
-            off: layout.buddy_off,
-            first_frame: meta.read_u64(layout.buddy_off + 16) as u32,
-            frame_count: meta.read_u64(layout.buddy_off + 8) as u32,
+    /// A misaligned or out-of-range block is [`AllocError::InvalidFree`],
+    /// one sharing a frame with an earlier claim [`AllocError::Overlap`].
+    pub(crate) fn claim(&self, map: &mut [u8], head: FrameId, order: u8) -> Result<(), AllocError> {
+        if order > MAX_ORDER {
+            return Err(AllocError::OrderTooLarge);
         }
+        let size = 1usize << order;
+        let r = head.0.checked_sub(self.first_frame).ok_or(AllocError::InvalidFree)? as usize;
+        if !r.is_multiple_of(size) || r + size > map.len() {
+            return Err(AllocError::InvalidFree);
+        }
+        let block = &mut map[r..r + size];
+        if block.iter().any(|&m| m != FREE) {
+            return Err(AllocError::Overlap);
+        }
+        block.fill(order | ALLOC_BIT);
+        Ok(())
+    }
+
+    /// Rewrites every buddy word from the used-frame `map` in one ascending
+    /// sweep and one store.
+    ///
+    /// Each allocated block head gets `order | ALLOC_BIT`; each free run is
+    /// covered by the largest aligned free blocks that fit, so no two free
+    /// buddies are left unmerged, and each block is pushed at the head of
+    /// its free list in DRAM, so the lists run from the highest frame down,
+    /// as `free` pushes. Unjournaled: see the crate docs.
+    pub(crate) fn sweep(&self, dev: &NvmDevice, map: &[u8]) {
+        let n = map.len();
+        // used[r] counts the reachable frames below r, so a block
+        // [r, r + size) is free iff used[r + size] == used[r].
+        let mut used = vec![0u32; n + 1];
+        for r in 0..n {
+            used[r + 1] = used[r] + u32::from(map[r] != FREE);
+        }
+        let o = self.offsets();
+        let (meta, next, prev) = (o.meta - self.off, o.next - self.off, o.prev - self.off);
+        let mut img = vec![0u8; Self::region_len(self.frame_count)];
+        let mut heads = [NONE; MAX_ORDER as usize + 1];
+        let mut r = 0;
+        while r < n {
+            let ord = if map[r] != FREE {
+                img[meta + r] = map[r];
+                map[r] & ORDER_MASK
+            } else {
+                let fits = |&ord: &u8| {
+                    let end = r + (1 << ord);
+                    r.is_multiple_of(1 << ord) && end <= n && used[end] == used[r]
+                };
+                let ord = (0..=MAX_ORDER).rev().find(fits).expect("a free frame fits order 0");
+                let head = std::mem::replace(&mut heads[ord as usize], r as u32);
+                img[meta + r] = ord;
+                put_u32(&mut img, next + 4 * r, head);
+                put_u32(&mut img, prev + 4 * r, NONE);
+                if head != NONE {
+                    put_u32(&mut img, prev + 4 * head as usize, r as u32);
+                }
+                ord
+            };
+            r += 1 << ord;
+        }
+        for (i, v) in self.header().iter().enumerate() {
+            img[8 * i..8 * i + 8].copy_from_slice(&v.to_le_bytes());
+        }
+        for (ord, &head) in heads.iter().enumerate() {
+            put_u32(&mut img, o.heads - self.off + 4 * ord, head);
+        }
+        dev.meta().write_bytes(self.off, &img);
     }
 
     /// Number of frames managed.
@@ -184,19 +225,6 @@ impl Buddy {
             pos += 1u32 << ord.min(MAX_ORDER);
         }
         pos == r
-    }
-
-    fn list_contains(&self, dev: &NvmDevice, ord: u8, r: u32) -> bool {
-        let o = self.offsets();
-        let meta = dev.meta();
-        let mut cur = meta.read_u32(o.heads + 4 * ord as usize);
-        while cur != NONE {
-            if cur == r {
-                return true;
-            }
-            cur = meta.read_u32(o.next + 4 * cur as usize);
-        }
-        false
     }
 
     /// Allocates a block of `1 << order` frames.
@@ -270,55 +298,6 @@ impl Buddy {
         tx.write_u8(o.meta + r as usize, ord);
         self.list_push(dev, tx, ord, r);
         Ok(())
-    }
-
-    /// Carves a *specific* block out of the free space (restore path).
-    ///
-    /// Finds the free block containing `frame`, splits it down and marks
-    /// exactly `[frame, frame + 2^order)` allocated. Fails with
-    /// [`AllocError::Overlap`] if the range is not currently free.
-    pub fn carve(
-        &self,
-        dev: &NvmDevice,
-        tx: &mut Tx<'_>,
-        frame: FrameId,
-        order: u8,
-    ) -> Result<FrameId, AllocError> {
-        if order > MAX_ORDER {
-            return Err(AllocError::OrderTooLarge);
-        }
-        let r = self.rel(frame);
-        if !r.is_multiple_of(1u32 << order) || r + (1u32 << order) > self.frame_count {
-            return Err(AllocError::InvalidFree);
-        }
-        // Find the free block containing `r`. Candidate heads are `r` with
-        // progressively more low bits cleared; a candidate is only genuine
-        // if it is actually on the free list of that order (meta bytes of
-        // interior frames are stale and must not be trusted).
-        let mut containing = None;
-        for ord in order..=MAX_ORDER {
-            let cand = r & !((1u32 << ord) - 1);
-            if self.read_meta(dev, cand) == ord && self.list_contains(dev, ord, cand) {
-                containing = Some((cand, ord));
-                break;
-            }
-        }
-        let (mut head, mut ord) = containing.ok_or(AllocError::Overlap)?;
-        let o = self.offsets();
-        self.list_remove(dev, tx, ord, head);
-        // Split, keeping the half containing `r`.
-        while ord > order {
-            ord -= 1;
-            let lower = head;
-            let upper = head + (1u32 << ord);
-            let (keep, give) = if r >= upper { (upper, lower) } else { (lower, upper) };
-            tx.write_u8(o.meta + give as usize, ord);
-            self.list_push(dev, tx, ord, give);
-            head = keep;
-        }
-        debug_assert_eq!(head, r);
-        tx.write_u8(o.meta + r as usize, order | ALLOC_BIT);
-        Ok(frame)
     }
 
     /// Counts free frames by walking the free lists.
@@ -429,9 +408,11 @@ mod tests {
 
     #[test]
     fn fresh_buddy_is_all_free() {
-        let (dev, b, _) = setup(4096);
+        let (dev, b, mut j) = setup(4096);
         assert_eq!(b.free_frames(&dev), 4096);
         b.verify(&dev).unwrap();
+        // Free lists run from the highest block down.
+        assert_eq!(j.run(&dev, |tx| b.alloc(&dev, tx, MAX_ORDER)), Ok(FrameId(3072)));
     }
 
     #[test]
@@ -522,29 +503,37 @@ mod tests {
     #[test]
     fn carve_reserves_specific_block() {
         let (dev, b, mut j) = setup(256);
-        let f = j.run(&dev, |tx| b.carve(&dev, tx, FrameId(64), 2)).unwrap();
-        assert_eq!(f, FrameId(64));
+        let mut map = b.empty_map();
+        b.claim(&mut map, FrameId(64), 2).unwrap();
+        // Claiming an overlapping block fails.
+        assert_eq!(b.claim(&mut map, FrameId(64), 0), Err(AllocError::Overlap));
+        assert_eq!(b.claim(&mut map, FrameId(66), 1), Err(AllocError::Overlap));
+        // Misaligned, out-of-range and oversized blocks are typed errors.
+        assert_eq!(b.claim(&mut map, FrameId(65), 1), Err(AllocError::InvalidFree));
+        assert_eq!(b.claim(&mut map, FrameId(256), 0), Err(AllocError::InvalidFree));
+        assert_eq!(b.claim(&mut map, FrameId(0), MAX_ORDER + 1), Err(AllocError::OrderTooLarge));
+        // Adjacent claim succeeds.
+        b.claim(&mut map, FrameId(68), 2).unwrap();
+        b.sweep(&dev, &map);
         b.verify(&dev).unwrap();
-        // Carving an overlapping block fails.
-        assert_eq!(
-            j.run(&dev, |tx| b.carve(&dev, tx, FrameId(64), 0)),
-            Err(AllocError::Overlap)
-        );
-        assert_eq!(
-            j.run(&dev, |tx| b.carve(&dev, tx, FrameId(66), 1)),
-            Err(AllocError::Overlap)
-        );
-        // Adjacent carve succeeds.
-        j.run(&dev, |tx| b.carve(&dev, tx, FrameId(68), 2)).unwrap();
-        b.verify(&dev).unwrap();
-        // Subsequent allocs never return the carved frames.
+        assert_eq!(b.free_frames(&dev), 256 - 8);
+        // Subsequent allocs never return the claimed frames.
         let mut seen = std::collections::HashSet::new();
         while let Ok(f) = j.run(&dev, |tx| b.alloc(&dev, tx, 0)) {
             seen.insert(f.0);
         }
+        assert_eq!(seen.len(), 256 - 8);
         for r in 64..72 {
-            assert!(!seen.contains(&r), "carved frame {r} re-allocated");
+            assert!(!seen.contains(&r), "claimed frame {r} re-allocated");
         }
+        // The claimed blocks free back into one fully merged range.
+        for f in seen {
+            j.run(&dev, |tx| b.free(&dev, tx, FrameId(f), 0)).unwrap();
+        }
+        j.run(&dev, |tx| b.free(&dev, tx, FrameId(64), 2)).unwrap();
+        j.run(&dev, |tx| b.free(&dev, tx, FrameId(68), 2)).unwrap();
+        b.verify(&dev).unwrap();
+        assert_eq!(j.run(&dev, |tx| b.alloc(&dev, tx, 8)), Ok(FrameId(0)));
     }
 
     #[test]
@@ -557,7 +546,7 @@ mod tests {
         let _ = (b, j);
         // "Reboot".
         let _j2 = Journal::recover(&dev, layout.journal_off, layout.journal_records);
-        let b2 = Buddy::attach(&dev, &layout);
+        let b2 = Buddy::attach(&dev, &layout).unwrap();
         assert_eq!(b2.free_frames(&dev), 128 - 16);
         b2.verify(&dev).unwrap();
         let mut j2 = Journal::recover(&dev, layout.journal_off, layout.journal_records);
@@ -585,7 +574,7 @@ mod tests {
             }));
             dev.meta().disarm_crash();
             let _ = Journal::recover(&dev, layout.journal_off, layout.journal_records);
-            let b2 = Buddy::attach(&dev, &layout);
+            let b2 = Buddy::attach(&dev, &layout).unwrap();
             b2.verify(&dev).unwrap_or_else(|e| panic!("cut={cut}: {e}"));
             let after = b2.free_frames(&dev);
             if result.is_ok() {

@@ -14,8 +14,10 @@ pub enum AllocError {
     InvalidFree,
     /// The requested slab size exceeds the largest size class.
     SizeTooLarge,
-    /// A rebuild tried to carve a block that overlaps an already carved one.
+    /// A rebuild claimed a frame or slab slot twice.
     Overlap,
+    /// The persistent header does not match the layout (corrupt or unformatted).
+    Corrupt,
 }
 
 impl fmt::Display for AllocError {
@@ -25,7 +27,8 @@ impl fmt::Display for AllocError {
             AllocError::OrderTooLarge => write!(f, "requested order exceeds maximum"),
             AllocError::InvalidFree => write!(f, "free of unallocated or mismatched block"),
             AllocError::SizeTooLarge => write!(f, "slab size exceeds largest class"),
-            AllocError::Overlap => write!(f, "rebuild carve overlaps existing block"),
+            AllocError::Overlap => write!(f, "rebuild claims an allocation twice"),
+            AllocError::Corrupt => write!(f, "allocator metadata header is corrupt"),
         }
     }
 }

@@ -99,6 +99,11 @@ pub(crate) fn align8(x: usize) -> usize {
     (x + 7) & !7
 }
 
+/// Stores `v` little-endian at `at` in a DRAM image of a region.
+pub(crate) fn put_u32(img: &mut [u8], at: usize, v: u32) {
+    img[at..at + 4].copy_from_slice(&v.to_le_bytes());
+}
+
 /// Rounds `x` up to a multiple of `to` (a power of two).
 fn align_to(x: usize, to: usize) -> usize {
     (x + to - 1) & !(to - 1)

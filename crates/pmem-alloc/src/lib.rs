@@ -20,6 +20,10 @@
 //! [`PmemAllocator::recover`] and then reconciled against the reachable set
 //! of the backup capability tree (mark-and-sweep via
 //! [`PmemAllocator::rebuild`]), mirroring step ❼ of the paper's Figure 5.
+//! The rebuild bypasses the journal: it rewrites every buddy and slab word
+//! from the reachable set alone, a pure function of the committed image, so
+//! a crash midway is undone by the next recovery rebuilding the same state.
+//! One O(frames) sweep per region builds it in DRAM; one store writes it.
 
 pub mod buddy;
 pub mod error;
@@ -85,12 +89,13 @@ impl PmemAllocator {
     /// Recovers the allocator after a power failure.
     ///
     /// First replays the undo journal to roll back any in-flight operation,
-    /// then reattaches to the (now consistent) metadata.
-    pub fn recover(dev: Arc<NvmDevice>, layout: AllocLayout) -> Self {
+    /// then reattaches to the (now consistent) metadata. A buddy or slab
+    /// header that does not match `layout` is [`AllocError::Corrupt`].
+    pub fn recover(dev: Arc<NvmDevice>, layout: AllocLayout) -> Result<Self, AllocError> {
         let journal = Journal::recover(&dev, layout.journal_off, layout.journal_records);
-        let buddy = Buddy::attach(&dev, &layout);
-        let slab = SlabHeap::attach(&dev, &layout);
-        Self { dev, inner: Mutex::new(Inner { buddy, slab, journal }) }
+        let buddy = Buddy::attach(&dev, &layout)?;
+        let slab = SlabHeap::attach(&dev, &layout)?;
+        Ok(Self { dev, inner: Mutex::new(Inner { buddy, slab, journal }) })
     }
 
     /// Allocates a block of `1 << order` contiguous frames.
@@ -169,23 +174,24 @@ impl PmemAllocator {
     /// checkpoint's state". `reachable_blocks` are the `(frame, order)`
     /// buddy blocks referenced by the recovered system, and
     /// `reachable_slab_objs` the `(addr, size)` slab objects. Everything
-    /// else returns to the free lists.
+    /// else returns to the free lists. A set that claims a frame or slot
+    /// twice, or an invalid one, is an `Err` and writes nothing.
     pub fn rebuild(
         &self,
         reachable_blocks: &[(FrameId, u8)],
         reachable_slab_objs: &[(NvmAddr, usize)],
     ) -> Result<(), AllocError> {
-        let mut g = self.inner.lock();
-        let Inner { buddy, slab, journal } = &mut *g;
-        // Reformatting is idempotent; a crash mid-rebuild restarts it.
-        buddy.reformat(&self.dev);
-        slab.reformat(&self.dev);
+        let g = self.inner.lock();
+        let (mut map, mut img) = (g.buddy.empty_map(), g.slab.empty_image());
         for &(frame, order) in reachable_blocks {
-            journal.run(&self.dev, |j| buddy.carve(&self.dev, j, frame, order))?;
+            g.buddy.claim(&mut map, frame, order)?;
         }
         for &(addr, size) in reachable_slab_objs {
-            journal.run(&self.dev, |j| slab.carve(&self.dev, buddy, j, addr, size))?;
+            g.slab.claim(&mut img, &g.buddy, &mut map, addr, size)?;
         }
+        g.buddy.sweep(&self.dev, &map);
+        g.slab.sweep(&self.dev, &mut img);
+        self.dev.persist_barrier();
         Ok(())
     }
 
@@ -199,10 +205,5 @@ impl PmemAllocator {
     /// the journal-capacity telemetry surfaced by the metrics registry.
     pub fn journal_high_water(&self) -> u64 {
         self.inner.lock().journal.high_water_records()
-    }
-
-    /// The device this allocator manages.
-    pub fn device(&self) -> &Arc<NvmDevice> {
-        &self.dev
     }
 }

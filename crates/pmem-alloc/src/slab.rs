@@ -4,7 +4,8 @@
 //! headers, radix-tree nodes, capability-table shadows. Slabs carve 4 KiB
 //! buddy frames into power-of-two size classes (64 B … 2 KiB) with a `u64`
 //! occupancy bitmap per slab, all persisted in the NVM metadata arena and
-//! mutated only through journal transactions.
+//! mutated only through journal transactions — except by format and the
+//! restore-time rebuild, which rewrite the region in one `SlabHeap::sweep`.
 //!
 //! Persistent layout at `layout.slab_off`:
 //!
@@ -25,7 +26,7 @@ use treesls_nvm::{FrameId, NvmDevice, PAGE_SIZE};
 use crate::buddy::Buddy;
 use crate::error::AllocError;
 use crate::journal::Tx;
-use crate::layout::{align8, AllocLayout, SLAB_CLASSES};
+use crate::layout::{align8, put_u32, AllocLayout, SLAB_CLASSES};
 
 const MAGIC: u64 = 0x51AB_51AB_51AB_0001;
 const NONE: u32 = u32::MAX;
@@ -50,6 +51,11 @@ impl NvmAddr {
     pub fn from_raw(raw: u64) -> Self {
         Self { frame: FrameId((raw >> 32) as u32), offset: raw as u32 }
     }
+}
+
+/// The occupancy bitmap of the descriptor at offset `d` of a slab image.
+fn bitmap(img: &[u8], d: usize) -> u64 {
+    u64::from_le_bytes(img[d + 16..d + 24].try_into().expect("8-byte bitmap"))
 }
 
 /// Returns the class index for an allocation of `size` bytes.
@@ -79,41 +85,86 @@ impl SlabHeap {
         self.off + align8(8 + 4 * SLAB_CLASSES.len()) + rel as usize * DESC_SIZE
     }
 
-    /// Formats a fresh slab heap.
+    fn at(l: &AllocLayout) -> Self {
+        Self { off: l.slab_off, first_frame: l.first_frame, frame_count: l.frame_count }
+    }
+
+    /// Formats a fresh slab heap: the sweep over no slab objects.
     pub fn format(dev: &NvmDevice, layout: &AllocLayout) -> Self {
-        let s = Self {
-            off: layout.slab_off,
-            first_frame: layout.first_frame,
-            frame_count: layout.frame_count,
-        };
-        s.reformat(dev);
+        let s = Self::at(layout);
+        s.sweep(dev, &mut s.empty_image());
         s
     }
 
-    /// Re-initializes to "no slabs". Unjournaled and idempotent.
-    pub fn reformat(&self, dev: &NvmDevice) {
-        let meta = dev.meta();
-        meta.write_u64(self.off, MAGIC);
-        for c in 0..SLAB_CLASSES.len() {
-            meta.write_u32(self.heads_off() + 4 * c, NONE);
-        }
-        for r in 0..self.frame_count {
-            meta.write_u8(self.desc_off(r), 0);
-        }
+    /// Reattaches to already-formatted metadata; a bad magic number is
+    /// [`AllocError::Corrupt`].
+    pub fn attach(dev: &NvmDevice, layout: &AllocLayout) -> Result<Self, AllocError> {
+        let intact = dev.meta().read_u64(layout.slab_off) == MAGIC;
+        intact.then(|| Self::at(layout)).ok_or(AllocError::Corrupt)
     }
 
-    /// Reattaches to already-formatted metadata.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the magic number does not match.
-    pub fn attach(dev: &NvmDevice, layout: &AllocLayout) -> Self {
-        assert_eq!(dev.meta().read_u64(layout.slab_off), MAGIC, "slab magic mismatch");
-        Self {
-            off: layout.slab_off,
-            first_frame: layout.first_frame,
-            frame_count: layout.frame_count,
+    /// A DRAM image of the slab region with no slabs, for a rebuild to
+    /// [`claim`](Self::claim) objects into.
+    pub(crate) fn empty_image(&self) -> Vec<u8> {
+        vec![0u8; Self::region_len(self.frame_count)]
+    }
+
+    /// Marks the slab object `(addr, size)` live in the DRAM image `img`; its
+    /// frame becomes a slab of its class on first use, claimed from the buddy
+    /// used-frame `map`. A frame or slot claimed twice (or under two classes)
+    /// is [`AllocError::Overlap`], a bad frame or offset `InvalidFree`.
+    pub(crate) fn claim(
+        &self,
+        img: &mut [u8],
+        buddy: &Buddy,
+        map: &mut [u8],
+        addr: NvmAddr,
+        size: usize,
+    ) -> Result<(), AllocError> {
+        let class = class_for(size).ok_or(AllocError::SizeTooLarge)?;
+        let r = addr.frame.0.checked_sub(self.first_frame).filter(|&r| r < self.frame_count);
+        let d = self.desc_off(r.ok_or(AllocError::InvalidFree)?) - self.off;
+        match img[d] {
+            0 => {
+                buddy.claim(map, addr.frame, 0)?;
+                img[d] = class as u8 + 1;
+            }
+            tag if tag as usize != class + 1 => return Err(AllocError::Overlap),
+            _ => {}
         }
+        let csize = SLAB_CLASSES[class] as u32;
+        if !addr.offset.is_multiple_of(csize) || addr.offset / csize >= Self::objs_per_slab(class) {
+            return Err(AllocError::InvalidFree);
+        }
+        let (old, bit) = (bitmap(img, d), 1u64 << (addr.offset / csize));
+        if old & bit != 0 {
+            return Err(AllocError::Overlap);
+        }
+        img[d + 16..d + 24].copy_from_slice(&(old | bit).to_le_bytes());
+        Ok(())
+    }
+
+    /// Pushes every partial slab of the image `img` on its class's partial
+    /// list, in DRAM, and writes the image — magic, heads and descriptors —
+    /// in one store. Unjournaled: see the crate docs.
+    pub(crate) fn sweep(&self, dev: &NvmDevice, img: &mut [u8]) {
+        let mut heads = [NONE; SLAB_CLASSES.len()];
+        for r in 0..self.frame_count {
+            let d = self.desc_off(r) - self.off;
+            let partial = |c: &usize| bitmap(img, d) != Self::full_mask(*c);
+            let Some(class) = (img[d] as usize).checked_sub(1).filter(partial) else { continue };
+            let head = std::mem::replace(&mut heads[class], r);
+            put_u32(img, d + 4, head);
+            put_u32(img, d + 8, NONE);
+            if head != NONE {
+                put_u32(img, self.desc_off(head) - self.off + 8, r);
+            }
+        }
+        for (class, &head) in heads.iter().enumerate() {
+            put_u32(img, self.heads_off() - self.off + 4 * class, head);
+        }
+        img[..8].copy_from_slice(&MAGIC.to_le_bytes());
+        dev.meta().write_bytes(self.off, img);
     }
 
     fn rel(&self, frame: FrameId) -> u32 {
@@ -233,48 +284,6 @@ impl SlabHeap {
             buddy.free(dev, tx, addr.frame, 0)?;
         } else if was_full {
             self.partial_push(dev, tx, class, r);
-        }
-        Ok(())
-    }
-
-    /// Carves a specific live object during restore (mark-and-sweep).
-    pub fn carve(
-        &self,
-        dev: &NvmDevice,
-        buddy: &Buddy,
-        tx: &mut Tx<'_>,
-        addr: NvmAddr,
-        size: usize,
-    ) -> Result<(), AllocError> {
-        let class = class_for(size).ok_or(AllocError::SizeTooLarge)?;
-        let r = self.rel(addr.frame);
-        if r >= self.frame_count {
-            return Err(AllocError::InvalidFree);
-        }
-        let meta = dev.meta();
-        let tag = meta.read_u8(self.desc_off(r));
-        if tag == 0 {
-            // Frame not yet a slab: claim it from the buddy system.
-            buddy.carve(dev, tx, addr.frame, 0)?;
-            tx.write_u8(self.desc_off(r), class as u8 + 1);
-            tx.write_u64(self.desc_off(r) + 16, 0);
-            self.partial_push(dev, tx, class, r);
-        } else if tag as usize != class + 1 {
-            return Err(AllocError::Overlap);
-        }
-        let csize = SLAB_CLASSES[class] as u32;
-        if !addr.offset.is_multiple_of(csize) || addr.offset / csize >= Self::objs_per_slab(class) {
-            return Err(AllocError::InvalidFree);
-        }
-        let slot = addr.offset / csize;
-        let bitmap = meta.read_u64(self.desc_off(r) + 16);
-        if bitmap & (1u64 << slot) != 0 {
-            return Err(AllocError::Overlap);
-        }
-        let new_bitmap = bitmap | (1u64 << slot);
-        tx.write_u64(self.desc_off(r) + 16, new_bitmap);
-        if new_bitmap == Self::full_mask(class) {
-            self.partial_remove(dev, tx, class, r);
         }
         Ok(())
     }
@@ -488,15 +497,22 @@ mod tests {
         let (dev, b, s, mut j) = setup(64);
         let a1 = j.run(&dev, |tx| s.alloc(&dev, &b, tx, 256)).unwrap();
         let a2 = j.run(&dev, |tx| s.alloc(&dev, &b, tx, 256)).unwrap();
-        // Simulate restore: reformat and carve only a1.
-        b.reformat(&dev);
-        s.reformat(&dev);
-        j.run(&dev, |tx| s.carve(&dev, &b, tx, a1, 256)).unwrap();
+        // Simulate restore: rebuild with only a1 reachable.
+        let (mut map, mut img) = (b.empty_map(), s.empty_image());
+        s.claim(&mut img, &b, &mut map, a1, 256).unwrap();
+        // Double claim of the same object, a class mismatch on its frame and
+        // a block over its frame are overlaps.
+        assert_eq!(s.claim(&mut img, &b, &mut map, a1, 256), Err(AllocError::Overlap));
+        assert_eq!(s.claim(&mut img, &b, &mut map, a2, 64), Err(AllocError::Overlap));
+        assert_eq!(b.claim(&mut map, a1.frame, 0), Err(AllocError::Overlap));
+        let bad = NvmAddr { frame: a1.frame, offset: 100 };
+        assert_eq!(s.claim(&mut img, &b, &mut map, bad, 256), Err(AllocError::InvalidFree));
+        b.sweep(&dev, &map);
+        s.sweep(&dev, &mut img);
         s.verify(&dev).unwrap();
         b.verify(&dev).unwrap();
         assert_eq!(s.live_objects(&dev), 1);
-        // Double carve of the same object is an overlap.
-        assert_eq!(j.run(&dev, |tx| s.carve(&dev, &b, tx, a1, 256)), Err(AllocError::Overlap));
+        assert_eq!(b.free_frames(&dev), 63);
         // a2's slot can be re-used by fresh allocations now.
         let fresh = j.run(&dev, |tx| s.alloc(&dev, &b, tx, 256)).unwrap();
         assert_eq!(fresh, a2);
@@ -519,8 +535,8 @@ mod tests {
             }));
             dev.meta().disarm_crash();
             let _ = Journal::recover(&dev, layout.journal_off, layout.journal_records);
-            let b2 = Buddy::attach(&dev, &layout);
-            let s2 = SlabHeap::attach(&dev, &layout);
+            let b2 = Buddy::attach(&dev, &layout).unwrap();
+            let s2 = SlabHeap::attach(&dev, &layout).unwrap();
             b2.verify(&dev).unwrap_or_else(|e| panic!("cut={cut}: buddy: {e}"));
             s2.verify(&dev).unwrap_or_else(|e| panic!("cut={cut}: slab: {e}"));
         }

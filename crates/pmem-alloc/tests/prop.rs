@@ -150,7 +150,7 @@ proptest! {
         dev.meta().disarm_crash();
         drop(a);
         // Power comes back: journal replay must leave a consistent heap.
-        let recovered = PmemAllocator::recover(dev, layout);
+        let recovered = PmemAllocator::recover(dev, layout).expect("header intact");
         recovered.verify().map_err(TestCaseError::fail)?;
         // The recovered allocator still works.
         let f = recovered.alloc_page();

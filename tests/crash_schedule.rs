@@ -27,7 +27,8 @@ use common::{
     WINDOW_HEAP,
 };
 use treesls::net::NetFaultConfig;
-use treesls::{enumerate_crashes, enumerate_site_crashes, CrashScenario, System};
+use treesls::{enumerate_crashes, enumerate_site_crashes, CrashImage, CrashScenario, System};
+use treesls_nvm::ShardedStore;
 
 #[test]
 fn hybrid_round_actually_migrates_and_evicts() {
@@ -575,6 +576,96 @@ fn repl_ship_crash_sites_cut_failover_cleanly() {
         assert!(sys2.kernel().metrics.snapshot().tree_full_walks >= 1);
         sys2.manager().verify_checkpoint().expect("promoted tree verifies (dirty walk)");
     }
+}
+
+/// A second handle on a crash image: the same device and copies of the
+/// record stores. A crash that unwinds out of `System::recover` drops the
+/// stores the first handle moved in; the copy stands for the records a
+/// real device keeps (the page metadata they point to is shared, so what
+/// the interrupted recovery already normalized stays normalized).
+fn fork(image: &mut CrashImage) -> CrashImage {
+    fn copy<T: Clone>(store: &mut ShardedStore<T>) -> ShardedStore<T> {
+        let shards = store.take_shards();
+        let copy = ShardedStore::from_shards(shards.clone());
+        *store = ShardedStore::from_shards(shards);
+        copy
+    }
+    CrashImage {
+        dev: std::sync::Arc::clone(&image.dev),
+        nvm_frames: image.nvm_frames,
+        backups: copy(&mut image.backups),
+        oroots: copy(&mut image.oroots),
+    }
+}
+
+/// The allocator rebuild is unjournaled because it is idempotent from the
+/// committed image. So a crash inside it — before either of its two region
+/// stores, or torn at the first, middle or last cache line of one — leaves
+/// buddy and slab metadata that is part rebuilt and part stale, and the
+/// next recovery must still restore the same image and rebuild the same
+/// allocator, byte for byte.
+#[test]
+fn crash_inside_allocator_rebuild_recovers_the_same_image() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use treesls_nvm::{CrashPoint, InjectedCrash, WriteKind};
+
+    let scenario = HybridScenario;
+    let config = scenario.config();
+    let layout = treesls_pmem_alloc::AllocLayout::for_device(0, config.kernel.nvm_frames);
+    let region = layout.buddy_off..layout.recorder_off;
+    // The committed workload plus uncommitted writes, whose CoW frames the
+    // rebuild returns to the free lists.
+    let crashed = || {
+        let mut sys = System::boot(scenario.config());
+        let mut st = scenario.setup(&mut sys);
+        scenario.workload(&mut sys, &mut st);
+        step(&sys, st.writer, HYBRID_PAGES as usize);
+        (sys.crash(), st)
+    };
+    let recover = |image| System::recover(image, scenario.config(), |r| scenario.programs(r));
+    let allocator = |sys: &System| sys.kernel().pers.dev.meta().dump()[region.clone()].to_vec();
+
+    // A clean recovery locates the rebuild's stores in the write stream.
+    let (image, _) = crashed();
+    let sched = std::sync::Arc::clone(image.dev.crash_schedule());
+    sched.start_write_trace();
+    let (clean, clean_report) = recover(image).expect("clean recovery");
+    let trace = sched.take_write_trace();
+    let stores: Vec<(u64, u32)> = trace
+        .iter()
+        .enumerate()
+        .filter(|(_, w)| w.kind == WriteKind::Meta && region.contains(&w.off))
+        .map(|(i, w)| (i as u64, w.tear_cuts()))
+        .collect();
+    assert_eq!(stores.len(), 2, "one store per region: {stores:?}");
+    let want = allocator(&clean);
+
+    let mut runs = 0;
+    for &(skip, tears) in &stores {
+        let mut cuts = vec![0, 1, tears / 2, tears];
+        cuts.dedup();
+        for cut in cuts {
+            let (mut image, mut st) = crashed();
+            let survivor = fork(&mut image);
+            let sched = std::sync::Arc::clone(image.dev.crash_schedule());
+            sched.arm(CrashPoint::TornWrite { skip, cut });
+            let unwound = catch_unwind(AssertUnwindSafe(|| recover(image)));
+            sched.disarm();
+            let payload = unwound.err().unwrap_or_else(|| panic!("write {skip} cut {cut}: no crash"));
+            assert!(payload.is::<InjectedCrash>(), "write {skip} cut {cut}: a real panic");
+
+            let (mut sys, report) = recover(survivor).expect("recovery after a crashed rebuild");
+            assert_eq!((report.pages, report.objects), (clean_report.pages, clean_report.objects));
+            sys.kernel().pers.alloc.verify().expect("allocator verifies");
+            assert!(allocator(&sys) == want, "write {skip} cut {cut}: allocator differs");
+            scenario.reattach(&mut sys, &mut st);
+            sys.manager().fire_restore_callbacks(report.version);
+            sys.manager().verify_checkpoint().expect("checkpoint consistent");
+            scenario.verify(&mut sys, &mut st, &report).expect("oracle after a crashed rebuild");
+            runs += 1;
+        }
+    }
+    eprintln!("crashed rebuild: {runs} runs over {} stores", stores.len());
 }
 
 #[test]

@@ -14,8 +14,8 @@ use std::time::Duration;
 
 use common::{find_vmspace, open_window, AbortedWindowScenario};
 use treesls::{
-    CapRights, CrashScenario, ObjType, ProcessSpec, Program, StepOutcome, System, SystemConfig,
-    ThreadSpec, UserCtx, Vpn,
+    CapRights, CrashScenario, KernelError, ObjType, ProcessSpec, Program, StepOutcome, System,
+    SystemConfig, ThreadSpec, UserCtx, Vpn,
 };
 use treesls_kernel::object::ObjectBody;
 use treesls_kernel::program::ProgramRegistry;
@@ -563,5 +563,22 @@ fn fold_out_of_frames_keeps_the_log_and_errs() {
         let page = recovered_page(sys);
         let diff = page.iter().zip(&want).position(|(a, b)| a != b);
         assert_eq!(diff, None, "release={release}: restored page diverges at that byte");
+    }
+}
+
+#[test]
+fn corrupt_nvm_header_fails_recovery_with_an_error() {
+    // Zeroing the device magic, the buddy magic or the slab magic of a
+    // committed image makes recovery return `Err` instead of panicking.
+    let frames = AbortedWindowScenario.config().kernel.nvm_frames;
+    let layout = treesls_pmem_alloc::AllocLayout::for_device(0, frames);
+    let magic = treesls_kernel::kernel::global_meta::MAGIC_OFF;
+    for off in [magic, layout.buddy_off, layout.slab_off] {
+        let (sys, _) = committed_page_a();
+        let image = sys.crash();
+        image.dev.meta().write_u64(off, 0);
+        let recovered = System::recover(image, AbortedWindowScenario.config(), |_| {});
+        let err = recovered.err();
+        assert!(matches!(err, Some(KernelError::InvalidState(_))), "offset {off}: {err:?}");
     }
 }
