@@ -5,15 +5,15 @@
 //! state survives crashes like any real remote client) and observe only
 //! externally visible responses. Each operation carries a *flow id* the
 //! NIC hashes onto a queue (RSS steering). The drivers record
-//! per-operation latency histograms for Figures 11, 12 and 14 plus the
-//! `treesls-net` load reports, and carry a built-in external-synchrony
-//! oracle: with ext-sync on, a response observed at a committed version no
-//! later than the version current at send time is a §5 violation.
+//! per-operation latency histograms for Figures 11, 12 and 14, and carry
+//! a built-in external-synchrony oracle: with ext-sync on, a response
+//! observed at a committed version no later than the version current at
+//! send time is a §5 violation.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use treesls_net::{CallError, CallOutcome, VirtualNic};
+use treesls_net::{CallOutcome, VirtualNic};
 
 use crate::hist::Histogram;
 use crate::wire::{KvOp, KvResp};
@@ -91,50 +91,6 @@ pub fn run_closed_loop(
     RunStats { ops: done, timeouts, sheds, sync_violations, elapsed: start.elapsed(), latency }
 }
 
-/// [`run_closed_loop`] over the NIC's *configured* overall call timeout
-/// ([`NicConfig::call_timeout`](treesls_net::NicConfig)): every operation
-/// goes through [`VirtualNic::call_checked`], so a wedged server surfaces
-/// as [`CallError::TimedOut`] after the deployment-chosen bound instead
-/// of a per-call-site magic number, and a closed NIC (the primary died,
-/// e.g. mid-failover) ends the run instead of burning a timeout per
-/// remaining operation.
-pub fn run_closed_loop_checked(
-    nic: &VirtualNic,
-    mut ops: impl FnMut() -> Option<(u64, KvOp)>,
-) -> RunStats {
-    let mut latency = Histogram::new();
-    let mut done = 0u64;
-    let mut timeouts = 0u64;
-    let mut sheds = 0u64;
-    let mut sync_violations = 0u64;
-    let start = Instant::now();
-    while let Some((flow, op)) = ops() {
-        let t0 = Instant::now();
-        let v_send = nic.committed_version();
-        match nic.call_checked(flow, &op.encode()) {
-            Ok(resp) => {
-                debug_assert!(KvResp::decode(&resp).is_some());
-                if nic.ext_sync() && nic.committed_version() <= v_send {
-                    sync_violations += 1;
-                }
-                latency.record(t0.elapsed().as_nanos() as u64);
-                done += 1;
-            }
-            Err(CallError::Busy) => {
-                sheds += 1;
-                std::thread::sleep(Duration::from_micros(200));
-            }
-            Err(CallError::TimedOut) => {
-                timeouts += 1;
-            }
-            // The device is gone (machine failed or was shut down);
-            // the fleet stops rather than timing out per operation.
-            Err(CallError::Closed) | Err(CallError::Ring(_)) => break,
-        }
-    }
-    RunStats { ops: done, timeouts, sheds, sync_violations, elapsed: start.elapsed(), latency }
-}
-
 /// Runs `nthreads` closed-loop clients in parallel, each drawing from its
 /// own operation stream (`make_ops(thread_idx)`), and merges the results.
 pub fn run_parallel_clients(
@@ -159,47 +115,6 @@ pub fn run_parallel_clients(
             let merged = &merged;
             s.spawn(move || {
                 let stats = run_closed_loop(nic, &mut *ops, timeout);
-                total_ops.fetch_add(stats.ops, Ordering::Relaxed);
-                total_timeouts.fetch_add(stats.timeouts, Ordering::Relaxed);
-                total_sheds.fetch_add(stats.sheds, Ordering::Relaxed);
-                total_violations.fetch_add(stats.sync_violations, Ordering::Relaxed);
-                merged.lock().merge(&stats.latency);
-            });
-        }
-    });
-    RunStats {
-        ops: total_ops.load(Ordering::Relaxed),
-        timeouts: total_timeouts.load(Ordering::Relaxed),
-        sheds: total_sheds.load(Ordering::Relaxed),
-        sync_violations: total_violations.load(Ordering::Relaxed),
-        elapsed: start.elapsed(),
-        latency: merged.into_inner(),
-    }
-}
-
-/// [`run_parallel_clients`] over the NIC's configured call timeout
-/// (see [`run_closed_loop_checked`]).
-pub fn run_parallel_clients_checked(
-    nic: &VirtualNic,
-    nthreads: usize,
-    make_ops: impl Fn(usize) -> Box<dyn FnMut() -> Option<(u64, KvOp)> + Send> + Sync,
-) -> RunStats {
-    let total_ops = AtomicU64::new(0);
-    let total_timeouts = AtomicU64::new(0);
-    let total_sheds = AtomicU64::new(0);
-    let total_violations = AtomicU64::new(0);
-    let merged = parking_lot::Mutex::new(Histogram::new());
-    let start = Instant::now();
-    std::thread::scope(|s| {
-        for t in 0..nthreads {
-            let mut ops = make_ops(t);
-            let total_ops = &total_ops;
-            let total_timeouts = &total_timeouts;
-            let total_sheds = &total_sheds;
-            let total_violations = &total_violations;
-            let merged = &merged;
-            s.spawn(move || {
-                let stats = run_closed_loop_checked(nic, &mut *ops);
                 total_ops.fetch_add(stats.ops, Ordering::Relaxed);
                 total_timeouts.fetch_add(stats.timeouts, Ordering::Relaxed);
                 total_sheds.fetch_add(stats.sheds, Ordering::Relaxed);

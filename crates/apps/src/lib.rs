@@ -18,8 +18,8 @@
 //! * [`workload`] — YCSB generators (zipfian, mixes A/B/C, 100 % update /
 //!   insert) and the Facebook `Prefix_dist` distribution.
 //! * [`ycsb`] — transactional YCSB A–F over the `treesls-txn` wire
-//!   protocol: choosers, working-set churn, multi-tenant open-loop frame
-//!   plans with paired two-frame RMW transactions.
+//!   protocol: choosers, working-set churn, per-tenant frame plans with
+//!   paired two-frame RMW transactions.
 //! * [`hist`] — log-bucketed latency histograms (P50/P95/P99).
 //! * [`wire`] — the KV wire protocol shared by servers and clients.
 //! * [`testmem`] — a flat host-memory backend (tests and baselines).
@@ -29,7 +29,6 @@ pub mod client;
 pub mod hashkv;
 pub mod hist;
 pub mod lsm;
-pub mod openloop;
 pub mod phoenix;
 pub mod server;
 pub mod testmem;

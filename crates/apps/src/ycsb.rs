@@ -14,9 +14,9 @@
 //!   space every `churn_every` operations, so checkpoint deltas never
 //!   settle into a fixed dirty set;
 //! * **multi-tenant open-loop plans** — each tenant precomputes a
-//!   deterministic frame sequence indexed by arrival number, so the
-//!   open-loop generator ([`crate::openloop`]) can fire frame *i* at its
-//!   scheduled instant without ever waiting on a response. Interactive
+//!   deterministic frame sequence indexed by arrival number, so an
+//!   open-loop generator can fire frame *i* at its scheduled instant
+//!   without ever waiting on a response. Interactive
 //!   RMW transactions work open-loop because transaction ids are
 //!   client-chosen: arrival *i* carries `BeginRead{txn}` and arrival
 //!   `i + rmw_gap` carries the paired `WriteCommit{txn}` — if the first
@@ -25,7 +25,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use treesls_txn::wire::{TxnOp, FLAG_RETRY};
+use treesls_txn::wire::TxnOp;
 use treesls_txn::KEY_LEN;
 
 use crate::wire::numeric_key;
@@ -48,37 +48,6 @@ pub enum TxnMix {
     F,
 }
 
-impl TxnMix {
-    /// All mixes in workload order.
-    pub const ALL: [TxnMix; 6] =
-        [TxnMix::A, TxnMix::B, TxnMix::C, TxnMix::D, TxnMix::E, TxnMix::F];
-
-    /// Lower-case workload letter, used in result files.
-    pub fn letter(self) -> &'static str {
-        match self {
-            TxnMix::A => "a",
-            TxnMix::B => "b",
-            TxnMix::C => "c",
-            TxnMix::D => "d",
-            TxnMix::E => "e",
-            TxnMix::F => "f",
-        }
-    }
-
-    /// Parses a workload letter (either case).
-    pub fn parse(s: &str) -> Option<TxnMix> {
-        Some(match s.to_ascii_lowercase().as_str() {
-            "a" => TxnMix::A,
-            "b" => TxnMix::B,
-            "c" => TxnMix::C,
-            "d" => TxnMix::D,
-            "e" => TxnMix::E,
-            "f" => TxnMix::F,
-            _ => return None,
-        })
-    }
-}
-
 /// Key-chooser distributions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Skew {
@@ -86,17 +55,6 @@ pub enum Skew {
     Zipfian,
     /// Uniform over the window.
     Uniform,
-}
-
-impl Skew {
-    /// Parses a chooser name.
-    pub fn parse(s: &str) -> Option<Skew> {
-        Some(match s.to_ascii_lowercase().as_str() {
-            "zipfian" | "zipf" => Skew::Zipfian,
-            "uniform" => Skew::Uniform,
-            _ => return None,
-        })
-    }
 }
 
 /// A seeded key chooser over `[0, n)`.
@@ -395,22 +353,6 @@ pub fn plan_tenant(cfg: &YcsbTxnConfig, tenant: usize, n: u64) -> TenantPlan {
     TenantPlan { frames }
 }
 
-/// Builds one plan per tenant.
-pub fn plan_all(cfg: &YcsbTxnConfig, per_tenant: u64) -> Vec<TenantPlan> {
-    (0..cfg.tenants.max(1)).map(|t| plan_tenant(cfg, t, per_tenant)).collect()
-}
-
-/// Rewrites a `BeginRead` frame as a conflict retry (sets
-/// [`FLAG_RETRY`]), used by drivers that re-issue aborted transactions.
-pub fn retry_frame(op: &TxnOp) -> Option<TxnOp> {
-    match op {
-        TxnOp::BeginRead { txn, key, .. } => {
-            Some(TxnOp::BeginRead { txn: *txn, flags: FLAG_RETRY, key: *key })
-        }
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -560,15 +502,5 @@ mod tests {
                 other => panic!("unexpected load op {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn retry_frame_sets_the_flag() {
-        let op = TxnOp::BeginRead { txn: 7, flags: 0, key: numeric_key(1) };
-        match retry_frame(&op) {
-            Some(TxnOp::BeginRead { flags, .. }) => assert_eq!(flags, FLAG_RETRY),
-            other => panic!("{other:?}"),
-        }
-        assert!(retry_frame(&TxnOp::Commit { txn: 7 }).is_none());
     }
 }

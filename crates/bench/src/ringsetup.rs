@@ -1,5 +1,5 @@
 //! NIC-backed server setup shared by the external-client experiments
-//! (Figures 11, 12, 13, 14 and the `net_load` scaling report).
+//! (Figures 11, 12, 13 and 14).
 //!
 //! Thin wrappers over `treesls_net::deploy`: they pick the data layout
 //! (per-queue table shards, RX cursors in the last page of each shard's
@@ -36,9 +36,7 @@ impl Default for ShardGeometry {
 
 /// Builds the [`NicConfig`] the KV/LSM deployments use for `queues`
 /// queues over `geom`. Credits equal the ring depth, so admission control
-/// sheds exactly where the ring would have rejected the push anyway —
-/// the legacy figure benches keep their semantics (the `net_load` bin
-/// sets its own, tighter budget to study admission control).
+/// sheds exactly where the ring would have rejected the push anyway.
 pub fn nic_config(queues: usize, ext_sync: bool, geom: &ShardGeometry) -> NicConfig {
     NicConfig {
         queues,
@@ -47,7 +45,6 @@ pub fn nic_config(queues: usize, ext_sync: bool, geom: &ShardGeometry) -> NicCon
         credits: geom.nslots,
         ext_sync,
         fault: Default::default(),
-        call_timeout: std::time::Duration::from_secs(5),
     }
 }
 
@@ -65,31 +62,13 @@ pub fn deploy_kv(
 }
 
 /// [`deploy_kv`] with full control over the NIC behaviour (credits,
-/// faults) — the load generator's entry point.
+/// faults).
 pub fn deploy_kv_cfg(
     sys: &System,
     nbuckets: u64,
     val_cap: u64,
     cfg: NicConfig,
     geom: ShardGeometry,
-) -> RingDeployment {
-    deploy_kv_pinned(sys, nbuckets, val_cap, cfg, geom, None, 16)
-}
-
-/// [`deploy_kv_cfg`] with per-core shard pinning and an explicit round
-/// size: queue `q`'s server thread is pinned to simulated core `q % n`,
-/// so each core runs exactly one service shard and a shard's dirty pages
-/// are owned by one core, and each server round stages up to `batch`
-/// responses behind a single TX publish (the `net_scale` sweep's
-/// configuration).
-pub fn deploy_kv_pinned(
-    sys: &System,
-    nbuckets: u64,
-    val_cap: u64,
-    cfg: NicConfig,
-    geom: ShardGeometry,
-    pin_cores: Option<u32>,
-    batch: usize,
 ) -> RingDeployment {
     let spec = DeploySpec {
         name: "ring-kv".into(),
@@ -98,8 +77,8 @@ pub fn deploy_kv_pinned(
         cursor_base: geom.data_stride - 4096,
         cursor_stride: geom.data_stride,
         cfg,
-        batch,
-        pin_cores,
+        batch: 16,
+        pin_cores: None,
     };
     treesls::net::deploy(sys.kernel(), sys.manager(), &spec, |q| {
         Arc::new(KvService {

@@ -38,6 +38,6 @@ pub mod runtime;
 pub use deploy::{deploy, DeploySpec, NicDeployment};
 pub use fault::{FaultState, NetFaultConfig, Perturbation};
 pub use flow::{flow_hash, key_flow, queue_for, shard_for};
-pub use nic::{CallError, CallOutcome, NetError, NicConfig, NicLayout, VirtualNic};
+pub use nic::{CallOutcome, NetError, NicConfig, NicLayout, VirtualNic};
 pub use repl::{HeapMem, ReleaseGate, ReplChannel, ShipError};
 pub use runtime::{PollServer, Scratch, Service, ServiceError};

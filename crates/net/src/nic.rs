@@ -61,10 +61,6 @@ pub struct NicConfig {
     pub ext_sync: bool,
     /// Wire perturbation model (defaults to a perfect wire).
     pub fault: NetFaultConfig,
-    /// Overall deadline for [`VirtualNic::call_checked`]: past it the
-    /// call surfaces [`CallError::TimedOut`] instead of retrying forever
-    /// (clients of a dead or failed-over primary must give up and move).
-    pub call_timeout: Duration,
 }
 
 impl Default for NicConfig {
@@ -76,7 +72,6 @@ impl Default for NicConfig {
             credits: 8,
             ext_sync: true,
             fault: NetFaultConfig::default(),
-            call_timeout: Duration::from_secs(5),
         }
     }
 }
@@ -172,23 +167,6 @@ impl CallOutcome {
     }
 }
 
-/// Error surfaced by [`VirtualNic::call_checked`]: the fallible variant
-/// of [`CallOutcome`] that client fleets can propagate with `?` instead
-/// of looping on an outcome enum.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CallError {
-    /// Shed by admission control (credits exhausted, ring full, or the
-    /// release gate is degraded). Retryable after backoff.
-    Busy,
-    /// No response within the NIC's configured `call_timeout`.
-    TimedOut,
-    /// The NIC was closed (its system stopped or failed over); no
-    /// response will ever arrive. Move to the new primary.
-    Closed,
-    /// Non-retryable ring failure.
-    Ring(RingError),
-}
-
 /// A request awaiting its response, keyed by NIC-global sequence number.
 #[derive(Debug)]
 struct Pending {
@@ -212,11 +190,11 @@ struct QueueState {
     /// the epoch flip wait for the commit that covers their producing
     /// state.
     epoch_tx_writer: AtomicU64,
-    /// RX cursor sample taken at the previous checkpoint (or, after a
-    /// restore, the restored cursor); a lower bound on the
-    /// *checkpointed* cursor, so those request slots are safe to release
-    /// for reuse.
-    prev_cursor_sample: AtomicU64,
+    /// RX cursor sampled by `on_epoch` next to `epoch_tx_writer` (or,
+    /// after a restore, the restored cursor): the cursor of the image the
+    /// next commit makes durable, so the commit releases those request
+    /// slots for reuse.
+    epoch_rx_cursor: AtomicU64,
     /// Serializes RX-ring appends: `ring::push` is read-modify-write on
     /// the writer header, and concurrent client threads landing on the
     /// same queue would otherwise claim the same slot (one request
@@ -238,7 +216,6 @@ pub struct VirtualNic {
     layout: NicLayout,
     ext_sync: AtomicBool,
     credits: u64,
-    call_timeout: Duration,
     next_seq: AtomicU64,
     pending: Mutex<HashMap<u64, Pending>>,
     cv: Condvar,
@@ -298,7 +275,7 @@ impl VirtualNic {
                 doorbell: Mutex::new(None),
                 inflight: AtomicU64::new(0),
                 epoch_tx_writer: AtomicU64::new(u64::MAX),
-                prev_cursor_sample: AtomicU64::new(0),
+                epoch_rx_cursor: AtomicU64::new(0),
                 dma: Mutex::new(()),
             })
             .collect();
@@ -307,7 +284,6 @@ impl VirtualNic {
             layout,
             ext_sync: AtomicBool::new(cfg.ext_sync),
             credits: cfg.credits.max(1),
-            call_timeout: cfg.call_timeout,
             next_seq: AtomicU64::new(1),
             pending: Mutex::new(HashMap::new()),
             cv: Condvar::new(),
@@ -691,29 +667,6 @@ impl VirtualNic {
         }
     }
 
-    /// [`Self::call`] with the NIC's *configured* overall timeout and a
-    /// fallible result: sheds are `Err(Busy)`, expiry is `Err(TimedOut)`,
-    /// and a closed NIC (stopped or failed-over primary) is
-    /// `Err(Closed)` — the signal for a client to move to the promoted
-    /// replica instead of retrying here forever.
-    pub fn call_checked(&self, flow: u64, data: &[u8]) -> Result<Vec<u8>, CallError> {
-        if self.is_closed() {
-            return Err(CallError::Closed);
-        }
-        match self.call(flow, data, self.call_timeout) {
-            Ok(CallOutcome::Reply(p)) => Ok(p),
-            Ok(CallOutcome::Busy) => Err(CallError::Busy),
-            Ok(CallOutcome::TimedOut) => {
-                if self.is_closed() {
-                    Err(CallError::Closed)
-                } else {
-                    Err(CallError::TimedOut)
-                }
-            }
-            Err(e) => Err(CallError::Ring(e)),
-        }
-    }
-
     /// Number of requests awaiting responses across all queues.
     pub fn in_flight(&self) -> usize {
         self.pending.lock().values().filter(|p| p.resp.is_none()).count()
@@ -773,11 +726,15 @@ impl CkptCallback for VirtualNic {
         // their first write until the seal, so no ring append lands
         // between this read and the flip. Under full quiescence nothing
         // runs between here and the commit, so the cap is exactly the
-        // barrier-time writer.
+        // barrier-time writer. The same window makes the RX cursor read
+        // here the cursor of the image this round commits.
         for q in 0..self.layout.queues {
             let port = self.layout.port(q);
             if let Ok(w) = ring::header(&self.io, &port.tx, hdr::WRITER) {
                 self.queues[q].epoch_tx_writer.store(w, Ordering::SeqCst);
+            }
+            if let Ok(cursor) = self.io.mem_read_u64(port.rx_cursor_addr) {
+                self.queues[q].epoch_rx_cursor.store(cursor, Ordering::SeqCst);
             }
         }
     }
@@ -815,13 +772,9 @@ impl CkptCallback for VirtualNic {
                 ring::advance_visible_capped_unfenced(&self.io, &port.tx, bound, cap)
                     .unwrap_or(before);
             released += visible.saturating_sub(before);
-            // Double-buffered RX acknowledgement: the cursor sampled at
-            // the *previous* checkpoint is ≤ the cursor captured by this
-            // commit, so those request slots can never be needed again.
-            if let Ok(cursor) = self.io.mem_read_u64(port.rx_cursor_addr) {
-                let prev = self.queues[q].prev_cursor_sample.swap(cursor, Ordering::SeqCst);
-                self.publish_ack(&port.rx, prev);
-            }
+            // RX acknowledgement: this commit made the epoch cursor
+            // durable, so those request slots can never be needed again.
+            self.publish_ack(&port.rx, self.queues[q].epoch_rx_cursor.load(Ordering::SeqCst));
             // Commit-time credit replenishment: everything the server
             // consumed during the interval stops holding admission
             // credits now, not when its response eventually drains.
@@ -888,10 +841,10 @@ impl CkptCallback for VirtualNic {
             // Seed the cursor sample with the restored cursor: it comes
             // from the committed image, so its slots are never needed
             // again, and it is ≥ every `ACK` published before the crash.
-            // A zero sample would move `ACK` back to 0 at the next
-            // commit and the ring would read as full for a round.
+            // A sample left by a round that died with the power may run
+            // ahead of that image.
             let cursor = self.io.mem_read_u64(port.rx_cursor_addr).unwrap_or(0);
-            self.queues[q].prev_cursor_sample.store(cursor, Ordering::SeqCst);
+            self.queues[q].epoch_rx_cursor.store(cursor, Ordering::SeqCst);
         }
         self.io.flush();
         // Uniform doorbell re-arm: every queue whose restored cursor

@@ -277,16 +277,26 @@ impl CrashScenario for KvRingScenario {
                 let value = format!("value-{idx}").into_bytes();
                 let op = KvOp::Set { key, value: value.clone() };
                 let flow = idx as u64;
+                let v_send = st.nic.committed_version();
                 let seq = st.nic.send_request(flow, &op.encode()).expect("rx push");
-                sent.push((seq, flow, key, value));
+                sent.push((seq, v_send, flow, key, value));
             }
             // Deliver anything the reorder window is still holding.
             st.nic.flush_wire();
             st.drive(sys, 8 * burst);
+            // §5 oracle, per response: the producing state lives in the
+            // interval after `v_send`, so nothing may be released before
+            // this round commits, and a release needs a later version.
+            st.nic.pump();
+            for &(seq, ..) in &sent {
+                assert!(st.nic.try_take(seq).is_none(), "§5: response released before its commit");
+            }
             st.snapshots.checkpoint(sys, st.vmspace, self.heap_pages());
             st.nic.pump();
-            for (seq, flow, key, value) in sent {
+            for (seq, v_send, flow, key, value) in sent {
                 if st.nic.try_take(seq).is_some() {
+                    let v_release = st.nic.committed_version();
+                    assert!(v_release > v_send, "§5: released at v{v_release}, sent at v{v_send}");
                     // The ack left the system: this SET must survive any
                     // later crash.
                     st.acked.push((flow, key.to_vec(), value));
@@ -507,7 +517,6 @@ impl TxnRingScenario {
             credits: 16,
             ext_sync: true,
             fault: Default::default(),
-            call_timeout: std::time::Duration::from_secs(5),
         }
     }
 

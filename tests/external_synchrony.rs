@@ -262,6 +262,38 @@ fn steady_closed_loop_at_half_capacity_never_sheds() {
     assert_eq!(sheds_after - sheds_before, 0, "steady half-capacity load was shed");
 }
 
+/// Regression (ROADMAP 6(c), second lead): the NIC published the RX
+/// cursor it had sampled at the *previous* commit, so consumed request
+/// slots stayed unreleased for a round after the commit that covered them.
+#[test]
+fn one_checkpoint_releases_the_consumed_rx_slots() {
+    use treesls_bench::ringsetup::deploy_kv_cfg;
+    use treesls_kernel::cores::run_slice;
+
+    let sys = System::boot(config(None)); // manual checkpoints + stepping
+    let geom = ShardGeometry { nslots: 32, slot_size: 84, data_stride: 16 * 4096 };
+    let dep = deploy_kv_cfg(&sys, 16, 40, nic_config(1, true, &geom), geom);
+    let nic = &dep.nic;
+    let srv = dep.server_threads[0];
+    run_slice(sys.kernel(), srv, 4, sys.manager().stw());
+    sys.checkpoint_now().unwrap();
+    assert_eq!(nic.queue_stats(0).rx_ack, 0);
+
+    let n = 12;
+    for i in 0..n {
+        let op = KvOp::Set { key: make_key(format!("k-{i}").as_bytes()), value: b"v".to_vec() };
+        nic.send_request(0, &op.encode()).expect("request admitted");
+    }
+    nic.flush_wire();
+    run_slice(sys.kernel(), srv, 64, sys.manager().stw());
+    assert_eq!(nic.queue_stats(0).rx_cursor, n, "server consumed every request");
+
+    // The round's image holds cursor `n`, so its commit alone frees the
+    // slots; waiting for a second commit would hold them a round longer.
+    sys.checkpoint_now().unwrap();
+    assert_eq!(nic.queue_stats(0).rx_ack, n, "one commit releases every consumed RX slot");
+}
+
 /// Regression (ROADMAP 2(c), first lead): the restore callback used to
 /// reset the RX cursor sample to 0, so the first checkpoint after a
 /// restore moved the ring's `ACK` header back to 0 and a ring that had
@@ -294,12 +326,9 @@ fn first_checkpoint_after_restore_keeps_rx_ack() {
         drive(16);
     }
     assert_eq!(nic.queue_stats(0).rx_cursor, filled, "server consumed every request");
-    // The first commit samples the advanced cursor, the second publishes
-    // it as the RX `ACK`.
-    for _ in 0..2 {
-        sys.checkpoint_now().unwrap();
-        nic.pump();
-    }
+    // The commit covering the consumed cursor publishes it as the RX `ACK`.
+    sys.checkpoint_now().unwrap();
+    nic.pump();
     let ack_before = nic.queue_stats(0).rx_ack;
     assert_eq!(ack_before, filled, "RX slots released before the crash");
 
