@@ -177,18 +177,19 @@ impl System {
     /// One consistent observability snapshot of the whole machine.
     ///
     /// Merges the kernel's [`MetricsRegistry`](treesls_obs::MetricsRegistry)
-    /// (checkpoint/hybrid/ext-sync counters and the pause histogram) with
-    /// the fault counters, the NVM device counters and the allocator
-    /// journal stats that live outside the registry. Snapshots are plain
-    /// values: diff two with [`MetricsSnapshot::since`](
-    /// treesls_obs::MetricsSnapshot::since) to scope counters to an
-    /// interval, or serialize with `to_json()`.
+    /// (checkpoint/hybrid/NIC/replication/transaction counters and the
+    /// histograms) with the fault and epoch-conflict counters, the NVM
+    /// device counters and the allocator journal stats that live outside
+    /// the registry. Snapshots are plain values: diff two with
+    /// [`MetricsSnapshot::since`](treesls_obs::MetricsSnapshot::since) to
+    /// scope counters to an interval.
     pub fn metrics_snapshot(&self) -> treesls_obs::MetricsSnapshot {
         let mut snap = self.kernel.metrics.snapshot();
         let faults = self.kernel.stats.snapshot();
         snap.write_faults = faults.write_faults;
         snap.minor_faults = faults.minor_faults;
         snap.cow_copies = faults.cow_copies;
+        snap.epoch_conflicts = faults.epoch_conflicts;
         let nvm = self.kernel.pers.dev.stats().snapshot();
         snap.nvm_bytes_written = nvm.bytes_written;
         snap.nvm_bytes_read = nvm.bytes_read;

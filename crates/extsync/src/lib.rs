@@ -9,11 +9,11 @@
 //!
 //! * [`ring`] — version-tagged ring buffers in eternal PMOs, implementing
 //!   the `reader` / `writer` / `visible_writer` discipline of Figure 8.
-//! * [`port`] — the host-side DMA view ([`HostIo`]) plus the in-SLS
-//!   modified-driver helpers ([`port::server_poll`] /
-//!   [`port::server_reply`]). The port *device* — multi-queue rings,
+//! * [`port`] — the host-side DMA view ([`HostIo`]) and one queue's ring
+//!   pair ([`PortLayout`]). The port *device* — multi-queue rings,
 //!   doorbells, the commit-gated visibility barrier — is the
-//!   `treesls-net` crate's `VirtualNic`, built on these primitives.
+//!   `treesls-net` crate's `VirtualNic`, and its in-SLS serving loop is
+//!   that crate's `PollServer`, both built on these primitives.
 
 pub mod port;
 pub mod ring;

@@ -1,25 +1,23 @@
-//! Host-side DMA view and the modified-driver helpers (§5).
+//! Host-side DMA view of a service's rings (§5).
 //!
 //! The paper implements external synchrony "in a network server that
 //! handles communications between clients and servers on the same
-//! machine". This module holds the two halves both sides share:
-//!
-//! * [`HostIo`] — the host's byte-addressed window into a service's
-//!   address space, playing the NIC's DMA engine (and the external
-//!   clients behind it);
-//! * [`server_poll`] / [`server_reply`] — the in-SLS driver helpers a
-//!   server program uses to consume requests and publish responses.
+//! machine". This module holds what the host side of that server needs:
+//! [`HostIo`], the host's byte-addressed window into a service's address
+//! space, playing the NIC's DMA engine (and the external clients behind
+//! it), and [`PortLayout`], one queue's ring pair.
 //!
 //! The port *device* itself — multi-queue rings, doorbells, the
-//! commit-gated visibility barrier — lives in the `treesls-net` crate
-//! (`VirtualNic`), which builds on these primitives.
+//! commit-gated visibility barrier — and its in-SLS serving loop
+//! (`PollServer`) live in the `treesls-net` crate, which builds on these
+//! primitives.
 
 use std::sync::Arc;
 
 use treesls_kernel::types::{KernelError, ObjId, Vaddr};
 use treesls_kernel::Kernel;
 
-use crate::ring::{self, hdr, MemIo, RingError, RingLayout};
+use crate::ring::{MemIo, RingLayout};
 
 /// Host-side memory access into a service's address space (the NIC's DMA
 /// view).
@@ -76,31 +74,4 @@ pub struct PortLayout {
     /// cursor — deliberately *not* eternal so it rolls back with the
     /// server state.
     pub rx_cursor_addr: u64,
-}
-
-/// Server-side (in-SLS) helper: polls the RX ring using the server's
-/// private cursor, which lives in ordinary rolled-back memory.
-pub fn server_poll<M: MemIo>(
-    io: &M,
-    layout: &PortLayout,
-) -> Result<Option<ring::RingMsg>, RingError> {
-    let cursor = io.mem_read_u64(layout.rx_cursor_addr)?;
-    let writer = ring::header(io, &layout.rx, hdr::WRITER)?;
-    if cursor >= writer {
-        return Ok(None);
-    }
-    let msg = ring::read_at(io, &layout.rx, cursor)?;
-    io.mem_write_u64(layout.rx_cursor_addr, cursor + 1)?;
-    Ok(Some(msg))
-}
-
-/// Server-side helper: pushes a response correlated to `req_seq`.
-pub fn server_reply<M: MemIo>(
-    io: &M,
-    layout: &PortLayout,
-    req_seq: u64,
-    data: &[u8],
-) -> Result<(), RingError> {
-    ring::push(io, &layout.tx, req_seq, data)?;
-    Ok(())
 }

@@ -351,7 +351,6 @@ impl Kernel {
                     self.charge_copy(self.stop_and_copy(&mut meta, inflight, true)?, &mut copy);
                     meta.epoch_round = self.fence.round();
                     self.stats.epoch_conflicts.fetch_add(1, Ordering::Relaxed);
-                    self.metrics.record_epoch_conflict();
                     self.charge_fault(t0, copy);
                     duplicated = true;
                 }
@@ -592,7 +591,6 @@ impl Kernel {
         }
         if first {
             self.stats.epoch_conflicts.fetch_add(1, Ordering::Relaxed);
-            self.metrics.record_epoch_conflict();
             self.epoch_captures.lock().push(Arc::clone(slot));
         }
         self.charge_fault(t0, copy);

@@ -814,9 +814,7 @@ impl CkptCallback for VirtualNic {
         // The cross-queue visibility barrier: one fence makes every
         // queue's new visibility bound durable together.
         self.io.flush();
-        kernel.metrics.record_ring_publish();
-        kernel.metrics.set_ring_gauges(tx_depth, lag_sum);
-        kernel.metrics.record_net_barrier(lag_max, lag_sum, rx_occ, tx_occ);
+        kernel.metrics.record_net_barrier(tx_depth, lag_max, lag_sum, rx_occ, tx_occ);
         kernel.pers.recorder().record(
             treesls_obs::EventKind::NetBarrier,
             [version, self.layout.queues as u64, released, lag_max, lag_sum, tx_depth],

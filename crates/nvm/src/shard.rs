@@ -11,11 +11,13 @@
 //! lock was not immediately available).
 //!
 //! Mutation is confined to the checkpoint/restore critical sections (the
-//! leader plus its offload workers). That confinement is what keeps the
-//! non-snapshot iterators sound under **partial quiescence**, where free
-//! cores keep running user code while the walk iterates — free cores
-//! route conflicting page writes through the epoch fence and never touch
-//! these arenas directly.
+//! round's leader plus its offload workers); no mutator's syscall or fault
+//! path touches these arenas. That confinement is what keeps the
+//! non-snapshot iterators sound under both checkpoint protocols: under
+//! **stop-the-world** every other core is parked for the walk, and under
+//! the **epoch flip** the walk runs after the world resumed, but the
+//! running cores only write pages — conflicting writes go through the
+//! epoch fence — never records.
 //!
 //! Shard membership is encoded in the [`SlotId`] itself (high bits of the
 //! 32-bit index), so ids remain plain, `to_raw`-persistable values and a
@@ -172,9 +174,9 @@ impl<T> ShardedStore<T> {
     /// is not a snapshot: records inserted into already-visited shards
     /// during the walk are missed. Callers must confine concurrent
     /// inserts to the checkpoint critical section itself (the leader and
-    /// its offload workers) — under partial quiescence the machine is
-    /// *not* globally stopped during the walk, and the free cores stay
-    /// safe only because nothing outside that section mutates the store.
+    /// its offload workers) — under the epoch flip mutators run during
+    /// the walk, and they stay safe only because nothing outside that
+    /// section mutates the store.
     pub fn for_each(&self, mut f: impl FnMut(SlotId, &T)) {
         for (s, shard) in self.shards.iter().enumerate() {
             let guard = self.lock(shard);

@@ -15,8 +15,6 @@ pub struct MemStats {
     pub bytes_read: AtomicU64,
     /// Whole-page copies performed on this device (as destination).
     pub page_copies: AtomicU64,
-    /// Pages currently allocated (incremented by owners, not the device).
-    pub pages_allocated: AtomicU64,
 }
 
 impl MemStats {
@@ -49,7 +47,6 @@ impl MemStats {
             bytes_written: self.bytes_written.load(Ordering::Relaxed),
             bytes_read: self.bytes_read.load(Ordering::Relaxed),
             page_copies: self.page_copies.load(Ordering::Relaxed),
-            pages_allocated: self.pages_allocated.load(Ordering::Relaxed),
         }
     }
 }
@@ -63,8 +60,6 @@ pub struct MemStatsSnapshot {
     pub bytes_read: u64,
     /// Whole-page copies at snapshot time.
     pub page_copies: u64,
-    /// Pages allocated at snapshot time.
-    pub pages_allocated: u64,
 }
 
 impl MemStatsSnapshot {
@@ -79,7 +74,6 @@ impl MemStatsSnapshot {
             bytes_written: self.bytes_written - earlier.bytes_written,
             bytes_read: self.bytes_read - earlier.bytes_read,
             page_copies: self.page_copies - earlier.page_copies,
-            pages_allocated: self.pages_allocated.saturating_sub(earlier.pages_allocated),
         }
     }
 }
