@@ -1,4 +1,4 @@
-//! Multi-key transactions over the copy-on-write store.
+//! Multi-key transactions over the in-place store.
 //!
 //! The engine is optimistic concurrency control with first-committer-wins
 //! validation, shaped by what external synchrony already guarantees:
@@ -14,8 +14,8 @@
 //!   snapshot means another transaction committed first → the whole
 //!   transaction aborts with [`TxnError::Conflict`] and leaves no trace.
 //!   A valid transaction turns its working set into primary + index
-//!   [`StoreOp`]s and publishes them through
-//!   [`TxnStore::commit_apply`] — one selector flip, all or nothing.
+//!   [`StoreOp`]s and applies them through [`TxnStore::commit_apply`] —
+//!   all or nothing, by step atomicity against crashes and undo on error.
 //!
 //! Working sets live in ordinary volatile service state, **not** in
 //! checkpointed memory: an uncommitted transaction is supposed to die
@@ -180,12 +180,12 @@ pub fn txn_scan<M: MemIo>(
 
 /// Validates `txn` against the current stable root and, if clean, applies
 /// its working set (primary records plus their secondary-index entries)
-/// as one atomic publication with sequence `meta.seq + 1`.
+/// as one atomic commit with sequence `meta.seq + 1`.
 ///
 /// First-committer-wins: any read stamp that moved, or any write target
 /// stamped after the snapshot, aborts the transaction with
 /// [`TxnError::Conflict`] — the caller drops the working set and nothing
-/// was published.
+/// was stored.
 ///
 /// Returns the new committed sequence on success.
 pub fn txn_commit<M: MemIo>(
@@ -193,7 +193,6 @@ pub fn txn_commit<M: MemIo>(
     io: &M,
     txn: &TxnState,
 ) -> Result<u64, TxnError> {
-    let meta = store.meta(io).map_err(|_| TxnError::Io)?;
     // Validate the read set: every stamp must be exactly what the
     // transaction observed (0 = still absent).
     for (ckey, seen) in &txn.reads {
@@ -202,20 +201,10 @@ pub fn txn_commit<M: MemIo>(
             return Err(TxnError::Conflict);
         }
     }
-    // Validate the write set: a blind write conflicts only when someone
-    // committed the key after this transaction's snapshot.
-    for w in &txn.writes {
-        let cur = store.get(io, &primary_key(&w.key)).map_err(|_| TxnError::Io)?;
-        if cur.map_or(0, |r| r.wseq) > txn.snapshot {
-            return Err(TxnError::Conflict);
-        }
-    }
-    if txn.writes.is_empty() {
-        // Read-only transactions validate and commit without publishing.
-        return Ok(meta.seq);
-    }
-    let new_seq = meta.seq + 1;
     // Collapse to last-write-wins per key, preserving first-buffer order.
+    // One lookup per key both validates it (a blind write conflicts only
+    // when someone committed the key after this transaction's snapshot)
+    // and yields the index tag to retire.
     let mut ops: Vec<StoreOp> = Vec::new();
     let mut keys_done: Vec<[u8; KEY_LEN]> = Vec::new();
     for w in &txn.writes {
@@ -225,6 +214,9 @@ pub fn txn_commit<M: MemIo>(
         keys_done.push(w.key);
         let w = txn.own_write(&w.key).expect("key just seen");
         let prior = store.get(io, &primary_key(&w.key)).map_err(|_| TxnError::Io)?;
+        if prior.as_ref().map_or(0, |r| r.wseq) > txn.snapshot {
+            return Err(TxnError::Conflict);
+        }
         let old_tag = prior.as_ref().map(|r| r.tag).filter(|t| *t != [0u8; KEY_LEN]);
         match &w.val {
             Some(v) => {
@@ -250,8 +242,13 @@ pub fn txn_commit<M: MemIo>(
             }
         }
     }
-    store.commit_apply(io, &ops, new_seq)?;
-    Ok(new_seq)
+    let seq = store.meta(io).map_err(|_| TxnError::Io)?.seq;
+    if ops.is_empty() {
+        // Read-only transactions validate and commit without storing.
+        return Ok(seq);
+    }
+    store.commit_apply(io, &ops, seq + 1)?;
+    Ok(seq + 1)
 }
 
 /// Walks the whole store and checks primary ↔ secondary exact
@@ -287,38 +284,7 @@ pub fn check_index_consistency<M: MemIo>(store: &TxnStore, io: &M) -> Result<usi
 mod tests {
     use super::*;
     use crate::store::region_len;
-    use std::cell::RefCell;
-    use treesls_kernel::types::KernelError;
-
-    struct Flat {
-        mem: RefCell<Vec<u8>>,
-    }
-    impl Flat {
-        fn new(len: usize) -> Flat {
-            Flat { mem: RefCell::new(vec![0; len]) }
-        }
-    }
-    impl MemIo for Flat {
-        fn mem_read(&self, addr: u64, buf: &mut [u8]) -> Result<(), KernelError> {
-            let m = self.mem.borrow();
-            buf.copy_from_slice(&m[addr as usize..addr as usize + buf.len()]);
-            Ok(())
-        }
-        fn mem_write(&self, addr: u64, data: &[u8]) -> Result<(), KernelError> {
-            let mut m = self.mem.borrow_mut();
-            m[addr as usize..addr as usize + data.len()].copy_from_slice(data);
-            Ok(())
-        }
-        fn version(&self) -> u64 {
-            0
-        }
-    }
-
-    fn key(i: u64) -> [u8; KEY_LEN] {
-        let mut k = [0u8; KEY_LEN];
-        k[..8].copy_from_slice(&i.to_be_bytes());
-        k
-    }
+    use crate::testio::{key, Flat};
 
     fn setup() -> (Flat, TxnStore) {
         let io = Flat::new(region_len(256) as usize);

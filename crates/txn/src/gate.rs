@@ -2,9 +2,10 @@
 //! which committed sequence is covered by a persistent checkpoint.
 //!
 //! The store itself needs no callback — it lives in checkpointed memory
-//! and every commit is one selector flip, so the checkpoint image is
-//! always transaction-consistent for free. What *does* need host-side
-//! tracking is the durability frontier the §5 oracle checks against:
+//! and a service step never straddles a round's cut, so the checkpoint
+//! image holds all of a commit or none of it, for free. What *does* need
+//! host-side tracking is the durability frontier the §5 oracle checks
+//! against:
 //!
 //! * [`TxnGate::committed_seq`] — the sequence visible on the stable
 //!   root right now (may still be volatile);

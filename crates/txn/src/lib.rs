@@ -7,11 +7,12 @@
 //! a storage engine gets "no committed-then-lost, no visible partial
 //! transaction" without a write-ahead log. This crate is that engine:
 //!
-//! * [`store`] — a copy-on-write B+ tree in checkpointed service memory.
-//!   Primary records and secondary-index entries share one composite-key
-//!   space, so a commit publishes both with a single selector-word flip
-//!   (the only write that changes visible state — the invariant the
-//!   `txn.*` crash sites let fault enumeration verify).
+//! * [`store`] — a B+ tree updated in place in checkpointed service
+//!   memory, storing only the bytes a commit changes. Primary records and
+//!   secondary-index entries share one composite-key space, so one commit
+//!   covers both. Step atomicity (a checkpoint round holds all of a commit
+//!   or none — the invariant the `txn.*` crash sites let fault
+//!   enumeration verify) plus undo on error make it atomic.
 //! * [`engine`] — optimistic concurrency control with
 //!   first-committer-wins validation: begin snapshots the stable
 //!   sequence, reads record per-key version stamps, commit re-validates
@@ -33,6 +34,8 @@ pub mod engine;
 pub mod gate;
 pub mod service;
 pub mod store;
+#[cfg(test)]
+mod testio;
 pub mod wire;
 
 pub use engine::{check_index_consistency, TxnError, TxnState, WriteOp};

@@ -1,34 +1,33 @@
-//! Copy-on-write B+ tree with stable-root / working-root publication.
+//! B+ tree updated in place, in checkpointed service memory.
 //!
 //! The store keeps primary records and secondary-index entries in **one**
-//! ordered tree over composite keys, so a commit that touches both
-//! publishes them with a single root switch. The update discipline is the
-//! stable-root vs working-root split of persistent index structures:
+//! ordered tree over composite keys, so one commit covers both. A commit
+//! edits the tree in place and stores only the bytes that change:
 //!
-//! * the **stable root** is whatever the live meta slot points at — reads
-//!   and conflict validation only ever traverse it;
-//! * a commit builds a **working root** by copy-on-write path duplication
-//!   against the stable root (nodes allocated this commit are mutated in
-//!   place, everything older is copied first);
-//! * publication writes the *inactive* meta slot (root, sequence,
-//!   allocator watermark, free list) and then flips the one-word slot
-//!   selector. The flip is the only write that changes visible state.
+//! * an overwrite stores the part of its leaf entry that differs;
+//! * an insert or delete shifts entries inside its leaf and stores the
+//!   shifted range plus the entry count;
+//! * a split stores the new node, the split node's count and the parent's
+//!   changed key and child slots; a root growth stores the new root.
 //!
-//! Because the store lives in ordinary checkpointed process memory, its
-//! durability point is the checkpoint round, not individual stores: a
-//! checkpoint captures the heap at one instant (the epoch flip), so the
-//! image either holds the old selector (commit invisible, its working
-//! nodes unreachable garbage that the persisted allocator watermark
-//! reclaims) or the new selector (commit fully visible). No instant
-//! between two stores of a commit ever exposes a partial transaction —
-//! that is the invariant the `txn.*` crash sites let the fault
-//! enumeration check.
+//! The header is one `{root, seq, alloc_next}` triple. Only a split
+//! allocates a node (deletes are lazy: leaves may empty out, separators
+//! stay), so nodes come from a bump watermark and are never freed.
 //!
-//! Superseded nodes recycle through two free-stack regions that ping-pong
-//! with the meta slots: a commit consumes entries from the stable free
-//! stack and writes the survivors plus its own supersedures into the
-//! inactive region, so the stable tree's free list is never scribbled on
-//! before the flip.
+//! Two rules make a commit atomic without a log or a second copy:
+//!
+//! * **Step atomicity** covers crashes. The store lives in ordinary
+//!   checkpointed process memory, and a service step never straddles a
+//!   checkpoint round's cut: lockstep rounds run between steps, and the
+//!   epoch flip waits out the steps in flight. A round therefore holds
+//!   all of a commit or none of it, and a crash mid-commit restores the
+//!   round before the commit began. The `txn.*` crash sites let fault
+//!   enumeration check exactly that.
+//! * **Undo on error** covers failed stores. Node capacity is checked
+//!   before the first store, so [`TxnError::Full`] never leaves a partial
+//!   commit. Every store logs the bytes it replaces; if a later store
+//!   fails (NVM exhausted inside a CoW fault, say), the log is replayed in
+//!   reverse and the region ends byte-identical to before the commit.
 
 use treesls_extsync::MemIo;
 use treesls_kernel::types::KernelError;
@@ -36,7 +35,7 @@ use treesls_kernel::types::KernelError;
 use crate::engine::TxnError;
 
 /// Store magic (header word 0).
-pub const MAGIC: u64 = 0x7A17_5713_0001;
+pub const MAGIC: u64 = 0x7A17_5713_0002;
 /// Bytes per tree node (one page).
 pub const NODE_SIZE: u64 = 4096;
 /// Primary / secondary key length on the wire (matches the KV protocol).
@@ -96,19 +95,13 @@ mod off {
     pub const MAGIC: u64 = 0;
     /// Node capacity.
     pub const NODE_CAP: u64 = 8;
-    /// Live meta-slot selector (0 or 1) — the publication word.
-    pub const SEL: u64 = 16;
-    /// Meta slot 0 / 1 base.
-    pub const META: [u64; 2] = [64, 128];
-    /// Meta slot field offsets: root (+0), seq (+8), alloc_next (+16),
-    /// free_len (+24).
-    pub const M_ROOT: u64 = 0;
-    /// Committed sequence number field.
-    pub const M_SEQ: u64 = 8;
-    /// Allocator bump watermark field.
-    pub const M_ALLOC: u64 = 16;
-    /// Free-stack length field.
-    pub const M_FREE: u64 = 24;
+    /// Root handle; the committed sequence and the allocator watermark
+    /// follow it, so one read loads the whole [`super::Meta`].
+    pub const ROOT: u64 = 16;
+    /// Committed sequence number.
+    pub const SEQ: u64 = 24;
+    /// Allocator bump watermark.
+    pub const ALLOC: u64 = 32;
 }
 
 /// One decoded record: composite key, last-writer sequence, index tag,
@@ -126,8 +119,8 @@ pub struct Record {
     pub val: Vec<u8>,
 }
 
-/// One entry being written into the working root: key, writer sequence,
-/// index tag, value.
+/// One entry a commit writes into a leaf: key, writer sequence, index
+/// tag, value.
 struct PutEntry<'a> {
     ckey: &'a CKey,
     wseq: u64,
@@ -167,19 +160,15 @@ impl StoreOp {
     }
 }
 
-/// The stable snapshot a meta slot describes.
+/// The store header: the committed tree and its allocator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Meta {
     /// Root node index + 1 (0 = empty tree).
     pub root: u64,
     /// Committed transaction sequence number.
     pub seq: u64,
-    /// Allocator bump watermark (nodes below it are or were in use).
+    /// Allocator bump watermark (nodes below it are in use).
     pub alloc_next: u64,
-    /// Entries in the live free stack.
-    pub free_len: u64,
-    /// Which meta slot is live.
-    pub sel: u64,
 }
 
 /// Handle to a formatted store region inside one address space.
@@ -191,30 +180,33 @@ pub struct TxnStore {
     pub node_cap: u64,
 }
 
-/// Pages occupied by one free-stack region for `node_cap` nodes.
-fn free_stack_pages(node_cap: u64) -> u64 {
-    (node_cap * 8).div_ceil(4096)
-}
-
-/// Total bytes a store with `node_cap` nodes occupies (header page + two
-/// free-stack regions + the node array).
+/// Total bytes a store with `node_cap` nodes occupies (header page + the
+/// node array).
 pub fn region_len(node_cap: u64) -> u64 {
-    4096 + 2 * free_stack_pages(node_cap) * 4096 + node_cap * NODE_SIZE
+    4096 + node_cap * NODE_SIZE
 }
 
-/// In-memory image of one node, staged for a single whole-node write.
+/// Byte spans of a node a commit stores separately: the header, then the
+/// entry array (leaf) or the key and child arrays (inner).
+const LEAF_SPANS: [(usize, usize); 2] = [(0, 8), (8, NODE_SIZE as usize)];
+const INNER_SPANS: [(usize, usize); 3] =
+    [(0, 8), (8, CHILD_OFF), (CHILD_OFF, NODE_SIZE as usize)];
+
+/// In-memory image of one node. A commit edits a copy and stores only
+/// the bytes that differ from the image it read.
+#[derive(Clone)]
 struct Node {
     buf: Box<[u8; NODE_SIZE as usize]>,
 }
 
 impl Node {
-    fn new_leaf() -> Node {
-        let mut buf = Box::new([0u8; NODE_SIZE as usize]);
-        buf[0] = 1;
-        Node { buf }
-    }
     fn new_inner() -> Node {
         Node { buf: Box::new([0u8; NODE_SIZE as usize]) }
+    }
+    fn new_leaf() -> Node {
+        let mut node = Node::new_inner();
+        node.buf[0] = 1;
+        node
     }
     fn is_leaf(&self) -> bool {
         self.buf[0] == 1
@@ -225,14 +217,17 @@ impl Node {
     fn set_nkeys(&mut self, n: usize) {
         self.buf[2..4].copy_from_slice(&(n as u16).to_le_bytes());
     }
+    fn is_full(&self) -> bool {
+        self.nkeys() >= if self.is_leaf() { LEAF_MAX } else { INNER_MAX }
+    }
 
     // ---- leaf accessors --------------------------------------------------
     fn entry_off(i: usize) -> usize {
         8 + i * ENTRY_LEN
     }
-    fn leaf_key(&self, i: usize) -> CKey {
+    fn leaf_key(&self, i: usize) -> &[u8] {
         let o = Self::entry_off(i);
-        self.buf[o..o + CKEY_LEN].try_into().unwrap()
+        &self.buf[o..o + CKEY_LEN]
     }
     fn leaf_record(&self, i: usize) -> Record {
         let o = Self::entry_off(i);
@@ -243,85 +238,134 @@ impl Node {
         let vlen = u16::from_le_bytes(self.buf[vo..vo + 2].try_into().unwrap()) as usize;
         let vlen = vlen.min(VAL_CAP);
         Record {
-            ckey: self.leaf_key(i),
+            ckey: self.leaf_key(i).try_into().unwrap(),
             wseq,
             tag,
             val: self.buf[vo + 2..vo + 2 + vlen].to_vec(),
         }
     }
-    fn set_leaf_entry(&mut self, i: usize, ckey: &CKey, wseq: u64, tag: &[u8; KEY_LEN], val: &[u8]) {
+    fn set_leaf_entry(&mut self, i: usize, e: &PutEntry<'_>) {
         let o = Self::entry_off(i);
-        self.buf[o..o + CKEY_LEN].copy_from_slice(ckey);
-        self.buf[o + CKEY_LEN..o + CKEY_LEN + 8].copy_from_slice(&wseq.to_le_bytes());
-        self.buf[o + CKEY_LEN + 8..o + CKEY_LEN + 8 + KEY_LEN].copy_from_slice(tag);
+        self.buf[o..o + CKEY_LEN].copy_from_slice(e.ckey);
+        self.buf[o + CKEY_LEN..o + CKEY_LEN + 8].copy_from_slice(&e.wseq.to_le_bytes());
+        self.buf[o + CKEY_LEN + 8..o + CKEY_LEN + 8 + KEY_LEN].copy_from_slice(e.tag);
         let vo = o + CKEY_LEN + 8 + KEY_LEN;
-        self.buf[vo..vo + 2].copy_from_slice(&(val.len() as u16).to_le_bytes());
+        self.buf[vo..vo + 2].copy_from_slice(&(e.val.len() as u16).to_le_bytes());
         self.buf[vo + 2..vo + 2 + VAL_CAP].fill(0);
-        self.buf[vo + 2..vo + 2 + val.len()].copy_from_slice(val);
+        self.buf[vo + 2..vo + 2 + e.val.len()].copy_from_slice(e.val);
     }
-    /// Shifts entries `[i, nkeys)` one slot toward the back (insert gap).
-    fn leaf_open_gap(&mut self, i: usize) {
+    /// The slot `ckey` occupies or would be inserted at, and whether it is
+    /// present.
+    fn leaf_find(&self, ckey: &CKey) -> (usize, bool) {
+        let (mut lo, mut hi) = (0, self.nkeys());
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if self.leaf_key(mid) < &ckey[..] {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        (lo, lo < self.nkeys() && self.leaf_key(lo) == &ckey[..])
+    }
+    /// Inserts `e` at slot `i`, shifting later entries one slot back.
+    fn leaf_insert(&mut self, i: usize, e: &PutEntry<'_>) {
         let n = self.nkeys();
         let src = Self::entry_off(i);
-        let end = Self::entry_off(n);
-        self.buf.copy_within(src..end, src + ENTRY_LEN);
+        self.buf.copy_within(src..Self::entry_off(n), src + ENTRY_LEN);
+        self.set_leaf_entry(i, e);
+        self.set_nkeys(n + 1);
     }
     /// Removes entry `i`, closing the gap.
     fn leaf_remove(&mut self, i: usize) {
         let n = self.nkeys();
-        let src = Self::entry_off(i + 1);
-        let end = Self::entry_off(n);
-        self.buf.copy_within(src..end, Self::entry_off(i));
+        self.buf.copy_within(Self::entry_off(i + 1)..Self::entry_off(n), Self::entry_off(i));
         self.set_nkeys(n - 1);
     }
 
     // ---- inner accessors -------------------------------------------------
+    fn key_off(i: usize) -> usize {
+        8 + i * CKEY_LEN
+    }
+    fn child_off(i: usize) -> usize {
+        CHILD_OFF + i * 8
+    }
     fn inner_key(&self, i: usize) -> CKey {
-        let o = 8 + i * CKEY_LEN;
+        let o = Self::key_off(i);
         self.buf[o..o + CKEY_LEN].try_into().unwrap()
     }
-    fn set_inner_key(&mut self, i: usize, k: &CKey) {
-        let o = 8 + i * CKEY_LEN;
-        self.buf[o..o + CKEY_LEN].copy_from_slice(k);
-    }
     fn child(&self, i: usize) -> u64 {
-        let o = CHILD_OFF + i * 8;
+        let o = Self::child_off(i);
         u64::from_le_bytes(self.buf[o..o + 8].try_into().unwrap())
     }
     fn set_child(&mut self, i: usize, c: u64) {
-        let o = CHILD_OFF + i * 8;
+        let o = Self::child_off(i);
         self.buf[o..o + 8].copy_from_slice(&c.to_le_bytes());
     }
-    /// Child index covering `key`: the first separator greater than `key`
+    /// Child slot covering `key`: the first separator greater than `key`
     /// selects its left child.
     fn route(&self, key: &CKey) -> usize {
-        let n = self.nkeys();
-        for i in 0..n {
-            if *key < self.inner_key(i) {
-                return i;
+        let (mut lo, mut hi) = (0, self.nkeys());
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            let o = Self::key_off(mid);
+            if key[..] < self.buf[o..o + CKEY_LEN] {
+                hi = mid;
+            } else {
+                lo = mid + 1;
             }
         }
-        n
+        lo
+    }
+    /// Inserts separator `sep` at key slot `i` and child `right` at child
+    /// slot `i + 1`, shifting later keys and children one slot back.
+    fn inner_insert(&mut self, i: usize, sep: &CKey, right: u64) {
+        let n = self.nkeys();
+        let k = Self::key_off(i);
+        self.buf.copy_within(k..Self::key_off(n), k + CKEY_LEN);
+        self.buf[k..k + CKEY_LEN].copy_from_slice(sep);
+        let c = Self::child_off(i + 1);
+        self.buf.copy_within(c..Self::child_off(n + 1), c + 8);
+        self.set_child(i + 1, right);
+        self.set_nkeys(n + 1);
+    }
+
+    /// Moves the upper half of this full node into a new node. Returns the
+    /// separator the parent gains and the new right node; this node keeps
+    /// slots `[0, nkeys())`.
+    fn split(&mut self) -> (CKey, Node) {
+        let n = self.nkeys();
+        let mid = n / 2;
+        let (sep, mut right, kept) = if self.is_leaf() {
+            let mut right = Node::new_leaf();
+            let (src, end) = (Self::entry_off(mid), Self::entry_off(n));
+            right.buf[8..8 + end - src].copy_from_slice(&self.buf[src..end]);
+            (self.leaf_key(mid).try_into().unwrap(), right, n - mid)
+        } else {
+            // The middle key moves up; the right node takes the keys and
+            // children after it.
+            let mut right = Node::new_inner();
+            let (src, end) = (Self::key_off(mid + 1), Self::key_off(n));
+            right.buf[8..8 + end - src].copy_from_slice(&self.buf[src..end]);
+            let (src, end) = (Self::child_off(mid + 1), Self::child_off(n + 1));
+            right.buf[CHILD_OFF..CHILD_OFF + end - src].copy_from_slice(&self.buf[src..end]);
+            (self.inner_key(mid), right, n - mid - 1)
+        };
+        right.set_nkeys(kept);
+        self.set_nkeys(mid);
+        (sep, right)
     }
 }
 
 impl TxnStore {
-    fn free_base(&self, region: u64) -> u64 {
-        self.base + 4096 + region * free_stack_pages(self.node_cap) * 4096
-    }
     fn node_base(&self, idx: u64) -> u64 {
-        self.base + 4096 + 2 * free_stack_pages(self.node_cap) * 4096 + idx * NODE_SIZE
+        self.base + 4096 + idx * NODE_SIZE
     }
 
     /// Formats an empty store at `base` with room for `node_cap` nodes.
     pub fn format<M: MemIo>(io: &M, base: u64, node_cap: u64) -> Result<TxnStore, KernelError> {
         io.mem_write_u64(base + off::NODE_CAP, node_cap)?;
-        io.mem_write_u64(base + off::SEL, 0)?;
-        for slot in off::META {
-            for f in [off::M_ROOT, off::M_SEQ, off::M_ALLOC, off::M_FREE] {
-                io.mem_write_u64(base + slot + f, 0)?;
-            }
-        }
+        io.mem_write(base + off::ROOT, &[0u8; 24])?;
         // Magic last, so a half-formatted region never attaches.
         io.mem_write_u64(base + off::MAGIC, MAGIC)?;
         Ok(TxnStore { base, node_cap })
@@ -336,66 +380,58 @@ impl TxnStore {
         Ok(Some(TxnStore { base, node_cap }))
     }
 
-    /// Reads the live meta slot (the stable snapshot).
+    /// Reads the header (the committed snapshot) in one access.
     pub fn meta<M: MemIo>(&self, io: &M) -> Result<Meta, KernelError> {
-        let sel = io.mem_read_u64(self.base + off::SEL)? & 1;
-        let slot = self.base + off::META[sel as usize];
-        Ok(Meta {
-            root: io.mem_read_u64(slot + off::M_ROOT)?,
-            seq: io.mem_read_u64(slot + off::M_SEQ)?,
-            alloc_next: io.mem_read_u64(slot + off::M_ALLOC)?,
-            free_len: io.mem_read_u64(slot + off::M_FREE)?,
-            sel,
-        })
+        let mut b = [0u8; 24];
+        io.mem_read(self.base + off::ROOT, &mut b)?;
+        let word = |i: usize| u64::from_le_bytes(b[i * 8..i * 8 + 8].try_into().unwrap());
+        Ok(Meta { root: word(0), seq: word(1), alloc_next: word(2) })
+    }
+
+    fn root<M: MemIo>(&self, io: &M) -> Result<u64, KernelError> {
+        io.mem_read_u64(self.base + off::ROOT)
     }
 
     fn read_node<M: MemIo>(&self, io: &M, idx: u64) -> Result<Node, KernelError> {
-        let mut buf = Box::new([0u8; NODE_SIZE as usize]);
-        io.mem_read(self.node_base(idx), &mut buf[..])?;
-        Ok(Node { buf })
-    }
-    fn write_node<M: MemIo>(&self, io: &M, idx: u64, node: &Node) -> Result<(), KernelError> {
-        io.mem_write(self.node_base(idx), &node.buf[..])
+        let mut node = Node::new_inner();
+        io.mem_read(self.node_base(idx), &mut node.buf[..])?;
+        Ok(node)
     }
 
-    /// Point lookup against the stable root. Returns `None` when absent.
-    pub fn get<M: MemIo>(&self, io: &M, ckey: &CKey) -> Result<Option<Record>, KernelError> {
-        let meta = self.meta(io)?;
-        self.get_at(io, meta.root, ckey)
-    }
-
-    /// Point lookup against an explicit root (0 = empty).
-    pub fn get_at<M: MemIo>(
+    /// Walks from `root` (non-zero) to the leaf covering `ckey`, pushing
+    /// each inner node and the child slot taken onto `path`.
+    fn descend<M: MemIo>(
         &self,
         io: &M,
         root: u64,
         ckey: &CKey,
-    ) -> Result<Option<Record>, KernelError> {
-        if root == 0 {
-            return Ok(None);
-        }
+        path: &mut Vec<(u64, Node, usize)>,
+    ) -> Result<(u64, Node), KernelError> {
         let mut idx = root - 1;
         loop {
             let node = self.read_node(io, idx)?;
             if node.is_leaf() {
-                let n = node.nkeys();
-                for i in 0..n {
-                    let k = node.leaf_key(i);
-                    if k == *ckey {
-                        return Ok(Some(node.leaf_record(i)));
-                    }
-                    if k > *ckey {
-                        break;
-                    }
-                }
-                return Ok(None);
+                return Ok((idx, node));
             }
-            idx = node.child(node.route(ckey));
+            let slot = node.route(ckey);
+            let child = node.child(slot);
+            path.push((idx, node, slot));
+            idx = child;
         }
     }
 
-    /// In-order range scan `[lo, hi)` against the stable root, stopping
-    /// after `limit` records.
+    /// Point lookup. Returns `None` when absent.
+    pub fn get<M: MemIo>(&self, io: &M, ckey: &CKey) -> Result<Option<Record>, KernelError> {
+        let root = self.root(io)?;
+        if root == 0 {
+            return Ok(None);
+        }
+        let (_, leaf) = self.descend(io, root, ckey, &mut Vec::new())?;
+        let (i, found) = leaf.leaf_find(ckey);
+        Ok(found.then(|| leaf.leaf_record(i)))
+    }
+
+    /// In-order range scan `[lo, hi)`, stopping after `limit` records.
     pub fn scan<M: MemIo>(
         &self,
         io: &M,
@@ -403,10 +439,10 @@ impl TxnStore {
         hi: &CKey,
         limit: usize,
     ) -> Result<Vec<Record>, KernelError> {
-        let meta = self.meta(io)?;
+        let root = self.root(io)?;
         let mut out = Vec::new();
-        if meta.root != 0 && limit > 0 {
-            self.scan_node(io, meta.root - 1, lo, hi, limit, &mut out)?;
+        if root != 0 && limit > 0 {
+            self.scan_node(io, root - 1, lo, hi, limit, &mut out)?;
         }
         Ok(out)
     }
@@ -427,10 +463,10 @@ impl TxnStore {
                     return Ok(());
                 }
                 let k = node.leaf_key(i);
-                if k >= *hi {
+                if k >= &hi[..] {
                     return Ok(());
                 }
-                if k >= *lo {
+                if k >= &lo[..] {
                     out.push(node.leaf_record(i));
                 }
             }
@@ -454,10 +490,12 @@ impl TxnStore {
         Ok(())
     }
 
-    /// Applies one commit's write set by copy-on-write against the stable
-    /// root and publishes it as sequence `new_seq` with a single selector
-    /// flip. Named crash sites fire at the index writes, just before the
-    /// flip, and just after it.
+    /// Applies one commit's write set in place and publishes it as
+    /// sequence `new_seq`. Fails with [`TxnError::Full`] before the first
+    /// store when the nodes left might not cover the commit's splits; any
+    /// other failed store undoes every store before it. Named crash sites
+    /// fire before each index mutation and on either side of the `seq`
+    /// store.
     pub fn commit_apply<M: MemIo>(
         &self,
         io: &M,
@@ -465,337 +503,208 @@ impl TxnStore {
         new_seq: u64,
     ) -> Result<(), TxnError> {
         let meta = self.meta(io).map_err(|_| TxnError::Io)?;
-        let mut alloc = CommitAlloc::load(self, io, &meta)?;
-        let mut root = meta.root;
+        // Every inner node has at least two children, so a tree of
+        // `alloc_next` nodes is at most ⌊log2 alloc_next⌋ + 1 levels high,
+        // and one put allocates at most a node per level plus a new root.
+        let height = u64::from(u64::BITS - meta.alloc_next.leading_zeros());
+        let puts = ops.iter().filter(|op| matches!(op, StoreOp::Put { .. })).count() as u64;
+        if meta.alloc_next + puts * (height + 1) > self.node_cap {
+            return Err(TxnError::Full);
+        }
+        let mut commit =
+            Commit { tree: self, io, root: meta.root, alloc_next: meta.alloc_next, undo: Vec::new() };
+        let res = commit.apply(ops, &meta, new_seq);
+        if res.is_err() {
+            commit.undo();
+        }
+        res
+    }
+}
+
+/// One commit in progress: the header as the commit has changed it so
+/// far, and the bytes every store replaced.
+struct Commit<'a, M: MemIo> {
+    tree: &'a TxnStore,
+    io: &'a M,
+    root: u64,
+    alloc_next: u64,
+    /// `(addr, replaced bytes)` per store, in store order.
+    undo: Vec<(u64, Vec<u8>)>,
+}
+
+impl<M: MemIo> Commit<'_, M> {
+    fn apply(&mut self, ops: &[StoreOp], meta: &Meta, new_seq: u64) -> Result<(), TxnError> {
         for op in ops {
             if op.is_index() {
-                // A secondary-index entry is about to be built into the
-                // working root — a crash here must never surface a primary
-                // write without its index entry (or vice versa).
-                io.crash_hook("txn.index_update");
+                // An index entry is about to change: a crash here must never
+                // surface a primary write without its index entry (or vice
+                // versa).
+                self.io.crash_hook("txn.index_update");
             }
-            root = match op {
+            match op {
                 StoreOp::Put { ckey, tag, val } => {
-                    let entry = PutEntry { ckey, wseq: new_seq, tag, val: val.as_slice() };
-                    self.insert(io, &mut alloc, root, &entry)?
+                    self.put(&PutEntry { ckey, wseq: new_seq, tag, val: val.as_slice() })?
                 }
-                StoreOp::Del { ckey } => self.remove(io, &mut alloc, root, ckey)?,
-            };
+                StoreOp::Del { ckey } => self.del(ckey)?,
+            }
         }
-        // Publish: free stack first, then the inactive meta slot, then the
-        // selector. Before the flip the stable snapshot is untouched.
-        let new_sel = meta.sel ^ 1;
-        let free_base = self.free_base(new_sel);
-        let survivors = alloc.survivors();
-        for (i, idx) in survivors.iter().enumerate() {
-            io.mem_write_u64(free_base + i as u64 * 8, *idx).map_err(|_| TxnError::Io)?;
-        }
-        let slot = self.base + off::META[new_sel as usize];
-        io.mem_write_u64(slot + off::M_ROOT, root).map_err(|_| TxnError::Io)?;
-        io.mem_write_u64(slot + off::M_SEQ, new_seq).map_err(|_| TxnError::Io)?;
-        io.mem_write_u64(slot + off::M_ALLOC, alloc.next).map_err(|_| TxnError::Io)?;
-        io.mem_write_u64(slot + off::M_FREE, survivors.len() as u64).map_err(|_| TxnError::Io)?;
-        io.crash_hook("txn.pre_publish");
-        io.mem_write_u64(self.base + off::SEL, new_sel).map_err(|_| TxnError::Io)?;
-        io.crash_hook("txn.commit_visible");
+        self.store_word(off::ROOT, meta.root, self.root)?;
+        self.store_word(off::ALLOC, meta.alloc_next, self.alloc_next)?;
+        self.io.crash_hook("txn.pre_publish");
+        self.store_word(off::SEQ, meta.seq, new_seq)?;
+        self.io.crash_hook("txn.commit_visible");
         Ok(())
     }
 
-    /// CoW insert of one entry; returns the (possibly new) root handle.
-    fn insert<M: MemIo>(
-        &self,
-        io: &M,
-        alloc: &mut CommitAlloc,
-        root: u64,
-        e: &PutEntry<'_>,
-    ) -> Result<u64, TxnError> {
-        let ckey = e.ckey;
-        if root == 0 {
-            let (idx, mut leaf) = alloc.alloc(Node::new_leaf())?;
-            leaf.set_leaf_entry(0, ckey, e.wseq, e.tag, e.val);
-            leaf.set_nkeys(1);
-            self.write_node(io, idx, &leaf).map_err(|_| TxnError::Io)?;
-            return Ok(idx + 1);
+    /// Stores `new` over `old` at `addr`, logging `old` first so a failed
+    /// store is undone too.
+    fn store(&mut self, addr: u64, old: &[u8], new: &[u8]) -> Result<(), TxnError> {
+        self.undo.push((addr, old.to_vec()));
+        self.io.mem_write(addr, new).map_err(|_| TxnError::Io)
+    }
+
+    fn store_word(&mut self, field: u64, old: u64, new: u64) -> Result<(), TxnError> {
+        if old == new {
+            return Ok(());
         }
-        let mut cur_idx = alloc.cow(self, io, root - 1)?;
-        let new_root;
-        {
-            let cur = alloc.fresh(self, io, cur_idx)?;
-            if (cur.is_leaf() && cur.nkeys() >= LEAF_MAX)
-                || (!cur.is_leaf() && cur.nkeys() >= INNER_MAX)
-            {
-                // Grow a new root above the full old one, then split.
-                let (ridx, mut rootn) = alloc.alloc(Node::new_inner())?;
-                rootn.set_child(0, cur_idx);
-                rootn.set_nkeys(0);
-                self.write_node(io, ridx, &rootn).map_err(|_| TxnError::Io)?;
-                self.split_child(io, alloc, ridx, 0)?;
-                new_root = ridx;
-            } else {
-                new_root = cur_idx;
-            }
-        }
-        cur_idx = new_root;
-        loop {
-            let node = self.read_node(io, cur_idx).map_err(|_| TxnError::Io)?;
-            if node.is_leaf() {
-                let mut node = node;
-                let n = node.nkeys();
-                let mut i = 0;
-                while i < n && node.leaf_key(i) < *ckey {
-                    i += 1;
-                }
-                if i < n && node.leaf_key(i) == *ckey {
-                    node.set_leaf_entry(i, ckey, e.wseq, e.tag, e.val);
-                } else {
-                    node.leaf_open_gap(i);
-                    node.set_leaf_entry(i, ckey, e.wseq, e.tag, e.val);
-                    node.set_nkeys(n + 1);
-                }
-                self.write_node(io, cur_idx, &node).map_err(|_| TxnError::Io)?;
-                return Ok(new_root + 1);
-            }
-            let mut i = node.route(ckey);
-            let child_idx = alloc.cow(self, io, node.child(i))?;
-            if child_idx != node.child(i) {
-                let mut node = node;
-                node.set_child(i, child_idx);
-                self.write_node(io, cur_idx, &node).map_err(|_| TxnError::Io)?;
-            }
-            let child = self.read_node(io, child_idx).map_err(|_| TxnError::Io)?;
-            let full = (child.is_leaf() && child.nkeys() >= LEAF_MAX)
-                || (!child.is_leaf() && child.nkeys() >= INNER_MAX);
-            if full {
-                self.split_child(io, alloc, cur_idx, i)?;
-                let node = self.read_node(io, cur_idx).map_err(|_| TxnError::Io)?;
-                i = node.route(ckey);
-                cur_idx = node.child(i);
-            } else {
-                cur_idx = child_idx;
-            }
+        self.store(self.tree.base + field, &old.to_le_bytes(), &new.to_le_bytes())
+    }
+
+    /// Replays the undo log in reverse. A replayed store can fail only
+    /// where the failed store never landed, so its error is moot.
+    fn undo(self) {
+        for (addr, old) in self.undo.iter().rev() {
+            let _ = self.io.mem_write(*addr, old);
         }
     }
 
-    /// Splits the full (fresh) child `i` of the fresh inner node
-    /// `parent_idx` into two fresh halves.
-    fn split_child<M: MemIo>(
-        &self,
-        io: &M,
-        alloc: &mut CommitAlloc,
-        parent_idx: u64,
-        i: usize,
-    ) -> Result<(), TxnError> {
-        let mut parent = self.read_node(io, parent_idx).map_err(|_| TxnError::Io)?;
-        let child_idx = parent.child(i);
-        let mut child = self.read_node(io, child_idx).map_err(|_| TxnError::Io)?;
-        let (sep, right_idx) = if child.is_leaf() {
-            let n = child.nkeys();
-            let mid = n / 2;
-            let (ridx, mut right) = alloc.alloc(Node::new_leaf())?;
-            for j in mid..n {
-                let r = child.leaf_record(j);
-                right.set_leaf_entry(j - mid, &r.ckey, r.wseq, &r.tag, &r.val);
-            }
-            right.set_nkeys(n - mid);
-            child.set_nkeys(mid);
-            let sep = right.leaf_key(0);
-            self.write_node(io, ridx, &right).map_err(|_| TxnError::Io)?;
-            (sep, ridx)
-        } else {
-            let n = child.nkeys();
-            let mid = n / 2;
-            let (ridx, mut right) = alloc.alloc(Node::new_inner())?;
-            for j in mid + 1..n {
-                right.set_inner_key(j - mid - 1, &child.inner_key(j));
-            }
-            for j in mid + 1..=n {
-                right.set_child(j - mid - 1, child.child(j));
-            }
-            right.set_nkeys(n - mid - 1);
-            let sep = child.inner_key(mid);
-            child.set_nkeys(mid);
-            self.write_node(io, ridx, &right).map_err(|_| TxnError::Io)?;
-            (sep, ridx)
-        };
-        self.write_node(io, child_idx, &child).map_err(|_| TxnError::Io)?;
-        // Insert separator + right child into the parent.
-        let n = parent.nkeys();
-        let mut keys: Vec<CKey> = (0..n).map(|j| parent.inner_key(j)).collect();
-        let mut children: Vec<u64> = (0..=n).map(|j| parent.child(j)).collect();
-        keys.insert(i, sep);
-        children.insert(i + 1, right_idx);
-        for (j, k) in keys.iter().enumerate() {
-            parent.set_inner_key(j, k);
+    /// Stores node `idx` as `after`, given `before`, its bytes in memory:
+    /// per span, from the first to the last byte that differs.
+    fn write_back(&mut self, idx: u64, before: &Node, after: &Node) -> Result<(), TxnError> {
+        let spans: &[(usize, usize)] = if after.is_leaf() { &LEAF_SPANS } else { &INNER_SPANS };
+        for &(start, end) in spans {
+            let (old, new) = (&before.buf[start..end], &after.buf[start..end]);
+            let Some(lo) = old.iter().zip(new).position(|(a, b)| a != b) else { continue };
+            let tail = old.iter().rev().zip(new.iter().rev()).position(|(a, b)| a != b);
+            let hi = old.len() - tail.unwrap_or(0);
+            let addr = self.tree.node_base(idx) + (start + lo) as u64;
+            self.store(addr, &old[lo..hi], &new[lo..hi])?;
         }
-        for (j, c) in children.iter().enumerate() {
-            parent.set_child(j, *c);
-        }
-        parent.set_nkeys(n + 1);
-        self.write_node(io, parent_idx, &parent).map_err(|_| TxnError::Io)
+        Ok(())
     }
 
-    /// CoW delete (lazy: leaves may empty out, separators stay).
-    fn remove<M: MemIo>(
-        &self,
-        io: &M,
-        alloc: &mut CommitAlloc,
-        root: u64,
-        ckey: &CKey,
-    ) -> Result<u64, TxnError> {
-        if root == 0 {
-            return Ok(0);
-        }
-        // Probe first: only CoW the path when the key exists.
-        if self.get_at(io, root, ckey).map_err(|_| TxnError::Io)?.is_none() {
-            return Ok(root);
-        }
-        let new_root = alloc.cow(self, io, root - 1)?;
-        let mut cur_idx = new_root;
-        loop {
-            let node = self.read_node(io, cur_idx).map_err(|_| TxnError::Io)?;
-            if node.is_leaf() {
-                let mut node = node;
-                for i in 0..node.nkeys() {
-                    if node.leaf_key(i) == *ckey {
-                        node.leaf_remove(i);
-                        break;
-                    }
-                }
-                self.write_node(io, cur_idx, &node).map_err(|_| TxnError::Io)?;
-                return Ok(new_root + 1);
-            }
-            let i = node.route(ckey);
-            let child_idx = alloc.cow(self, io, node.child(i))?;
-            if child_idx != node.child(i) {
-                let mut node = node;
-                node.set_child(i, child_idx);
-                self.write_node(io, cur_idx, &node).map_err(|_| TxnError::Io)?;
-            }
-            cur_idx = child_idx;
-        }
-    }
-}
-
-/// Per-commit node allocator: consumes the stable free stack, bump
-/// allocates past the watermark, and remembers which stable nodes this
-/// commit superseded so publication can recycle them.
-struct CommitAlloc {
-    next: u64,
-    node_cap: u64,
-    /// Free-stack entries loaded from the stable region (consumed from
-    /// the back).
-    free: Vec<u64>,
-    /// Stable nodes replaced by fresh copies this commit.
-    freed: Vec<u64>,
-    /// Nodes allocated this commit (mutable in place).
-    fresh: std::collections::HashSet<u64>,
-}
-
-impl CommitAlloc {
-    fn load<M: MemIo>(store: &TxnStore, io: &M, meta: &Meta) -> Result<CommitAlloc, TxnError> {
-        let base = store.free_base(meta.sel);
-        let mut free = Vec::with_capacity(meta.free_len as usize);
-        for i in 0..meta.free_len {
-            free.push(io.mem_read_u64(base + i * 8).map_err(|_| TxnError::Io)?);
-        }
-        Ok(CommitAlloc {
-            next: meta.alloc_next,
-            node_cap: store.node_cap,
-            free,
-            freed: Vec::new(),
-            fresh: std::collections::HashSet::new(),
-        })
-    }
-
-    fn alloc_idx(&mut self) -> Result<u64, TxnError> {
-        if let Some(idx) = self.free.pop() {
-            self.fresh.insert(idx);
-            return Ok(idx);
-        }
-        if self.next >= self.node_cap {
+    /// Takes the next node off the watermark, with its current bytes.
+    fn alloc(&mut self) -> Result<(u64, Node), TxnError> {
+        if self.alloc_next >= self.tree.node_cap {
             return Err(TxnError::Full);
         }
-        let idx = self.next;
-        self.next += 1;
-        self.fresh.insert(idx);
-        Ok(idx)
+        let idx = self.alloc_next;
+        self.alloc_next += 1;
+        Ok((idx, self.tree.read_node(self.io, idx).map_err(|_| TxnError::Io)?))
     }
 
-    fn alloc(&mut self, node: Node) -> Result<(u64, Node), TxnError> {
-        Ok((self.alloc_idx()?, node))
-    }
-
-    /// Returns a mutable-in-place handle for `idx`: itself when the node
-    /// is already fresh this commit, otherwise a fresh copy (the old node
-    /// goes on the supersedure list).
-    fn cow<M: MemIo>(&mut self, store: &TxnStore, io: &M, idx: u64) -> Result<u64, TxnError> {
-        if self.fresh.contains(&idx) {
-            return Ok(idx);
+    /// Applies `edit` at slot `pos` of node `idx` (memory image `before`),
+    /// splitting the node first when it is full. Returns the separator and
+    /// new node the parent gains from a split.
+    fn insert_at(
+        &mut self,
+        idx: u64,
+        before: &Node,
+        pos: usize,
+        edit: &dyn Fn(&mut Node, usize),
+    ) -> Result<Option<(CKey, u64)>, TxnError> {
+        let mut left = before.clone();
+        if !before.is_full() {
+            edit(&mut left, pos);
+            return self.write_back(idx, before, &left).map(|()| None);
         }
-        let node = store.read_node(io, idx).map_err(|_| TxnError::Io)?;
-        let new_idx = self.alloc_idx()?;
-        store.write_node(io, new_idx, &node).map_err(|_| TxnError::Io)?;
-        self.freed.push(idx);
-        Ok(new_idx)
+        let (ridx, rbefore) = self.alloc()?;
+        let (sep, mut right) = left.split();
+        // The right node's first slot held slot `mid` of a leaf, but slot
+        // `mid + 1` of an inner node (the middle key moved up).
+        let mid = left.nkeys();
+        if pos <= mid {
+            edit(&mut left, pos);
+        } else {
+            edit(&mut right, pos - mid - usize::from(!left.is_leaf()));
+        }
+        self.write_back(ridx, &rbefore, &right)?;
+        self.write_back(idx, before, &left)?;
+        Ok(Some((sep, ridx)))
     }
 
-    fn fresh<M: MemIo>(&self, store: &TxnStore, io: &M, idx: u64) -> Result<Node, TxnError> {
-        store.read_node(io, idx).map_err(|_| TxnError::Io)
+    fn put(&mut self, e: &PutEntry<'_>) -> Result<(), TxnError> {
+        if self.root == 0 {
+            let (idx, before) = self.alloc()?;
+            let mut leaf = Node::new_leaf();
+            leaf.leaf_insert(0, e);
+            self.root = idx + 1;
+            return self.write_back(idx, &before, &leaf);
+        }
+        let mut path = Vec::new();
+        let (idx, leaf) =
+            self.tree.descend(self.io, self.root, e.ckey, &mut path).map_err(|_| TxnError::Io)?;
+        let (pos, found) = leaf.leaf_find(e.ckey);
+        if found {
+            let mut after = leaf.clone();
+            after.set_leaf_entry(pos, e);
+            return self.write_back(idx, &leaf, &after);
+        }
+        // Insert bottom-up: each split hands a separator to the parent.
+        let mut carry = self.insert_at(idx, &leaf, pos, &|n, i| n.leaf_insert(i, e))?;
+        let mut left = idx;
+        while let Some((sep, right)) = carry {
+            let Some((pidx, parent, slot)) = path.pop() else {
+                // The root split: grow a new root above both halves.
+                let (top, before) = self.alloc()?;
+                let mut node = Node::new_inner();
+                node.set_child(0, left);
+                node.inner_insert(0, &sep, right);
+                self.root = top + 1;
+                return self.write_back(top, &before, &node);
+            };
+            carry = self.insert_at(pidx, &parent, slot, &|n, i| n.inner_insert(i, &sep, right))?;
+            left = pidx;
+        }
+        Ok(())
     }
 
-    /// The next snapshot's free stack: unconsumed stable entries plus
-    /// everything this commit superseded.
-    fn survivors(&self) -> Vec<u64> {
-        let mut v = self.free.clone();
-        v.extend_from_slice(&self.freed);
-        v
+    /// Lazy delete: leaves may empty out, separators stay.
+    fn del(&mut self, ckey: &CKey) -> Result<(), TxnError> {
+        if self.root == 0 {
+            return Ok(());
+        }
+        let (idx, leaf) =
+            self.tree.descend(self.io, self.root, ckey, &mut Vec::new()).map_err(|_| TxnError::Io)?;
+        let (pos, found) = leaf.leaf_find(ckey);
+        if !found {
+            return Ok(());
+        }
+        let mut after = leaf.clone();
+        after.leaf_remove(pos);
+        self.write_back(idx, &leaf, &after)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::RefCell;
-
-    /// Flat-memory MemIo for unit tests.
-    struct Flat {
-        mem: RefCell<Vec<u8>>,
-    }
-    impl Flat {
-        fn new(len: usize) -> Flat {
-            Flat { mem: RefCell::new(vec![0; len]) }
-        }
-    }
-    impl MemIo for Flat {
-        fn mem_read(&self, addr: u64, buf: &mut [u8]) -> Result<(), KernelError> {
-            let m = self.mem.borrow();
-            buf.copy_from_slice(&m[addr as usize..addr as usize + buf.len()]);
-            Ok(())
-        }
-        fn mem_write(&self, addr: u64, data: &[u8]) -> Result<(), KernelError> {
-            let mut m = self.mem.borrow_mut();
-            m[addr as usize..addr as usize + data.len()].copy_from_slice(data);
-            Ok(())
-        }
-        fn version(&self) -> u64 {
-            0
-        }
-    }
-
-    fn key(i: u64) -> [u8; KEY_LEN] {
-        let mut k = [0u8; KEY_LEN];
-        k[..8].copy_from_slice(&i.to_be_bytes());
-        k
-    }
+    use crate::engine::{check_index_consistency, txn_commit, TxnState, WriteOp};
+    use crate::testio::{key, Flat};
 
     fn put(i: u64, tag: u64, v: u64) -> StoreOp {
         StoreOp::Put { ckey: primary_key(&key(i)), tag: key(tag), val: v.to_le_bytes().to_vec() }
     }
 
+    fn store(node_cap: u64) -> (Flat, TxnStore) {
+        let io = Flat::new(region_len(node_cap) as usize);
+        let s = TxnStore::format(&io, 0, node_cap).unwrap();
+        (io, s)
+    }
+
     #[test]
     fn put_get_roundtrip_and_seq() {
-        let io = Flat::new(region_len(64) as usize);
-        let s = TxnStore::format(&io, 0, 64).unwrap();
+        let (io, s) = store(64);
         s.commit_apply(&io, &[put(1, 0, 10), put(2, 0, 20)], 1).unwrap();
         let r = s.get(&io, &primary_key(&key(1))).unwrap().unwrap();
         assert_eq!(r.val, 10u64.to_le_bytes().to_vec());
@@ -806,8 +715,7 @@ mod tests {
 
     #[test]
     fn overwrite_updates_wseq_and_value() {
-        let io = Flat::new(region_len(64) as usize);
-        let s = TxnStore::format(&io, 0, 64).unwrap();
+        let (io, s) = store(64);
         s.commit_apply(&io, &[put(7, 0, 1)], 1).unwrap();
         s.commit_apply(&io, &[put(7, 0, 2)], 2).unwrap();
         let r = s.get(&io, &primary_key(&key(7))).unwrap().unwrap();
@@ -817,8 +725,7 @@ mod tests {
 
     #[test]
     fn delete_removes_and_survives_absent_delete() {
-        let io = Flat::new(region_len(64) as usize);
-        let s = TxnStore::format(&io, 0, 64).unwrap();
+        let (io, s) = store(64);
         s.commit_apply(&io, &[put(1, 0, 1), put(2, 0, 2)], 1).unwrap();
         s.commit_apply(&io, &[StoreOp::Del { ckey: primary_key(&key(1)) }], 2).unwrap();
         assert!(s.get(&io, &primary_key(&key(1))).unwrap().is_none());
@@ -830,8 +737,7 @@ mod tests {
 
     #[test]
     fn scan_is_ordered_and_bounded() {
-        let io = Flat::new(region_len(256) as usize);
-        let s = TxnStore::format(&io, 0, 256).unwrap();
+        let (io, s) = store(256);
         let ops: Vec<StoreOp> = (0..100).rev().map(|i| put(i, 0, i)).collect();
         s.commit_apply(&io, &ops, 1).unwrap();
         let (lo, hi) = space_range(SPACE_PRIMARY);
@@ -847,43 +753,30 @@ mod tests {
     }
 
     #[test]
-    fn many_commits_recycle_nodes() {
-        // Node churn across many small commits must stay within a modest
-        // cap: supersedures recycle through the free stacks.
-        let io = Flat::new(region_len(128) as usize);
-        let s = TxnStore::format(&io, 0, 128).unwrap();
-        for seq in 1..=500u64 {
-            s.commit_apply(&io, &[put(seq % 40, 0, seq)], seq).unwrap();
-        }
-        let meta = s.meta(&io).unwrap();
-        assert_eq!(meta.seq, 500);
-        assert!(meta.alloc_next <= 128, "alloc watermark {} escaped", meta.alloc_next);
-        for i in 0..40u64 {
-            assert!(s.get(&io, &primary_key(&key(i))).unwrap().is_some());
-        }
-    }
-
-    #[test]
     fn splits_preserve_every_key() {
-        let io = Flat::new(region_len(512) as usize);
-        let s = TxnStore::format(&io, 0, 512).unwrap();
-        for seq in 1..=300u64 {
-            s.commit_apply(&io, &[put(seq * 7919 % 1000, 0, seq)], seq).unwrap();
-        }
+        let (io, s) = store(512);
         let mut expect: std::collections::BTreeMap<u64, u64> = Default::default();
-        for seq in 1..=300u64 {
-            expect.insert(seq * 7919 % 1000, seq);
+        for seq in 1..=3000u64 {
+            let k = seq * 7919 % 5000;
+            s.commit_apply(&io, &[put(k, 0, seq)], seq).unwrap();
+            expect.insert(k, seq);
         }
-        for (k, v) in expect {
-            let r = s.get(&io, &primary_key(&key(k))).unwrap().unwrap();
+        // 3000 random-order inserts into 33-entry leaves split inner
+        // nodes too, not only leaves.
+        assert!(s.meta(&io).unwrap().alloc_next > INNER_MAX as u64 + 2);
+        for (k, v) in &expect {
+            let r = s.get(&io, &primary_key(&key(*k))).unwrap().unwrap();
             assert_eq!(r.val, v.to_le_bytes().to_vec(), "key {k}");
         }
+        let (lo, hi) = space_range(SPACE_PRIMARY);
+        let all = s.scan(&io, &lo, &hi, usize::MAX).unwrap();
+        let keys: Vec<CKey> = expect.keys().map(|k| primary_key(&key(*k))).collect();
+        assert_eq!(all.iter().map(|r| r.ckey).collect::<Vec<_>>(), keys);
     }
 
     #[test]
     fn index_entries_share_the_commit() {
-        let io = Flat::new(region_len(128) as usize);
-        let s = TxnStore::format(&io, 0, 128).unwrap();
+        let (io, s) = store(128);
         let k = key(1);
         let tag = key(77);
         let ops = vec![
@@ -900,25 +793,105 @@ mod tests {
         assert_eq!(hits.len(), 1);
     }
 
-    #[test]
-    fn full_store_reports_full_not_corrupt() {
-        let io = Flat::new(region_len(2) as usize);
-        let s = TxnStore::format(&io, 0, 2).unwrap();
-        s.commit_apply(&io, &[put(1, 0, 1)], 1).unwrap();
-        // Capacity 2 cannot CoW a leaf and grow: expect Full, and the
-        // stable snapshot must be unaffected.
-        let mut seq = 2;
-        let mut err = None;
-        for i in 2..40u64 {
-            match s.commit_apply(&io, &[put(i, 0, i)], seq) {
-                Ok(()) => seq += 1,
-                Err(e) => {
-                    err = Some(e);
-                    break;
+    /// Commits `writes` as one auto-commit transaction.
+    fn commit(s: &TxnStore, io: &Flat, writes: &[WriteOp]) -> Result<u64, TxnError> {
+        let mut t = TxnState::new(u64::MAX);
+        t.writes = writes.to_vec();
+        txn_commit(s, io, &t)
+    }
+
+    fn tagged(i: u64, tag: u64, v: u64) -> WriteOp {
+        WriteOp { key: key(i), tag: key(tag), val: Some(v.to_le_bytes().to_vec()) }
+    }
+
+    /// A store whose next ascending insert splits a full leaf, splits the
+    /// full inner root and grows a new root above it. Key 0 carries tag 5,
+    /// keys `1..n` are untagged.
+    fn store_on_the_verge_of_growing() -> (Flat, TxnStore, u64) {
+        let (io, s) = store(512);
+        commit(&s, &io, &[tagged(0, 5, 0)]).unwrap();
+        let mut n = 1;
+        loop {
+            let root = s.read_node(&io, s.meta(&io).unwrap().root - 1).unwrap();
+            if !root.is_leaf() && root.is_full() {
+                // Ascending primary keys land in the rightmost leaf, just
+                // before key 0's index entry.
+                let last = s.read_node(&io, root.child(root.nkeys())).unwrap();
+                if last.is_full() {
+                    return (io, s, n);
                 }
             }
+            commit(&s, &io, &[WriteOp { key: key(n), tag: [0; KEY_LEN], val: Some(vec![1]) }])
+                .unwrap();
+            n += 1;
         }
-        assert_eq!(err, Some(TxnError::Full));
-        assert!(s.get(&io, &primary_key(&key(1))).unwrap().is_some());
+    }
+
+    /// Fails every store of every kind of commit in turn: each failure
+    /// must leave the region byte-identical and the index consistent.
+    #[test]
+    fn a_failed_store_leaves_the_region_byte_identical() {
+        let (io, s, n) = store_on_the_verge_of_growing();
+        let cases: [(&str, Vec<WriteOp>); 4] = [
+            ("overwrite", vec![tagged(0, 5, 99)]),
+            ("retag", vec![tagged(0, 6, 99)]),
+            ("split+grow", vec![tagged(n, 3, 1)]),
+            ("delete", vec![WriteOp { key: key(0), tag: [0; KEY_LEN], val: None }]),
+        ];
+        for (name, writes) in cases {
+            let dry = io.clone();
+            dry.stores.set(0);
+            commit(&s, &dry, &writes).unwrap();
+            let stores = dry.stores.get();
+            eprintln!("txn {name}: {stores} stores, {} B", dry.bytes.get() - io.bytes.get());
+            if name == "split+grow" {
+                let grown = s.meta(&dry).unwrap().alloc_next - s.meta(&io).unwrap().alloc_next;
+                assert_eq!(grown, 3, "leaf split, root split and a new root");
+            }
+            for k in 0..stores {
+                let run = io.clone();
+                run.stores.set(0);
+                run.fail_at.set(k);
+                assert_eq!(commit(&s, &run, &writes), Err(TxnError::Io), "{name}: store {k}");
+                assert!(*run.mem.borrow() == *io.mem.borrow(), "{name}: store {k} left bytes");
+                check_index_consistency(&s, &run).unwrap();
+            }
+        }
+    }
+
+    /// A commit whose overwrite would store before its insert runs out of
+    /// nodes must fail before the overwrite, not undo it afterwards.
+    #[test]
+    fn full_store_reports_full_before_any_store() {
+        let (io, s, n) = store_on_the_verge_of_growing();
+        let writes = [tagged(0, 5, 99), tagged(n, 0, 1)];
+        // One node short of the split, the root split and the new root.
+        let short = TxnStore { node_cap: s.meta(&io).unwrap().alloc_next + 2, ..s };
+        let run = io.clone();
+        assert_eq!(commit(&short, &run, &writes), Err(TxnError::Full));
+        assert_eq!(run.stores.get(), io.stores.get(), "Full after a store");
+        commit(&s, &run, &writes).unwrap();
+        assert_eq!(check_index_consistency(&s, &run), Ok(n as usize + 1));
+    }
+
+    /// The write-cost guard: an overwrite stores the entry bytes that
+    /// changed, not nodes, and never allocates.
+    #[test]
+    fn overwrite_commits_store_bytes_not_nodes() {
+        let (io, s) = store(128);
+        for i in 0..40 {
+            commit(&s, &io, &[tagged(i, i % 5, i)]).unwrap();
+        }
+        let alloc_next = s.meta(&io).unwrap().alloc_next;
+        let bytes = io.bytes.get();
+        commit(&s, &io, &[tagged(7, 7 % 5, 1000)]).unwrap();
+        let one = io.bytes.get() - bytes;
+        eprintln!("txn tagged overwrite commit: {one} B");
+        assert!(one <= 256, "a tagged overwrite commit stored {one} B");
+        for seq in 0..500u64 {
+            commit(&s, &io, &[tagged(seq % 40, seq % 40 % 5, seq)]).unwrap();
+        }
+        assert_eq!(s.meta(&io).unwrap().alloc_next, alloc_next);
+        assert_eq!(check_index_consistency(&s, &io), Ok(40));
     }
 }

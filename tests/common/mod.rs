@@ -402,7 +402,7 @@ impl CrashScenario for KvRingScenario {
 // ---------------------------------------------------------------------------
 
 /// Tree-node capacity of the scenario's store (small enough that one
-/// enumeration run stays fast, big enough for CoW churn and splits).
+/// enumeration run stays fast, big enough for leaf and root splits).
 pub const TXN_NODE_CAP: u64 = 64;
 
 /// 16-byte primary key `i`.

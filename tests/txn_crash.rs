@@ -1,11 +1,12 @@
 //! Crash consistency for multi-key transactions (the `treesls-txn`
 //! subsystem).
 //!
-//! The transactional store lives in checkpointed process memory, so its
-//! whole crash story reduces to one claim: a checkpoint image is always
-//! transaction-consistent, because a commit becomes visible through a
-//! single selector flip. These tests attack the claim from every angle
-//! the harness has:
+//! The transactional store lives in checkpointed process memory and is
+//! updated in place, so its whole crash story reduces to one claim: a
+//! checkpoint image is always transaction-consistent, because a service
+//! step never straddles a round's cut — a round holds all of a commit or
+//! none of it. These tests attack the claim from every angle the harness
+//! has:
 //!
 //! * clean-crash enumeration at every NVM write of a transactional
 //!   workload (begin / buffered writes / commit with secondary-index
@@ -56,9 +57,8 @@ fn txn_commit_survives_crash_at_every_site() {
     assert!(!report.sites.is_empty(), "workload hit no crash sites");
     let names: std::collections::HashSet<_> = report.sites.iter().map(|s| s.name).collect();
     // The commit pipeline's own cuts must be on the schedule: each index
-    // mutation built into the working root, the instant after the
-    // inactive meta slot is staged, and the instant after the selector
-    // flip makes the commit visible.
+    // mutation, the instant before the `seq` store, and the instant after
+    // it makes the commit visible.
     assert!(names.contains("txn.index_update"), "sites: {names:?}");
     assert!(names.contains("txn.pre_publish"), "sites: {names:?}");
     assert!(names.contains("txn.commit_visible"), "sites: {names:?}");
@@ -133,8 +133,8 @@ fn txn_site_crash_heals_with_full_walk() {
         );
 
         // Power failure mid-commit. Recovery must roll back to the
-        // baseline round — the uncommitted working root is unreachable
-        // garbage the persisted allocator watermark reclaims.
+        // baseline round: the commit's in-place stores landed after that
+        // round's cut, so the restored image holds none of them.
         let image = sys.crash();
         let (mut sys2, report) =
             System::recover(image, scenario.config(), |r| scenario.programs(r))
