@@ -71,11 +71,6 @@ impl LsmConfig {
     fn entry_size(&self) -> u64 {
         16 + self.val_cap.div_ceil(8) * 8
     }
-
-    /// Bytes required for the memtable region.
-    pub fn memtable_len(&self) -> u64 {
-        16 + self.memtable_cap * self.entry_size()
-    }
 }
 
 const RUNS_TABLE_OFF: u64 = 16;
@@ -331,11 +326,6 @@ impl Lsm {
             self.append_run(io, &entries)?;
         }
         Ok(())
-    }
-
-    /// Entries currently buffered in the memtable.
-    pub fn memtable_len<M: MemIo>(&self, io: &M) -> Result<u64, LsmError> {
-        Ok(io.mem_read_u64(self.cfg.memtable_base)?)
     }
 
     /// Number of resident runs.

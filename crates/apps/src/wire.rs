@@ -120,7 +120,7 @@ impl<'a> KvOpRef<'a> {
 
 /// Zero-copy response encoding: status/value frames are appended to a
 /// reusable output buffer instead of allocating a `Vec` per response.
-/// The byte format is identical to [`KvResp::encode`].
+/// [`KvResp::encode`] is built from these writers.
 pub mod resp {
     use super::{ST_ERROR, ST_MISS, ST_OK, ST_OK_VALUE};
 
@@ -208,27 +208,7 @@ impl KvOp {
 
     /// Parses an operation; `None` on malformed input.
     pub fn decode(data: &[u8]) -> Option<KvOp> {
-        let (&op, rest) = data.split_first()?;
-        if rest.len() < KEY_LEN {
-            return None;
-        }
-        let key: [u8; KEY_LEN] = rest[..KEY_LEN].try_into().ok()?;
-        match op {
-            OP_GET => Some(KvOp::Get { key }),
-            OP_DEL => Some(KvOp::Del { key }),
-            OP_SET => {
-                let rest = &rest[KEY_LEN..];
-                if rest.len() < 4 {
-                    return None;
-                }
-                let len = u32::from_le_bytes(rest[..4].try_into().ok()?) as usize;
-                if rest.len() < 4 + len {
-                    return None;
-                }
-                Some(KvOp::Set { key, value: rest[4..4 + len].to_vec() })
-            }
-            _ => None,
-        }
+        KvOpRef::decode(data).map(|r| r.to_owned())
     }
 
     /// Returns `true` for operations that mutate the store.
@@ -238,20 +218,16 @@ impl KvOp {
 }
 
 impl KvResp {
-    /// Serializes the response.
+    /// Serializes the response (the [`resp`] writers' bytes).
     pub fn encode(&self) -> Vec<u8> {
+        let mut b = Vec::new();
         match self {
-            KvResp::Ok(None) => vec![ST_OK],
-            KvResp::Ok(Some(v)) => {
-                let mut b = Vec::with_capacity(5 + v.len());
-                b.push(ST_OK_VALUE);
-                b.extend_from_slice(&(v.len() as u32).to_le_bytes());
-                b.extend_from_slice(v);
-                b
-            }
-            KvResp::Miss => vec![ST_MISS],
-            KvResp::Error => vec![ST_ERROR],
+            KvResp::Ok(None) => resp::ok_into(&mut b),
+            KvResp::Ok(Some(v)) => resp::value_into(&mut b, v),
+            KvResp::Miss => resp::miss_into(&mut b),
+            KvResp::Error => resp::error_into(&mut b),
         }
+        b
     }
 
     /// Parses a response; `None` on malformed input.

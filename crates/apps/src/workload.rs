@@ -22,7 +22,6 @@ pub struct Zipfian {
     alpha: f64,
     zetan: f64,
     eta: f64,
-    zeta2: f64,
 }
 
 impl Zipfian {
@@ -40,7 +39,6 @@ impl Zipfian {
             alpha: 1.0 / (1.0 - theta),
             zetan,
             eta: (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta2 / zetan),
-            zeta2,
         }
     }
 
@@ -74,12 +72,6 @@ impl Zipfian {
     /// The population size.
     pub fn n(&self) -> u64 {
         self.n
-    }
-
-    /// Unused fields kept for fidelity with the YCSB formulas.
-    #[doc(hidden)]
-    pub fn debug_constants(&self) -> (f64, f64) {
-        (self.zeta2, self.theta)
     }
 }
 

@@ -459,11 +459,4 @@ impl BenchSystem {
         self.sys.stop();
         elapsed
     }
-
-    /// Starts the system and lets it run for `d` without joining workers.
-    pub fn run_for(&mut self, d: Duration) {
-        self.sys.start();
-        std::thread::sleep(d);
-        self.sys.stop();
-    }
 }

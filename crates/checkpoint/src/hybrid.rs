@@ -1,8 +1,10 @@
 //! Hybrid copy: hot-page DRAM migration and speculative stop-and-copy
 //! (§4.3 of the paper).
 //!
-//! During the stop-the-world pause, cores other than the leader traverse
-//! sub-lists of the *dual-function active page list*:
+//! Each round's page batch ([`HybridWork`]) traverses the *dual-function
+//! active page list*. Under stop-the-world the parked non-leader cores
+//! share it with the leader, which joins it after copying the capability
+//! tree; under the epoch flip the leader runs it alone after the flip:
 //!
 //! * dirty DRAM-cached pages are **stop-and-copied** into the non-keeper
 //!   NVM backup slot and tagged with the in-flight version
@@ -37,7 +39,7 @@ pub struct RoundCounters {
     pub busy_ns: AtomicU64,
 }
 
-/// Builds the stop-the-world hybrid-copy batch from the active page list.
+/// Builds the round's hybrid-copy batch from the active page list.
 ///
 /// The page items are *taken* from the tracker by pointer swap — O(1), no
 /// allocation proportional to the list inside the pause — and given back
@@ -45,9 +47,7 @@ pub struct RoundCounters {
 /// and the pause land in the tracker's fresh list and are merged back at
 /// compaction (their `on_active_list` flag keeps them deduplicated).
 ///
-/// Always returns a batch (possibly with zero page items) so the
-/// checkpoint leader can offload tree work to the quiesced cores even when
-/// hybrid copy is disabled.
+/// With hybrid copy disabled the batch is empty.
 pub fn build_work(
     kernel: &Arc<Kernel>,
     inflight: u64,
@@ -59,7 +59,7 @@ pub fn build_work(
         Vec::new()
     };
     let k = Arc::clone(kernel);
-    HybridWork::with_offload(items, move |slot| {
+    HybridWork::new(items, move |slot| {
         process_slot(&k, slot, inflight, &counters);
     })
 }
@@ -204,28 +204,12 @@ pub fn mark_readonly(kernel: &Kernel) -> usize {
 /// Compacts the active page list, dropping evicted entries, and returns
 /// the number of pages currently DRAM-cached (Table 4 "# of cached pages").
 ///
-/// When the round had a [`HybridWork`] batch, its taken items are the
-/// authoritative list: they are compacted with a *single* meta lock per
-/// slot (retain + cached-count folded into one pass), merged with any
-/// entries CoW faults appended to the tracker meanwhile, and the vector is
-/// swapped back into the tracker so its capacity is reused next round.
-pub fn compact_active_list(kernel: &Kernel, work: Option<&Arc<HybridWork>>) -> usize {
-    let Some(work) = work else {
-        let mut list = kernel.tracker.active_list.lock();
-        let mut cached = 0;
-        list.retain(|s| {
-            let meta = s.meta.lock();
-            if meta.on_active_list {
-                if meta.is_migrated() {
-                    cached += 1;
-                }
-                true
-            } else {
-                false
-            }
-        });
-        return cached;
-    };
+/// The round's [`HybridWork`] batch holds the taken active list: it is
+/// compacted with a *single* meta lock per slot (retain + cached-count
+/// folded into one pass), merged with any entries CoW faults appended to
+/// the tracker meanwhile, and the vector is swapped back into the tracker
+/// so its capacity is reused next round.
+pub fn compact_active_list(kernel: &Kernel, work: &HybridWork) -> usize {
     let mut items = work.take_items();
     let mut cached = 0;
     items.retain(|s| {

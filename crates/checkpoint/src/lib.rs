@@ -250,8 +250,7 @@ impl CheckpointManager {
         let t_pause = Instant::now();
         let flip = !kernel.config.force_full_quiesce;
         // ❶ Full quiesce parks every core; they start pulling hybrid-copy
-        // items (❸) and keep polling the batch's aux queue for offloaded
-        // tree work. The epoch flip parks nobody and does not hand the
+        // items (❸). The epoch flip parks nobody and does not hand the
         // batch out: the leader runs it itself after the flip,
         // concurrently with the running cores.
         let ipi = self.stw.stop_world((!flip).then(|| Arc::clone(&work)), kernel);
@@ -334,7 +333,7 @@ impl CheckpointManager {
         };
 
         let t_conc = Instant::now();
-        let tree = tree::checkpoint_tree(kernel, inflight, Some(&work), cut);
+        let tree = tree::checkpoint_tree(kernel, inflight, cut);
         let cap_tree = t_conc.elapsed();
         treesls_nvm::crash_site!(sched, "ckpt.tree_copied");
 
@@ -344,14 +343,7 @@ impl CheckpointManager {
         // `fault.rs` have already preserved any page a mutator touched
         // first).
         let t_hyb = Instant::now();
-        if flip {
-            work.run_available();
-            while !work.is_done() {
-                std::thread::yield_now();
-            }
-        } else {
-            self.stw.finish_hybrid_work();
-        }
+        work.join();
         let hybrid_wait = t_hyb.elapsed();
         treesls_nvm::crash_site!(sched, "ckpt.hybrid_drained");
         counters.busy_ns.store(work.busy_ns(), Ordering::Relaxed);
@@ -423,7 +415,7 @@ impl CheckpointManager {
                 } else {
                     self.stw.resume_world();
                 }
-                hybrid::compact_active_list(kernel, Some(&work));
+                hybrid::compact_active_list(kernel, &work);
                 return Err(e);
             }
         };
@@ -442,7 +434,7 @@ impl CheckpointManager {
         // in-line logs stay, they are the pages' durable images.
         let _ = kernel.fold_epoch_captures();
         let _ = tree::sweep_deleted(kernel, inflight);
-        let cached = hybrid::compact_active_list(kernel, Some(&work));
+        let cached = hybrid::compact_active_list(kernel, &work);
         let others = t_others.elapsed();
         treesls_nvm::crash_site!(sched, "ckpt.post_sweep");
 
@@ -482,7 +474,6 @@ impl CheckpointManager {
             outcome.full_walk,
             outcome.dirty_drained as u64,
             outcome.copied as u64,
-            outcome.offloaded as u64,
             outcome.tombstoned as u64,
         );
         kernel.metrics.set_ckpt_gauges(
@@ -497,7 +488,7 @@ impl CheckpointManager {
                 u64::from(outcome.full_walk),
                 outcome.dirty_drained as u64,
                 outcome.copied as u64,
-                outcome.offloaded as u64,
+                0,
                 outcome.tombstoned as u64,
             ],
         );
@@ -577,7 +568,7 @@ impl CheckpointManager {
         // never-valid in-flight tags: restore must ignore them, and a
         // subsequent `checkpoint` folds them down before re-arming.
         self.kernel.fence.disarm();
-        hybrid::compact_active_list(&self.kernel, Some(&round.work));
+        hybrid::compact_active_list(&self.kernel, &round.work);
         if round.flip_pause.is_none() {
             self.stw.resume_world();
         }

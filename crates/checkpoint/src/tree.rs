@@ -10,8 +10,8 @@
 //!   per-ORoot incoming-reference count ([`ORoot::inrefs`]); ORoots whose
 //!   count drains to zero are tombstoned (O(deletions) cascade), and swept
 //!   after commit from an explicit pending list instead of a whole-table
-//!   filter. Independent backup-record builds are offloaded to the already
-//!   quiesced non-leader cores through the [`HybridWork`] aux queue.
+//!   filter. The leader builds every record itself; the other cores only
+//!   ever share the round's page batch (hybrid copy, `hybrid.rs`).
 //! * **Full walk**: the original reachability traversal from the root cap
 //!   group. It remains the differential oracle for the dirty walk, the
 //!   cycle collector (reference cycles never drain their counts; the
@@ -32,9 +32,6 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
-
-use treesls_kernel::cores::HybridWork;
 use treesls_kernel::dirty::DirtyCut;
 use treesls_kernel::object::{KObject, ObjType, ObjectBody};
 use treesls_kernel::oroot::{
@@ -45,12 +42,6 @@ use treesls_kernel::thread::{BlockedOn, ThreadState};
 use treesls_kernel::types::{BackupId, KernelError, ObjId, OrootId};
 use treesls_kernel::Kernel;
 use treesls_nvm::ShardedStore;
-
-/// Minimum non-PMO dirty batch size worth offloading to quiesced cores
-/// (below this the chunking overhead exceeds the build cost).
-const OFFLOAD_MIN: usize = 32;
-/// Objects per offloaded build chunk.
-const OFFLOAD_CHUNK: usize = 16;
 
 /// Result of one capability-tree checkpoint.
 #[derive(Debug, Default)]
@@ -68,8 +59,6 @@ pub struct TreeOutcome {
     pub full_walk: bool,
     /// Dirty-queue entries drained this round (before dedup).
     pub dirty_drained: usize,
-    /// Backup-record builds executed through the aux queue.
-    pub offloaded: usize,
     /// ORoots tombstoned this round.
     pub tombstoned: usize,
     /// ORoots whose backup record was (re)written this round — the
@@ -423,14 +412,10 @@ fn sync_pmo(
 /// Must be called during a stop-the-world pause — or, under the epoch
 /// flip, after the flip with `cut` holding the dirty-queue cut taken inside
 /// the flip window (post-flip pushes land in the live queue for the next
-/// round and are invisible to this walk). `work`, when present, is the
-/// round's [`HybridWork`] batch; its aux queue is used to offload record
-/// builds to the quiesced cores and is always closed before this function
-/// returns.
+/// round and are invisible to this walk).
 pub fn checkpoint_tree(
     kernel: &Arc<Kernel>,
     inflight: u64,
-    work: Option<&Arc<HybridWork>>,
     cut: Option<DirtyCut>,
 ) -> Result<TreeOutcome, KernelError> {
     use std::sync::atomic::Ordering;
@@ -449,13 +434,8 @@ pub fn checkpoint_tree(
         }
         full_walk(kernel, inflight, heal)
     } else {
-        dirty_walk(kernel, inflight, work, cut)
+        dirty_walk(kernel, inflight, cut)
     };
-    if let Some(w) = work {
-        // The manager's `finish_hybrid_work` barrier polls the aux queue;
-        // guarantee it can terminate on every exit path.
-        w.close_aux();
-    }
     if result.is_err() {
         // A half-applied round leaves consumed dirty flags and partial
         // reference counts behind; the next round's healing full walk
@@ -493,8 +473,8 @@ fn copy_object(
             }
         };
         write_backup(kernel, oroot, record, inflight)?;
-        // Attribute offloaded build time to the object even though another
-        // core spent it (Table 3 cares about per-object cost, not locus).
+        // Charge the record's build time, spent before the write phase,
+        // to the object (Table 3).
         let dt = t0.elapsed() + built;
         out.copied += 1;
         *out.per_type.entry(obj.otype).or_default() += dt;
@@ -509,14 +489,12 @@ fn copy_object(
 }
 
 /// The O(changes) walk: drain the dirty queue, rewrite the records of
-/// queued objects (builds offloaded to quiesced cores when the batch is
-/// large enough), diff each record's edge multiset against the record it
+/// queued objects, diff each record's edge multiset against the record it
 /// supersedes, and cascade tombstones from reference counts that drain to
 /// zero.
 fn dirty_walk(
     kernel: &Arc<Kernel>,
     inflight: u64,
-    work: Option<&Arc<HybridWork>>,
     cut: Option<DirtyCut>,
 ) -> Result<TreeOutcome, KernelError> {
     let oroots = &kernel.pers.oroots;
@@ -559,17 +537,22 @@ fn dirty_walk(
         }
     }
 
-    // Build all non-PMO records (possibly on the quiesced cores). Builders
-    // only read runtime bodies and create missing child ORoots; no backup
-    // record is written until the leader-serial phase below.
-    treesls_nvm::crash_site!(sched, "tree.pre_offload");
-    let built = build_records(kernel, plain, work, &mut out)?;
-    treesls_nvm::crash_site!(sched, "tree.aux_drained");
+    // Build all non-PMO records. A build only reads the runtime body and
+    // creates missing child ORoots; no backup record is written until the
+    // write phase below.
+    treesls_nvm::crash_site!(sched, "tree.pre_build");
+    let mut built = Vec::with_capacity(plain.len());
+    for obj in plain {
+        let t0 = Instant::now();
+        let record = build_record(kernel, oroots, &obj)?;
+        built.push((obj, record, t0.elapsed()));
+    }
+    treesls_nvm::crash_site!(sched, "tree.records_built");
 
-    // Leader-serial write phase: rotate backup slots and accumulate the
-    // edge diff of every rewritten record. The superseded edge multiset
-    // must be read *before* write_backup — after an aborted round the
-    // destination slot can itself hold the newest record.
+    // Write phase: rotate backup slots and accumulate the edge diff of
+    // every rewritten record. The superseded edge multiset must be read
+    // *before* write_backup — after an aborted round the destination slot
+    // can itself hold the newest record.
     let mut deltas: HashMap<OrootId, i64> = HashMap::new();
     let mut edge_targets: Vec<OrootId> = Vec::new();
     for (obj, record, built_in) in built {
@@ -638,63 +621,6 @@ fn dirty_walk(
     out.tombstoned_ids = apply_deltas(kernel, root_oroot, deltas, inflight);
     out.tombstoned = out.tombstoned_ids.len();
     Ok(out)
-}
-
-/// Builds the backup records for a batch of non-PMO objects, offloading
-/// chunks to the quiesced cores via the aux queue when the batch is large
-/// enough. Returns `(object, record, build time)` triples.
-#[allow(clippy::type_complexity)]
-fn build_records(
-    kernel: &Arc<Kernel>,
-    plain: Vec<Arc<KObject>>,
-    work: Option<&Arc<HybridWork>>,
-    out: &mut TreeOutcome,
-) -> Result<Vec<(Arc<KObject>, BackupObject, Duration)>, KernelError> {
-    let offload = work.filter(|w| w.aux_open() && plain.len() >= OFFLOAD_MIN);
-    let Some(work) = offload else {
-        let mut built = Vec::with_capacity(plain.len());
-        for obj in plain {
-            let t0 = Instant::now();
-            let record = build_record(kernel, &kernel.pers.oroots, &obj)?;
-            built.push((obj, record, t0.elapsed()));
-        }
-        return Ok(built);
-    };
-
-    type BuildSlot = Mutex<Option<Result<(BackupObject, Duration), KernelError>>>;
-    let objs = Arc::new(plain);
-    let results: Arc<Vec<BuildSlot>> =
-        Arc::new((0..objs.len()).map(|_| Mutex::new(None)).collect());
-    for start in (0..objs.len()).step_by(OFFLOAD_CHUNK) {
-        let end = (start + OFFLOAD_CHUNK).min(objs.len());
-        let kernel = Arc::clone(kernel);
-        let objs = Arc::clone(&objs);
-        let results = Arc::clone(&results);
-        work.push_aux(Box::new(move || {
-            for i in start..end {
-                let t0 = Instant::now();
-                let r = build_record(&kernel, &kernel.pers.oroots, &objs[i]);
-                *results[i].lock() = Some(r.map(|rec| (rec, t0.elapsed())));
-            }
-        }));
-    }
-    work.close_aux();
-    work.join_aux();
-    out.offloaded = objs.len();
-
-    let objs = Arc::try_unwrap(objs)
-        .map_err(|_| KernelError::InvalidState("offload batch still shared"))?;
-    let results = Arc::try_unwrap(results)
-        .map_err(|_| KernelError::InvalidState("offload results still shared"))?;
-    let mut built = Vec::with_capacity(objs.len());
-    for (obj, cell) in objs.into_iter().zip(results) {
-        let slot = cell
-            .into_inner()
-            .ok_or(KernelError::InvalidState("offloaded record build was lost"))?;
-        let (record, dt) = slot?;
-        built.push((obj, record, dt));
-    }
-    Ok(built)
 }
 
 /// Applies the accumulated edge diff to the reference counts, then runs

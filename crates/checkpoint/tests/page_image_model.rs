@@ -22,6 +22,7 @@ use rand::{Rng, SeedableRng};
 
 use treesls_checkpoint::hybrid::{self, RoundCounters};
 use treesls_kernel::cap::CapRights;
+use treesls_kernel::cores::HybridWork;
 use treesls_kernel::object::ObjectBody;
 use treesls_kernel::pmo::{PageSlot, PmoKind};
 use treesls_kernel::types::{ObjId, Vaddr, Vpn};
@@ -135,7 +136,8 @@ impl Model {
     }
 
     /// Ends the window: drain the batch, commit (or not), disarm, fold and
-    /// give the batch back to the active list.
+    /// give the batch back to the active list through the production
+    /// compaction.
     fn end_window(&mut self, commit: bool) {
         while self.hybrid_step() {}
         let w = self.window.take().expect("in a window");
@@ -146,8 +148,7 @@ impl Model {
         }
         k.fence.disarm();
         k.fold_epoch_captures().unwrap();
-        k.tracker.active_list.lock().extend(w.batch);
-        hybrid::compact_active_list(k, None);
+        hybrid::compact_active_list(k, &HybridWork::new(w.batch, |_| {}));
     }
 
     /// One random step: a write, or — outside a window — a flip, or —

@@ -46,12 +46,6 @@ impl FaultEnv {
     pub fn eadr() -> Self {
         Self { mode: PersistMode::Eadr, settle_seed: 0 }
     }
-
-    /// ADR with the given reorder window, losing every unfenced line at
-    /// the crash.
-    pub fn adr_worst(reorder_window: usize) -> Self {
-        Self { mode: PersistMode::Adr { reorder_window }, settle_seed: u64::MAX }
-    }
 }
 
 /// One crash-injection workload.

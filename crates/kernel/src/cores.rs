@@ -28,7 +28,6 @@
 //!
 //! [`EpochFence`]: crate::kernel::EpochFence
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -178,44 +177,26 @@ impl StepTracker {
 /// The per-slot closure a [`HybridWork`] batch runs on each worker core.
 pub type SlotRunner = Box<dyn Fn(&Arc<PageSlot>) + Send + Sync>;
 
-/// A deferred task fed to quiescent cores through the auxiliary queue
-/// (leader-offloaded backup-record builds).
-pub type AuxTask = Box<dyn FnOnce() + Send>;
-
-/// A batch of hybrid-copy work executed by quiescent cores during the
-/// stop-the-world pause.
+/// The round's hybrid-copy page batch (Figure 5 step ❸): the active-list
+/// snapshot, claimed lock-free by index. The vector is taken from the page
+/// tracker by pointer swap and given back at compaction, so building the
+/// batch allocates nothing proportional to the list.
 ///
-/// Two kinds of work flow through one batch:
-///
-/// * **page items** — the active-list snapshot, claimed lock-free by index
-///   (Figure 5 step ❸). The vector is taken from the page tracker by
-///   pointer swap and given back at compaction, so building the batch
-///   allocates nothing proportional to the list.
-/// * **auxiliary tasks** — closures the leader publishes *mid-pause*
-///   (backup-record build chunks). Cores that finish their page items poll
-///   the aux queue until the leader closes it, so the quiesced cores keep
-///   absorbing leader work for the whole tree-walk phase.
+/// Under stop-the-world the parked cores share the batch with the leader,
+/// which [`join`](Self::join)s it once the tree copy is done; under the
+/// epoch flip no core is parked and the leader's join runs every item.
 pub struct HybridWork {
     /// Page items; behind a mutex only so the compactor can take the
     /// vector back — claiming locks just long enough to clone one `Arc`.
     items: Mutex<Vec<Arc<PageSlot>>>,
-    /// Item count, fixed at construction (lock-free `is_done`).
+    /// Item count, fixed at construction (lock-free `join`).
     count: usize,
     next: AtomicUsize,
     done: AtomicUsize,
     runner: SlotRunner,
-    /// Leader-published deferred tasks.
-    aux: Mutex<VecDeque<AuxTask>>,
-    /// Once set, no further aux tasks will arrive; pollers may leave.
-    aux_closed: AtomicBool,
-    /// Aux tasks published but not yet finished executing.
-    aux_pending: AtomicUsize,
     /// Nanoseconds spent by all cores processing page items (two
     /// timestamps per core per round, not two per item).
     busy_ns: AtomicU64,
-    /// Nanoseconds spent by all cores executing aux tasks (two timestamps
-    /// per task chunk).
-    aux_busy_ns: AtomicU64,
 }
 
 impl std::fmt::Debug for HybridWork {
@@ -223,29 +204,13 @@ impl std::fmt::Debug for HybridWork {
         f.debug_struct("HybridWork")
             .field("items", &self.count)
             .field("done", &self.done.load(Ordering::Relaxed))
-            .field("aux_pending", &self.aux_pending.load(Ordering::Relaxed))
             .finish()
     }
 }
 
 impl HybridWork {
-    /// Creates a work batch over `items` processed by `runner`, with the
-    /// aux queue already closed (pure page batch — the historical shape,
-    /// still used by tests driving `stop_world` directly).
+    /// Creates a batch over `items`, each processed once by `runner`.
     pub fn new(
-        items: Vec<Arc<PageSlot>>,
-        runner: impl Fn(&Arc<PageSlot>) + Send + Sync + 'static,
-    ) -> Arc<Self> {
-        let w = Self::with_offload(items, runner);
-        w.close_aux();
-        w
-    }
-
-    /// Creates a work batch whose aux queue is open: cores finishing their
-    /// page items keep polling for leader-published tasks until
-    /// [`close_aux`](Self::close_aux) is called. The checkpoint path uses
-    /// this to offload backup-record builds to the quiesced cores.
-    pub fn with_offload(
         items: Vec<Arc<PageSlot>>,
         runner: impl Fn(&Arc<PageSlot>) + Send + Sync + 'static,
     ) -> Arc<Self> {
@@ -256,17 +221,12 @@ impl HybridWork {
             next: AtomicUsize::new(0),
             done: AtomicUsize::new(0),
             runner: Box::new(runner),
-            aux: Mutex::new(VecDeque::new()),
-            aux_closed: AtomicBool::new(false),
-            aux_pending: AtomicUsize::new(0),
             busy_ns: AtomicU64::new(0),
-            aux_busy_ns: AtomicU64::new(0),
         })
     }
 
-    /// Claims and processes page items until the batch is exhausted, then
-    /// drains the aux queue until it is closed.
-    pub fn run_available(&self) {
+    /// Claims and processes page items until the batch is exhausted.
+    fn run_available(&self) {
         let t0 = Instant::now();
         let mut claimed = 0usize;
         loop {
@@ -284,84 +244,23 @@ impl HybridWork {
         if claimed > 0 {
             self.busy_ns.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         }
-        self.drain_aux();
     }
 
-    /// Publishes a deferred task for any quiescent core (or the leader via
-    /// [`drain_aux`](Self::drain_aux)) to execute.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the aux queue was already closed.
-    pub fn push_aux(&self, task: AuxTask) {
-        assert!(!self.aux_closed.load(Ordering::Acquire), "push_aux after close");
-        self.aux_pending.fetch_add(1, Ordering::AcqRel);
-        self.aux.lock().push_back(task);
-    }
-
-    /// Closes the aux queue: pollers drain what remains and leave.
-    /// Idempotent.
-    pub fn close_aux(&self) {
-        self.aux_closed.store(true, Ordering::Release);
-    }
-
-    /// Returns `true` while the aux queue accepts tasks.
-    pub fn aux_open(&self) -> bool {
-        !self.aux_closed.load(Ordering::Acquire)
-    }
-
-    /// Executes aux tasks until the queue is both empty and closed.
-    pub fn drain_aux(&self) {
-        loop {
-            let task = self.aux.lock().pop_front();
-            match task {
-                Some(t) => {
-                    let t0 = Instant::now();
-                    t();
-                    self.aux_busy_ns
-                        .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                    self.aux_pending.fetch_sub(1, Ordering::AcqRel);
-                }
-                None => {
-                    if self.aux_closed.load(Ordering::Acquire) {
-                        return;
-                    }
-                    std::thread::yield_now();
-                }
-            }
-        }
-    }
-
-    /// Leader: closes the queue is assumed already; helps drain and then
-    /// blocks until every published task (including ones claimed by other
-    /// cores) has finished. Call after [`close_aux`](Self::close_aux).
-    pub fn join_aux(&self) {
-        self.drain_aux();
-        while self.aux_pending.load(Ordering::Acquire) != 0 {
+    /// Leader: runs the items still unclaimed, then waits until every
+    /// item — including ones parked cores claimed — has been processed.
+    pub fn join(&self) {
+        self.run_available();
+        while self.done.load(Ordering::Acquire) < self.count {
+            // A parked core is finishing its last item; yield the CPU
+            // (essential on single-CPU hosts where spinning would starve
+            // that very core).
             std::thread::yield_now();
         }
-    }
-
-    /// Returns `true` once every aux task has finished and the queue is
-    /// closed.
-    pub fn aux_done(&self) -> bool {
-        self.aux_closed.load(Ordering::Acquire)
-            && self.aux_pending.load(Ordering::Acquire) == 0
-    }
-
-    /// Returns `true` once every page item and aux task has been processed.
-    pub fn is_done(&self) -> bool {
-        self.done.load(Ordering::Acquire) >= self.count && self.aux_done()
     }
 
     /// Nanoseconds cores spent processing page items.
     pub fn busy_ns(&self) -> u64 {
         self.busy_ns.load(Ordering::Relaxed)
-    }
-
-    /// Nanoseconds cores spent executing offloaded aux tasks.
-    pub fn aux_busy_ns(&self) -> u64 {
-        self.aux_busy_ns.load(Ordering::Relaxed)
     }
 
     /// Takes the page-item vector back out (active-list give-back after
@@ -549,27 +448,6 @@ impl StwController {
         self.go.store(true, Ordering::SeqCst);
         self.cv.notify_all();
         t0.elapsed()
-    }
-
-    /// Leader: joins the hybrid-copy batch and waits for it to drain.
-    ///
-    /// Must be called between [`stop_world`] and [`resume_world`]; the
-    /// leader contributes its own cycles once the tree copy is finished,
-    /// then blocks until in-flight items complete.
-    ///
-    /// [`stop_world`]: Self::stop_world
-    /// [`resume_world`]: Self::resume_world
-    pub fn finish_hybrid_work(&self) {
-        let work = self.work.lock().clone();
-        if let Some(w) = work {
-            w.run_available();
-            while !w.is_done() {
-                // Another core is finishing its last item; yield the CPU
-                // (essential on single-CPU hosts where spinning would
-                // starve that very core).
-                std::thread::yield_now();
-            }
-        }
     }
 
     /// Leader: releases all cores (Figure 5 step ❺).
@@ -935,7 +813,6 @@ mod tests {
         k.vm_read(vs, Vaddr(0), &mut buf).unwrap();
         let v2 = u64::from_le_bytes(buf);
         assert_eq!(v1, v2, "counter advanced during stop-the-world");
-        stw.finish_hybrid_work();
         stw.resume_world();
         // It advances again.
         let deadline = Instant::now() + Duration::from_secs(5);
@@ -963,8 +840,7 @@ mod tests {
             c2.fetch_add(1, Ordering::SeqCst);
         });
         stw.stop_world(Some(Arc::clone(&work)), &k);
-        stw.finish_hybrid_work();
-        assert!(work.is_done());
+        work.join();
         assert_eq!(counter.load(Ordering::SeqCst), 64);
         stw.resume_world();
         cores.stop();
@@ -978,7 +854,6 @@ mod tests {
         let cores = CoreSet::start(Arc::clone(&k), Arc::clone(&stw), 2, 4);
         for _ in 0..50 {
             stw.stop_world(None, &k);
-            stw.finish_hybrid_work();
             stw.resume_world();
         }
         cores.stop();
@@ -990,7 +865,6 @@ mod tests {
         let stw = StwController::new();
         let d = stw.stop_world(None, &k);
         assert!(d < Duration::from_millis(100));
-        stw.finish_hybrid_work();
         stw.resume_world();
     }
 
@@ -1021,7 +895,6 @@ mod tests {
             assert!(Instant::now() < deadline, "pinned writer was parked by stop_world");
             std::thread::yield_now();
         }
-        stw.finish_hybrid_work();
         stw.resume_world();
         stw.wait_all_resumed();
         assert_eq!(stw.take_paused_ns(), 0, "no core accrued pause time");
@@ -1040,7 +913,6 @@ mod tests {
         let cores = CoreSet::start(Arc::clone(&k), Arc::clone(&stw), 3, 4);
         stw.stop_world(None, &k);
         assert_eq!(stw.stopped_cores(), 3, "oracle mode stops all cores");
-        stw.finish_hybrid_work();
         stw.resume_world();
         cores.stop();
     }
@@ -1054,7 +926,6 @@ mod tests {
         // No runnable threads at all: STW still completes.
         let d = stw.stop_world(None, &k);
         assert!(d < Duration::from_secs(1));
-        stw.finish_hybrid_work();
         stw.resume_world();
         cores.stop();
     }

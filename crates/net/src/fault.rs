@@ -1,7 +1,9 @@
-//! Deterministic network fault model for the virtual NIC.
+//! Deterministic network fault model for the virtual NIC and the
+//! replication channel.
 //!
-//! The "wire" between the external clients and the NIC's RX rings can
-//! drop, duplicate or reorder packets. The model is seeded and counts
+//! The [`Wire`] between the external clients and the NIC's RX rings (and
+//! between a primary and its replica) can drop, duplicate or reorder
+//! packets. The model is seeded and counts
 //! packets, so a given `(seed, send-order)` pair always perturbs the same
 //! packets — composable with a [`treesls_nvm::CrashSchedule`]: one run can
 //! pin *both* where power fails and which packets misbehave, and replay it
@@ -13,7 +15,10 @@
 //! duplicates as idempotent re-processing, and reordering exercises the
 //! server's cursor discipline.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+use parking_lot::Mutex;
 
 /// Configuration of the wire between clients and the NIC.
 ///
@@ -92,6 +97,137 @@ impl FaultState {
         let n = self.packet.fetch_add(1, Ordering::SeqCst);
         let h = crate::flow::flow_hash(self.cfg.seed ^ n.wrapping_mul(0x9e37_79b9));
         (h % len as u64) as usize
+    }
+}
+
+/// One thing a [`Wire`] did to a packet, reported to the sender so it can
+/// keep its own counters.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WireEvent {
+    /// The fault model dropped a packet.
+    Dropped,
+    /// The fault model duplicated a packet.
+    Duplicated,
+    /// The reorder window released a packet other than its oldest.
+    Reordered,
+    /// A packet released at a flush was refused by its receiver.
+    Lost,
+}
+
+/// A seeded wire: every packet runs through the [`FaultState`] model and,
+/// with a reorder window, waits on the wire until the window fills.
+///
+/// A packet is a `Copy` header `H` (routing, sequence, round) plus its
+/// bytes. A held packet keeps its own header, so whatever releases it, it
+/// arrives as it was sent. Bytes are copied only while a packet waits in
+/// the window; a perfect wire hands them straight to the receiver.
+#[derive(Debug)]
+pub struct Wire<H> {
+    fault: Option<FaultState>,
+    held: Mutex<VecDeque<(H, Vec<u8>)>>,
+}
+
+impl<H: Copy> Wire<H> {
+    /// Creates a wire perturbing packets per `cfg` (perfect when inactive).
+    pub fn new(cfg: NetFaultConfig) -> Self {
+        Self {
+            fault: cfg.is_active().then(|| FaultState::new(cfg)),
+            held: Mutex::new(VecDeque::new()),
+        }
+    }
+
+    /// Whether packets can be lost, duplicated or delayed on this wire.
+    pub fn is_faulty(&self) -> bool {
+        self.fault.is_some()
+    }
+
+    /// Sends one packet: decides its fate, then hands every packet the
+    /// wire releases to `deliver`. A duplicate's second copy is
+    /// best-effort: if `deliver` refuses it, the copy is simply lost,
+    /// which is indistinguishable from it never having been duplicated.
+    /// Returns `deliver`'s error for a released packet.
+    pub fn send<E>(
+        &self,
+        hdr: H,
+        bytes: &[u8],
+        mut deliver: impl FnMut(H, &[u8]) -> Result<(), E>,
+        mut event: impl FnMut(WireEvent),
+    ) -> Result<(), E> {
+        match self.fault.as_ref().map_or(Perturbation::Deliver, FaultState::next) {
+            Perturbation::Drop => {
+                event(WireEvent::Dropped);
+                Ok(())
+            }
+            Perturbation::Duplicate => {
+                event(WireEvent::Duplicated);
+                self.enqueue(hdr, bytes, &mut deliver, &mut event)?;
+                let _ = self.enqueue(hdr, bytes, &mut deliver, &mut event);
+                Ok(())
+            }
+            Perturbation::Deliver => self.enqueue(hdr, bytes, &mut deliver, &mut event),
+        }
+    }
+
+    /// Puts a packet on the wire; once the reorder window is full, one
+    /// seeded pick of the held packets leaves it.
+    fn enqueue<E>(
+        &self,
+        hdr: H,
+        bytes: &[u8],
+        deliver: &mut impl FnMut(H, &[u8]) -> Result<(), E>,
+        event: &mut impl FnMut(WireEvent),
+    ) -> Result<(), E> {
+        let window = self.fault.as_ref().map_or(0, |f| f.cfg().reorder_window);
+        if window <= 1 {
+            return deliver(hdr, bytes);
+        }
+        let released = {
+            let mut held = self.held.lock();
+            held.push_back((hdr, bytes.to_vec()));
+            if held.len() < window {
+                return Ok(());
+            }
+            self.release(&mut held, event)
+        };
+        match released {
+            Some((h, b)) => deliver(h, &b),
+            None => Ok(()),
+        }
+    }
+
+    /// Drains the reorder window in seeded-permuted order. A packet
+    /// `deliver` refuses is lost, like a drop on the wire.
+    pub fn flush<E>(
+        &self,
+        mut deliver: impl FnMut(H, &[u8]) -> Result<(), E>,
+        mut event: impl FnMut(WireEvent),
+    ) {
+        loop {
+            let released = {
+                let mut held = self.held.lock();
+                if held.is_empty() {
+                    return;
+                }
+                self.release(&mut held, &mut event)
+            };
+            if let Some((h, b)) = released {
+                if deliver(h, &b).is_err() {
+                    event(WireEvent::Lost);
+                }
+            }
+        }
+    }
+
+    fn release(
+        &self,
+        held: &mut VecDeque<(H, Vec<u8>)>,
+        event: &mut impl FnMut(WireEvent),
+    ) -> Option<(H, Vec<u8>)> {
+        let idx = self.fault.as_ref().map_or(0, |f| f.pick(held.len()));
+        if idx != 0 {
+            event(WireEvent::Reordered);
+        }
+        held.remove(idx)
     }
 }
 

@@ -27,7 +27,7 @@
 //! commit-gated response finally drains, so checkpoint latency never
 //! eats the admission budget.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -40,7 +40,7 @@ use treesls_extsync::ring::{self, hdr, MemIo, RingError, RingLayout};
 use treesls_kernel::types::{KernelError, ObjId};
 use treesls_kernel::Kernel;
 
-use crate::fault::{FaultState, NetFaultConfig, Perturbation};
+use crate::fault::{NetFaultConfig, Wire, WireEvent};
 use crate::flow::queue_for;
 use crate::repl::ReleaseGate;
 
@@ -202,27 +202,19 @@ struct QueueState {
     dma: Mutex<()>,
 }
 
-/// A packet sitting on the emulated wire (reorder window).
-#[derive(Debug)]
-struct WirePacket {
-    queue: usize,
-    seq: u64,
-    data: Vec<u8>,
-}
-
 /// The multi-queue virtual NIC (see the module docs).
 pub struct VirtualNic {
     io: HostIo,
     layout: NicLayout,
-    ext_sync: AtomicBool,
+    ext_sync: bool,
     credits: u64,
     next_seq: AtomicU64,
     pending: Mutex<HashMap<u64, Pending>>,
     cv: Condvar,
     pump_lock: Mutex<()>,
     queues: Vec<QueueState>,
-    fault: Option<FaultState>,
-    wire: Mutex<VecDeque<WirePacket>>,
+    /// The client → RX-ring wire; a packet's header is `(queue, seq)`.
+    wire: Wire<(usize, u64)>,
     /// Set when the NIC's system is stopped or failed over: blocked
     /// callers unblock immediately instead of burning their full timeout
     /// against a primary that will never answer.
@@ -282,15 +274,14 @@ impl VirtualNic {
         Arc::new(Self {
             io,
             layout,
-            ext_sync: AtomicBool::new(cfg.ext_sync),
+            ext_sync: cfg.ext_sync,
             credits: cfg.credits.max(1),
             next_seq: AtomicU64::new(1),
             pending: Mutex::new(HashMap::new()),
             cv: Condvar::new(),
             pump_lock: Mutex::new(()),
             queues,
-            fault: cfg.fault.is_active().then(|| FaultState::new(cfg.fault)),
-            wire: Mutex::new(VecDeque::new()),
+            wire: Wire::new(cfg.fault),
             closed: AtomicBool::new(false),
             gate: Mutex::new(None),
         })
@@ -321,11 +312,6 @@ impl VirtualNic {
         *self.queues[q].doorbell.lock() = Some(notif);
     }
 
-    /// Enables or disables commit-gated TX visibility.
-    pub fn set_ext_sync(&self, on: bool) {
-        self.ext_sync.store(on, Ordering::SeqCst);
-    }
-
     /// Installs (or clears) the replication release gate consulted at
     /// admission and at every commit barrier.
     pub fn set_release_gate(&self, gate: Option<Arc<dyn ReleaseGate>>) {
@@ -347,7 +333,7 @@ impl VirtualNic {
 
     /// Whether TX visibility is gated on checkpoint commits.
     pub fn ext_sync(&self) -> bool {
-        self.ext_sync.load(Ordering::SeqCst)
+        self.ext_sync
     }
 
     /// The committed global checkpoint version (for external-synchrony
@@ -422,73 +408,24 @@ impl VirtualNic {
     /// Runs one packet through the wire model and (maybe) into the RX
     /// ring.
     fn transmit(&self, q: usize, seq: u64, data: &[u8]) -> Result<(), NetError> {
-        match self.fault.as_ref().map(|f| f.next()).unwrap_or(Perturbation::Deliver) {
-            Perturbation::Drop => {
-                // Lost on the wire; the client's retransmission recovers.
-                self.metrics().record_net_faults(1, 0, 0);
-                Ok(())
-            }
-            Perturbation::Duplicate => {
-                self.metrics().record_net_faults(0, 1, 0);
-                self.enqueue_wire(q, seq, data)?;
-                // The second copy is best-effort: a duplicate that finds
-                // the ring full is simply lost, which is indistinguishable
-                // from it never having been duplicated.
-                let _ = self.enqueue_wire(q, seq, data);
-                Ok(())
-            }
-            Perturbation::Deliver => self.enqueue_wire(q, seq, data),
-        }
-    }
-
-    /// Hands a packet to the (possibly reordering) wire.
-    fn enqueue_wire(&self, q: usize, seq: u64, data: &[u8]) -> Result<(), NetError> {
-        let window = self.fault.as_ref().map(|f| f.cfg().reorder_window).unwrap_or(0);
-        if window <= 1 {
-            return self.deliver(q, seq, data);
-        }
-        let release = {
-            let mut wire = self.wire.lock();
-            wire.push_back(WirePacket { queue: q, seq, data: data.to_vec() });
-            if wire.len() >= window {
-                let idx = self.fault.as_ref().map(|f| f.pick(wire.len())).unwrap_or(0);
-                if idx != 0 {
-                    self.metrics().record_net_faults(0, 0, 1);
-                }
-                wire.remove(idx)
-            } else {
-                None
-            }
-        };
-        match release {
-            Some(p) => self.deliver(p.queue, p.seq, &p.data),
-            None => Ok(()),
-        }
+        self.wire.send((q, seq), data, |(q, seq), d| self.deliver(q, seq, d), |e| self.count(e))
     }
 
     /// Drains the reorder window onto the rings (in seeded-permuted
     /// order). Called by timed-out/retrying clients and by quiescing
-    /// scenarios so no packet is stranded on the wire.
+    /// scenarios so no packet is stranded on the wire. A full ring at
+    /// flush time loses the packet, exactly like a wire drop; the
+    /// retransmission recovers it.
     pub fn flush_wire(&self) {
-        loop {
-            let pkt = {
-                let mut wire = self.wire.lock();
-                if wire.is_empty() {
-                    return;
-                }
-                let idx = self.fault.as_ref().map(|f| f.pick(wire.len())).unwrap_or(0);
-                if idx != 0 {
-                    self.metrics().record_net_faults(0, 0, 1);
-                }
-                wire.remove(idx)
-            };
-            if let Some(p) = pkt {
-                if self.deliver(p.queue, p.seq, &p.data).is_err() {
-                    // A full ring at flush time loses the packet, exactly
-                    // like a wire drop; the retransmission recovers it.
-                    self.metrics().record_net_faults(1, 0, 0);
-                }
-            }
+        self.wire.flush(|(q, seq), d| self.deliver(q, seq, d), |e| self.count(e));
+    }
+
+    /// Counts one wire fault into the metrics registry.
+    fn count(&self, e: WireEvent) {
+        match e {
+            WireEvent::Dropped | WireEvent::Lost => self.metrics().record_net_faults(1, 0, 0),
+            WireEvent::Duplicated => self.metrics().record_net_faults(0, 1, 0),
+            WireEvent::Reordered => self.metrics().record_net_faults(0, 0, 1),
         }
     }
 
@@ -621,7 +558,7 @@ impl VirtualNic {
             Err(NetError::Ring(e)) => return Err(e),
         };
         let deadline = Instant::now() + timeout;
-        let lossy = self.fault.is_some();
+        let lossy = self.wire.is_faulty();
         // Exponential poll backoff (50 µs → 1 ms): commit-gated replies
         // arrive at checkpoint cadence, and a fleet of callers spinning at
         // a fixed fine grain can starve the cores that produce the very

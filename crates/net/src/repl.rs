@@ -14,10 +14,9 @@
 //!   The wire between primary and replica reuses the CRC-checked slot
 //!   format (a torn or bit-flipped frame surfaces as
 //!   [`RingError::Corrupt`], never as garbage data) and the deterministic
-//!   [`FaultState`] drop/duplicate/reorder model, plus a partition switch
+//!   [`Wire`] drop/duplicate/reorder model, plus a partition switch
 //!   for whole-link failures.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -26,7 +25,7 @@ use parking_lot::Mutex;
 use treesls_extsync::ring::{self, hdr, MemIo, RingError, RingLayout};
 use treesls_kernel::types::KernelError;
 
-use crate::fault::{FaultState, NetFaultConfig, Perturbation};
+use crate::fault::{NetFaultConfig, Wire, WireEvent};
 
 /// The quorum gate the NIC consults (implemented by the replication
 /// shipper's health state).
@@ -124,8 +123,8 @@ pub enum ShipError {
 /// (primary → replica) and an ack ring (replica → primary), both over
 /// [`HeapMem`] with the extsync slot codec.
 ///
-/// The wire model mirrors the NIC's: seeded drop/duplicate/reorder via
-/// [`FaultState`], plus a [`partition`](Self::set_partitioned) switch that
+/// The wire model is the NIC's: seeded drop/duplicate/reorder via
+/// [`Wire`], plus a [`partition`](Self::set_partitioned) switch that
 /// silently discards everything in both directions (the shipper's retry /
 /// resync machinery is the recovery path, exactly as for a real link).
 pub struct ReplChannel {
@@ -135,9 +134,8 @@ pub struct ReplChannel {
     ack: RingLayout,
     delta_seq: AtomicU64,
     ack_seq: AtomicU64,
-    fault: Option<FaultState>,
-    /// Reorder window for delta frames (frames buffered on the wire).
-    wire: Mutex<VecDeque<Vec<u8>>>,
+    /// The primary → replica delta wire; a frame's header is its round.
+    wire: Wire<u64>,
     partitioned: AtomicBool,
     /// Drops counted against this channel (partition + fault model).
     pub dropped: AtomicU64,
@@ -161,8 +159,7 @@ impl ReplChannel {
             ack,
             delta_seq: AtomicU64::new(1),
             ack_seq: AtomicU64::new(1),
-            fault: fault.is_active().then(|| FaultState::new(fault)),
-            wire: Mutex::new(VecDeque::new()),
+            wire: Wire::new(fault),
             partitioned: AtomicBool::new(false),
             dropped: AtomicU64::new(0),
         })
@@ -199,59 +196,19 @@ impl ReplChannel {
             self.dropped.fetch_add(1, Ordering::Relaxed);
             return Ok(());
         }
-        match self.fault.as_ref().map(|f| f.next()).unwrap_or(Perturbation::Deliver) {
-            Perturbation::Drop => {
-                self.dropped.fetch_add(1, Ordering::Relaxed);
-                Ok(())
-            }
-            Perturbation::Duplicate => {
-                self.enqueue_delta(round, frame)?;
-                let _ = self.enqueue_delta(round, frame);
-                Ok(())
-            }
-            Perturbation::Deliver => self.enqueue_delta(round, frame),
-        }
+        self.wire.send(round, frame, |r, f| self.push_delta(r, f), |e| self.count(e))
     }
 
-    /// Hands a frame to the (possibly reordering) wire.
-    fn enqueue_delta(&self, round: u64, frame: &[u8]) -> Result<(), ShipError> {
-        let window = self.fault.as_ref().map(|f| f.cfg().reorder_window).unwrap_or(0);
-        if window <= 1 {
-            return self.push_delta(round, frame);
-        }
-        let release = {
-            let mut wire = self.wire.lock();
-            wire.push_back(frame.to_vec());
-            if wire.len() >= window {
-                let idx = self.fault.as_ref().map(|f| f.pick(wire.len())).unwrap_or(0);
-                wire.remove(idx)
-            } else {
-                None
-            }
-        };
-        match release {
-            Some(f) => self.push_delta(round, &f),
-            None => Ok(()),
-        }
-    }
-
-    /// Drains the reorder window onto the ring.
+    /// Drains the reorder window onto the ring; a frame the ring refuses
+    /// is dropped.
     pub fn flush_wire(&self) {
-        loop {
-            let frame = {
-                let mut wire = self.wire.lock();
-                if wire.is_empty() {
-                    return;
-                }
-                let idx = self.fault.as_ref().map(|f| f.pick(wire.len())).unwrap_or(0);
-                wire.remove(idx)
-            };
-            if let Some(f) = frame {
-                let round = self.delta_mem.version();
-                if self.push_delta(round, &f).is_err() {
-                    self.dropped.fetch_add(1, Ordering::Relaxed);
-                }
-            }
+        self.wire.flush(|r, f| self.push_delta(r, f), |e| self.count(e));
+    }
+
+    /// Counts the wire's losses against this channel.
+    fn count(&self, e: WireEvent) {
+        if matches!(e, WireEvent::Dropped | WireEvent::Lost) {
+            self.dropped.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -336,11 +293,6 @@ impl ReplChannel {
         }
     }
 
-    /// Largest frame payload the delta ring can carry.
-    pub fn max_frame(&self) -> usize {
-        self.delta.max_payload()
-    }
-
     /// Delta frames currently queued and unread (for lag observability).
     pub fn delta_backlog(&self) -> u64 {
         let w = ring::header(&self.delta_mem, &self.delta, hdr::WRITER).unwrap_or(0);
@@ -370,6 +322,25 @@ mod tests {
         assert_eq!(ch.recv_delta().unwrap(), Some((7, b"hello".to_vec())));
         assert_eq!(ch.recv_delta().unwrap(), Some((7, b"world".to_vec())));
         assert_eq!(ch.recv_delta().unwrap(), None);
+    }
+
+    #[test]
+    fn reordered_frames_keep_their_send_round() {
+        let fault = NetFaultConfig { seed: 5, reorder_window: 4, ..Default::default() };
+        let ch = ReplChannel::new(32, 256, fault);
+        for round in 1..=12u64 {
+            ch.send_delta(round, &round.to_le_bytes()).unwrap();
+        }
+        ch.flush_wire();
+        let mut rounds = Vec::new();
+        while let Some((tag, frame)) = ch.recv_delta().unwrap() {
+            let sent = u64::from_le_bytes(frame.as_slice().try_into().unwrap());
+            assert_eq!(tag, sent, "frame of round {sent} arrived tagged {tag}");
+            rounds.push(sent);
+        }
+        assert_ne!(rounds, (1..=12).collect::<Vec<_>>(), "the window never reordered");
+        rounds.sort_unstable();
+        assert_eq!(rounds, (1..=12).collect::<Vec<_>>(), "a frame was lost or duplicated");
     }
 
     #[test]

@@ -1,17 +1,16 @@
 //! Lock-sharded wrapper around [`ObjectStore`].
 //!
 //! The checkpoint leader used to serialize every ORoot/backup access of a
-//! round behind one global mutex — held across the whole tree walk, so
-//! offloading independent backup-record builds to the quiesced non-leader
-//! cores was impossible and the lock hold time grew with the store. A
-//! [`ShardedStore`] splits the arena into `N` independently locked shards;
-//! each operation locks exactly one shard for the duration of that
-//! operation, so concurrent workers touching different records proceed in
+//! round behind one global mutex, held across the whole tree walk, so the
+//! lock hold time grew with the store. A [`ShardedStore`] splits the arena
+//! into `N` independently locked shards; each operation locks exactly one
+//! shard for the duration of that operation, so concurrent readers (the
+//! replication shipper, scrub) touching different records proceed in
 //! parallel and contention is observable (a counter increments whenever a
 //! lock was not immediately available).
 //!
 //! Mutation is confined to the checkpoint/restore critical sections (the
-//! round's leader plus its offload workers); no mutator's syscall or fault
+//! round's leader); no mutator's syscall or fault
 //! path touches these arenas. That confinement is what keeps the
 //! non-snapshot iterators sound under both checkpoint protocols: under
 //! **stop-the-world** every other core is parked for the walk, and under
@@ -83,11 +82,6 @@ impl<T> ShardedStore<T> {
     /// to the recovery side). The store is left empty but usable.
     pub fn take_shards(&self) -> Vec<ObjectStore<T>> {
         self.shards.iter().map(|s| std::mem::take(&mut *self.lock(s))).collect()
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// Times any shard lock was found contended since creation.
@@ -173,8 +167,8 @@ impl<T> ShardedStore<T> {
     /// Visits every live record, one shard lock at a time. The traversal
     /// is not a snapshot: records inserted into already-visited shards
     /// during the walk are missed. Callers must confine concurrent
-    /// inserts to the checkpoint critical section itself (the leader and
-    /// its offload workers) — under the epoch flip mutators run during
+    /// inserts to the checkpoint critical section itself (the round's
+    /// leader) — under the epoch flip mutators run during
     /// the walk, and they stay safe only because nothing outside that
     /// section mutates the store.
     pub fn for_each(&self, mut f: impl FnMut(SlotId, &T)) {

@@ -261,8 +261,6 @@ metrics! {
         tree_dirty_drained: counter,
         /// Backup records (re)written by tree walks.
         tree_copied: counter,
-        /// Backup records built by offloaded (non-leader) cores.
-        tree_offloaded: counter,
         /// ORoots tombstoned by the epoch/refcount sweep.
         tree_tombstoned: counter,
         /// Gauge: dirty-queue ids pending after the last walk drained it.
@@ -408,21 +406,13 @@ impl MetricsRegistry {
 
     /// Records one capability-tree walk: whether it was a full walk or a
     /// dirty-queue walk, how many queue entries were drained, and how many
-    /// backup records were copied / built by offload workers / tombstoned.
+    /// backup records were copied / tombstoned.
     #[inline]
-    pub fn record_tree_walk(
-        &self,
-        full: bool,
-        drained: u64,
-        copied: u64,
-        offloaded: u64,
-        tombstoned: u64,
-    ) {
+    pub fn record_tree_walk(&self, full: bool, drained: u64, copied: u64, tombstoned: u64) {
         let walks = if full { &self.tree_full_walks } else { &self.tree_dirty_walks };
         add(walks, 1);
         add(&self.tree_dirty_drained, drained);
         add(&self.tree_copied, copied);
-        add(&self.tree_offloaded, offloaded);
         add(&self.tree_tombstoned, tombstoned);
     }
 

@@ -90,9 +90,10 @@ pub enum EventKind {
     RingPublish = 10,
     /// Free-form marker recorded by tests and tools. Payload is opaque.
     Marker = 11,
-    /// One capability-tree walk finished inside the pause. Payload:
-    /// `[inflight_version, full_walk(0|1), dirty_drained, records_copied,
-    /// records_offloaded, oroots_tombstoned]`.
+    /// One capability-tree walk finished. Payload: `[inflight_version,
+    /// full_walk(0|1), dirty_drained, records_copied, 0, oroots_tombstoned]`
+    /// (slot 4 is reserved: it counted records offloaded to other cores,
+    /// and NVM images pin the six-word layout).
     TreeWalk = 12,
     /// A virtual NIC released all of its queues' buffered responses under
     /// one commit (the cross-queue visibility barrier). Payload:

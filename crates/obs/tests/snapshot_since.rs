@@ -50,7 +50,6 @@ fn since_subtracts_counters_and_carries_gauges_and_histograms() {
         tree_dirty_walks: 12, 1212 => 1200;
         tree_dirty_drained: 13, 1313 => 1300;
         tree_copied: 14, 1414 => 1400;
-        tree_offloaded: 15, 1515 => 1500;
         tree_tombstoned: 16, 1616 => 1600;
         dirty_queue_depth: 17, 1717 => 1717;
         shard_contention: 18, 1818 => 1818;

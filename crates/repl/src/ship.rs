@@ -243,11 +243,6 @@ impl Shipper {
         self.epoch.load(Ordering::SeqCst)
     }
 
-    /// Highest round acked by peer `id` under the current epoch.
-    pub fn peer_acked(&self, id: usize) -> u64 {
-        self.peers.lock().iter().find(|p| p.id == id).map_or(0, |p| p.acked)
-    }
-
     /// Drains the ack rings: acks raise the peer's durable round, resync
     /// requests flag the peer for a snapshot.
     fn drain_acks(&self) {

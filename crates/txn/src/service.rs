@@ -60,11 +60,6 @@ impl TxnService {
         TxnService { store_base, node_cap, live: Mutex::new(HashMap::new()) }
     }
 
-    /// Number of currently live (begun, unfinished) transactions.
-    pub fn live_txns(&self) -> usize {
-        self.live.lock().len()
-    }
-
     /// Drops every live working set. The restore path calls this so the
     /// host-side state matches what a real crash does to uncommitted
     /// transactions: they vanish, and clients get

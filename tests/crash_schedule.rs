@@ -433,12 +433,12 @@ fn hybrid_round_survives_crash_at_every_site() {
     assert!(names.contains("hybrid.pre_sac_copy"), "sites: {names:?}");
     assert!(names.contains("hybrid.pre_evict"), "sites: {names:?}");
     // The dirty-queue walk's phases must also be cut: after the drain,
-    // before the offload, after the aux join, and before the inref-delta
+    // before the record builds, after them, and before the inref-delta
     // apply. A crash at any of them loses the consumed dirty flags, so a
     // clean recovery here proves the healing full walk resynchronizes.
     assert!(names.contains("tree.dirty_drained"), "sites: {names:?}");
-    assert!(names.contains("tree.pre_offload"), "sites: {names:?}");
-    assert!(names.contains("tree.aux_drained"), "sites: {names:?}");
+    assert!(names.contains("tree.pre_build"), "sites: {names:?}");
+    assert!(names.contains("tree.records_built"), "sites: {names:?}");
     assert!(names.contains("tree.pre_epoch_apply"), "sites: {names:?}");
     report.assert_clean();
 }
