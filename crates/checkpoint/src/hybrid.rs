@@ -195,6 +195,8 @@ pub fn mark_readonly(kernel: &Kernel) -> usize {
         let mut meta = slot.meta.lock();
         if !meta.eternal && !meta.is_migrated() {
             meta.writable = false;
+            // Frozen: the runtime bytes become the next commit's image.
+            meta.unshipped = true;
             marked += 1;
         }
     }

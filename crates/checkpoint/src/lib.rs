@@ -265,17 +265,21 @@ impl CheckpointManager {
             kernel.steps.wait_step_grace();
         }
         treesls_nvm::crash_site!(sched, "ckpt.stw_stopped");
-        kernel.pers.recorder().record(
-            treesls_obs::EventKind::PartialQuiesce,
-            [
-                inflight,
-                self.stw.stopped_cores() as u64,
-                self.stw.cores() as u64,
-                self.stw.stop_mask(),
-                u64::from(!flip),
-                kernel.stats.epoch_conflicts.load(Ordering::Relaxed),
-            ],
-        );
+        // The stop set of a full quiesce; the flip stops nobody and logs
+        // its window once, as `EpochFlip`, below.
+        if !flip {
+            kernel.pers.recorder().record(
+                treesls_obs::EventKind::PartialQuiesce,
+                [
+                    inflight,
+                    self.stw.stopped_cores() as u64,
+                    self.stw.cores() as u64,
+                    self.stw.stop_mask(),
+                    1,
+                    kernel.stats.epoch_conflicts.load(Ordering::Relaxed),
+                ],
+            );
+        }
         // Epoch cut-off for external-synchrony services: their release
         // barrier must match the checkpoint image, which under the flip
         // is defined by this instant, not by the end of the round.

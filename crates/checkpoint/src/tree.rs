@@ -42,6 +42,7 @@ use treesls_kernel::thread::{BlockedOn, ThreadState};
 use treesls_kernel::types::{BackupId, KernelError, ObjId, OrootId};
 use treesls_kernel::Kernel;
 use treesls_nvm::ShardedStore;
+use treesls_pmem_alloc::slab::class_for;
 
 /// Result of one capability-tree checkpoint.
 #[derive(Debug, Default)]
@@ -248,7 +249,11 @@ fn build_record(
 }
 
 /// Writes `record` into the checkpoint-destination backup slot of `oroot`,
-/// rotating the two-slot protocol and re-accounting slab space.
+/// rotating the two-slot protocol and re-accounting slab space. The
+/// destination never holds the committed record, so its slab object is
+/// kept when the new record's size class matches — no allocator journal
+/// transaction — and freed and reallocated otherwise. Either way the
+/// restore rebuild claims it through the ORoot.
 fn write_backup(
     kernel: &Kernel,
     oroot: OrootId,
@@ -265,15 +270,23 @@ fn write_backup(
             (dst, r.backups[dst])
         })
         .expect("live oroot");
+    let size = record.approx_size().clamp(1, 2048);
+    let mut kept = None;
     // Retire the slot being overwritten.
     if let Some(old) = old {
         backups.remove(old.slot);
-        if let Some((addr, size)) = old.slab {
-            kernel.pers.alloc.slab_free(addr, size as usize)?;
+        if let Some((addr, old_size)) = old.slab {
+            if class_for(old_size as usize) == class_for(size) {
+                kept = Some(addr);
+            } else {
+                kernel.pers.alloc.slab_free(addr, old_size as usize)?;
+            }
         }
     }
-    let size = record.approx_size().clamp(1, 2048);
-    let slab = kernel.pers.alloc.slab_alloc(size)?;
+    let slab = match kept {
+        Some(addr) => addr,
+        None => kernel.pers.alloc.slab_alloc(size)?,
+    };
     let slot = backups.insert(record);
     oroots
         .with_mut(oroot, |r| {

@@ -16,6 +16,8 @@ use treesls_kernel::program::{Program, ProgramRegistry, StepOutcome, UserCtx};
 use treesls_kernel::thread::{ThreadContext, ThreadState};
 use treesls_kernel::types::{ObjId, Vaddr, Vpn};
 use treesls_kernel::{Kernel, KernelConfig};
+use treesls_pmem_alloc::slab::class_for;
+use treesls_pmem_alloc::NvmAddr;
 
 fn config() -> KernelConfig {
     KernelConfig { nvm_frames: 2048, dram_pages: 128, ..KernelConfig::default() }
@@ -731,4 +733,110 @@ fn corrupt_committed_image_is_rejected_not_revived() {
     assert_eq!(rec.pages_fell_back + rec.quarantined.len(), 1, "{rec:?}");
     assert!(!rec.is_clean());
     k2.pers.alloc.verify().unwrap();
+}
+
+/// The slab objects `id`'s two backup slots hold, in slot order.
+fn slabs_of(kernel: &Kernel, id: ObjId) -> [Option<(NvmAddr, u32)>; 2] {
+    let oroot = kernel.object(id).unwrap().oroot().expect("checkpointed");
+    kernel.pers.oroots.with(oroot, |r| r.backups.map(|vb| vb.and_then(|vb| vb.slab))).unwrap()
+}
+
+/// The backup slot of `id` the next round writes.
+fn next_dst(kernel: &Kernel, id: ObjId) -> usize {
+    let oroot = kernel.object(id).unwrap().oroot().expect("checkpointed");
+    kernel.pers.oroots.with(oroot, |r| r.ckpt_dst(kernel.pers.global_version())).unwrap()
+}
+
+/// Slab objects every ORoot's backup slots hold.
+fn slabs_held(kernel: &Kernel) -> usize {
+    let mut n = 0;
+    kernel.pers.oroots.for_each(|_, r| n += r.backups.iter().flatten().filter(|b| b.slab.is_some()).count());
+    n
+}
+
+/// Rewriting a record into its destination slot keeps that slot's slab
+/// object when the size class matches: the round opens no allocator
+/// journal transaction.
+#[test]
+fn same_class_record_rewrite_keeps_its_slab_object() {
+    let (kernel, mgr) = boot();
+    let g = kernel.create_cap_group("g").unwrap();
+    let n = kernel.create_notification(g).unwrap();
+    // Two rounds fill both backup slots of the notification's ORoot.
+    for _ in 0..2 {
+        kernel.signal_object(n).unwrap();
+        mgr.checkpoint().unwrap();
+    }
+    let slabs = slabs_of(&kernel, n);
+    assert!(slabs.iter().all(Option::is_some), "both slots hold a record");
+    let sched = kernel.pers.dev.crash_schedule();
+    for round in 0..4 {
+        kernel.signal_object(n).unwrap();
+        sched.start_trace();
+        mgr.checkpoint().unwrap();
+        let txs = sched.take_trace().iter().filter(|h| h.name == "journal.tx_open").count();
+        assert_eq!(txs, 0, "round {round}: a same-class rewrite opened {txs} transactions");
+        assert_eq!(slabs_of(&kernel, n), slabs, "round {round}: slab objects kept");
+    }
+    assert_eq!(kernel.pers.alloc.stats().live_slab_objects, slabs_held(&kernel));
+    kernel.pers.alloc.verify().unwrap();
+}
+
+/// A record that changes size class still frees its destination slot's
+/// slab object and allocates one of the new class.
+#[test]
+fn class_changing_record_rewrite_reallocates_its_slab_object() {
+    let (kernel, mgr) = boot();
+    // A cap group record is 32 B + its name + 16 B per cap: each new cap
+    // grows it by 16 B, across the 64 B class into the 128 B one and on.
+    let g = kernel.create_cap_group("grows").unwrap();
+    mgr.checkpoint().unwrap();
+    kernel.create_notification(g).unwrap();
+    mgr.checkpoint().unwrap();
+    let mut crossed = 0;
+    for round in 0..6 {
+        let dst = next_dst(&kernel, g);
+        let (old, old_size) = slabs_of(&kernel, g)[dst].expect("both slots hold a record");
+        kernel.create_notification(g).unwrap();
+        mgr.checkpoint().unwrap();
+        let (new, new_size) = slabs_of(&kernel, g)[dst].expect("rewritten");
+        let same_class = class_for(old_size as usize) == class_for(new_size as usize);
+        assert_eq!(new == old, same_class, "round {round}: {old_size} B -> {new_size} B");
+        crossed += usize::from(!same_class);
+    }
+    assert!(crossed > 0, "the record crossed a size class");
+    assert_eq!(kernel.pers.alloc.stats().live_slab_objects, slabs_held(&kernel));
+    kernel.pers.alloc.verify().unwrap();
+}
+
+/// A crash after a round kept a slab object and before it committed
+/// restores the last committed round over a consistent allocator, and
+/// the restored system checkpoints on.
+#[test]
+fn crash_after_slab_reuse_before_commit_recovers() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use treesls_nvm::{CrashPoint, InjectedCrash};
+
+    let (kernel, mgr) = boot();
+    let g = kernel.create_cap_group("g").unwrap();
+    let n = kernel.create_notification(g).unwrap();
+    for _ in 0..3 {
+        kernel.signal_object(n).unwrap();
+        mgr.checkpoint().unwrap();
+    }
+    let committed = kernel.pers.global_version();
+    kernel.signal_object(n).unwrap();
+    let sched = Arc::clone(kernel.pers.dev.crash_schedule());
+    sched.arm(CrashPoint::Site { name: "ckpt.pre_commit".into(), skip: 0 });
+    let unwound = catch_unwind(AssertUnwindSafe(|| mgr.checkpoint()));
+    sched.disarm();
+    assert!(unwound.err().is_some_and(|p| p.is::<InjectedCrash>()), "crashed at the commit");
+    drop(mgr);
+
+    let (kernel, report) = restore(crash(kernel), config(), no_programs).unwrap();
+    assert_eq!(report.version, committed);
+    kernel.pers.alloc.verify().unwrap();
+    let mgr = CheckpointManager::new(Arc::clone(&kernel), Arc::new(StwController::new()));
+    mgr.checkpoint().unwrap();
+    mgr.verify_checkpoint().unwrap();
 }

@@ -14,6 +14,14 @@
 //! and, for the whole device, that the allocator's free frames plus the
 //! frames the pages hold stay constant: a fold or copy neither leaks a
 //! frame nor frees one twice.
+//!
+//! After every commit it also plays the replication shipper's page rule:
+//! a page flagged `PageMeta::unshipped` is read and "shipped" (and
+//! unflagged by `PageMeta::shipped`), and an unflagged page — which the
+//! shipper does not read — must restore to exactly the bytes shipped last.
+//! Named scripts pin the paths that rule depends on: a logged window write
+//! left idle for two rounds, a whole-page capture, a pre-arm step's CoW,
+//! conflict and batch stop-and-copy, eviction and an abort.
 
 use std::sync::Arc;
 
@@ -22,7 +30,7 @@ use rand::{Rng, SeedableRng};
 
 use treesls_checkpoint::hybrid::{self, RoundCounters};
 use treesls_kernel::cap::CapRights;
-use treesls_kernel::cores::HybridWork;
+use treesls_kernel::cores::{self, HybridWork};
 use treesls_kernel::object::ObjectBody;
 use treesls_kernel::pmo::{PageSlot, PmoKind};
 use treesls_kernel::types::{ObjId, Vaddr, Vpn};
@@ -47,6 +55,10 @@ struct Model {
     slots: Vec<Arc<PageSlot>>,
     runtime: Vec<Vec<u8>>,
     committed: Vec<Vec<u8>>,
+    /// The bytes the shipper rule last read per page.
+    shipped: Vec<Vec<u8>>,
+    /// The first unflagged page whose image left its shipped bytes.
+    ship_diverged: Option<usize>,
     window: Option<Window>,
     counters: RoundCounters,
     /// Free frames plus the frames the pages hold.
@@ -88,6 +100,8 @@ impl Model {
             vmspace,
             slots,
             committed: runtime.clone(),
+            shipped: vec![Vec::new(); PAGES],
+            ship_diverged: None,
             runtime,
             window: None,
             counters: RoundCounters::default(),
@@ -116,14 +130,26 @@ impl Model {
     /// Steps ❶–❷ of a flip round: fold the last window's leftovers, take
     /// the hybrid batch, arm, mark, seal.
     fn flip(&mut self) {
+        self.arm();
+        self.seal();
+    }
+
+    /// The flip up to its arm: fold, take the batch, arm (unsealed).
+    fn arm(&mut self) {
         let k = &self.kernel;
         k.fold_epoch_captures().unwrap();
         let inflight = k.pers.global_version() + 1;
         let batch = std::mem::take(&mut *k.tracker.active_list.lock());
         k.fence.arm(inflight);
-        hybrid::mark_readonly(k);
-        k.fence.seal();
-        self.window = Some(Window { inflight, image: self.runtime.clone(), batch, ran: 0 });
+        self.window = Some(Window { inflight, image: Vec::new(), batch, ran: 0 });
+    }
+
+    /// The rest of the flip: mark and seal. The round's image is the
+    /// runtime as of now.
+    fn seal(&mut self) {
+        hybrid::mark_readonly(&self.kernel);
+        self.kernel.fence.seal();
+        self.window.as_mut().expect("armed").image = self.runtime.clone();
     }
 
     /// Runs the next hybrid-batch item; `false` once the batch is drained.
@@ -149,6 +175,42 @@ impl Model {
         k.fence.disarm();
         k.fold_epoch_captures().unwrap();
         hybrid::compact_active_list(k, &HybridWork::new(w.batch, |_| {}));
+        if commit {
+            self.ship();
+        }
+    }
+
+    /// The shipper's page rule, run after a commit: a flagged page is read
+    /// and shipped, an unflagged one is skipped and must still restore to
+    /// the bytes shipped last.
+    fn ship(&mut self) {
+        let k = &self.kernel;
+        let global = k.pers.global_version();
+        let mut img = [0u8; PAGE_SIZE];
+        for (page, slot) in self.slots.iter().enumerate() {
+            let mut meta = slot.meta.lock();
+            let src = meta.restore_image(global).expect("every page is committed");
+            src.read(&k.pers.dev, &mut img);
+            if !meta.unshipped {
+                if img[..] != self.shipped[page][..] {
+                    self.ship_diverged.get_or_insert(page);
+                }
+                continue;
+            }
+            self.shipped[page] = img.to_vec();
+            meta.shipped(src);
+        }
+    }
+
+    /// Runs `f` as a step of core 0 that latched the fence round current
+    /// when it began (the round of a sealed window, or 0 with the fence
+    /// down), as the core loop does.
+    fn core_step(&mut self, f: impl FnOnce(&mut Self)) {
+        cores::set_current_core(0);
+        self.kernel.steps.begin_step(0, self.kernel.fence.active_round());
+        f(self);
+        self.kernel.steps.end_step(0);
+        cores::set_current_core(cores::NO_CORE);
     }
 
     /// One random step: a write, or — outside a window — a flip, or —
@@ -181,31 +243,26 @@ impl Model {
         }
     }
 
-    fn check(&self, seed: u64, step: usize, op: &str) {
+    fn check(&self, at: &str) {
         let k = &self.kernel;
         let global = k.pers.global_version();
+        if let Some(page) = self.ship_diverged {
+            panic!("{at}: unflagged page {page} no longer restores to its shipped bytes");
+        }
         let mut img = [0u8; PAGE_SIZE];
         for (page, slot) in self.slots.iter().enumerate() {
             let src = slot.meta.lock().restore_image(global).expect("every page is committed");
             src.read(&k.pers.dev, &mut img);
-            let at = img.iter().zip(&self.committed[page]).position(|(a, b)| a != b);
+            let byte = img.iter().zip(&self.committed[page]).position(|(a, b)| a != b);
             assert_eq!(
-                at, None,
-                "seed {seed} step {step} ({op}): page {page} restores {src:?} \
-                 unlike its v{global} commit at that byte"
+                byte, None,
+                "{at}: page {page} restores {src:?} unlike its v{global} commit at that byte"
             );
             let mut live = vec![0u8; PAGE_SIZE];
             k.vm_read(self.vmspace, Vaddr((page * PAGE_SIZE) as u64), &mut live).unwrap();
-            assert!(
-                live == self.runtime[page],
-                "seed {seed} step {step} ({op}): page {page} runtime"
-            );
+            assert!(live == self.runtime[page], "{at}: page {page} runtime");
         }
-        assert_eq!(
-            self.frames_now(),
-            self.frames,
-            "seed {seed} step {step} ({op}): free + held frames changed"
-        );
+        assert_eq!(self.frames_now(), self.frames, "{at}: free + held frames changed");
     }
 }
 
@@ -221,7 +278,7 @@ fn page_images_match_the_model_through_windows_aborts_and_hybrid_copy() {
         for step in 0..300 {
             let op = m.random_step(&mut rng);
             *seen.entry(op).or_insert(0u64) += 1;
-            m.check(seed, step, op);
+            m.check(&format!("seed {seed} step {step} ({op})"));
         }
         let (stats, metrics, c) =
             (m.kernel.stats.snapshot(), m.kernel.metrics.snapshot(), &m.counters);
@@ -237,4 +294,129 @@ fn page_images_match_the_model_through_windows_aborts_and_hybrid_copy() {
         }
     }
     assert!(seen.values().all(|&n| n > 0) && seen.len() == 11, "{seen:?}");
+}
+
+/// A small write in a window is logged, and the logged page is read-only:
+/// the commit after the one that shipped the log's reconstruction moves
+/// the page's image onto the runtime frame with no write or freeze to
+/// flag it. Only keeping the flag through a log-sourced ship catches it.
+#[test]
+fn shipper_rule_logged_write_then_two_idle_rounds() {
+    let mut m = Model::new();
+    m.flip();
+    m.write(0, 64, 8);
+    m.end_window(true);
+    assert_eq!(m.kernel.metrics.snapshot().inline_log_captures, 1, "the write was logged");
+    for _ in 0..2 {
+        m.flip();
+        m.end_window(true);
+    }
+    m.check("logged write, two idle rounds");
+}
+
+/// A big window write takes a whole-page capture, anchored as a pair by
+/// the post-commit fold; the page turns writable and the next freeze flags
+/// it again.
+#[test]
+fn shipper_rule_whole_page_capture() {
+    let mut m = Model::new();
+    m.flip();
+    m.write(0, 0, PAGE_SIZE);
+    m.end_window(true);
+    assert_eq!(m.kernel.stats.snapshot().epoch_conflicts, 1, "the write was captured");
+    assert_eq!(m.kernel.metrics.snapshot().inline_log_captures, 0);
+    for _ in 0..2 {
+        m.flip();
+        m.end_window(true);
+    }
+    m.check("whole-page capture");
+}
+
+/// A core step that began inside one round's sealed window logs its first
+/// write, straddles that round's commit, and writes again after the next
+/// round armed: pre-arm semantics, a CoW that folds the log and joins the
+/// new round's image.
+#[test]
+fn shipper_rule_pre_arm_straddle_cow() {
+    let mut m = Model::new();
+    m.flip();
+    let folds = m.kernel.stats.snapshot().cow_copies;
+    m.core_step(|m| {
+        m.write(0, 64, 8);
+        m.end_window(true);
+        m.arm();
+        m.write(0, 128, 8);
+    });
+    assert_eq!(m.kernel.metrics.snapshot().inline_log_captures, 1, "first write logged");
+    assert_eq!(m.kernel.stats.snapshot().cow_copies, folds + 1, "the CoW folded the log");
+    m.seal();
+    m.end_window(true);
+    m.flip();
+    m.end_window(true);
+    m.check("pre-arm straddle CoW");
+}
+
+/// Makes page 1 hot (two CoW faults) so the next batch migrates it to
+/// DRAM.
+fn migrate_page_1(m: &mut Model) {
+    for _ in 0..2 {
+        m.write(1, 0, 8);
+        m.flip();
+        m.end_window(true);
+    }
+    assert!(m.slots[1].meta.lock().is_migrated(), "page 1 migrated in");
+}
+
+/// A window write to a migrated page runs the conflict stop-and-copy; the
+/// page stays dirty, so the next batch stop-and-copies it.
+#[test]
+fn shipper_rule_conflict_and_batch_stop_and_copy() {
+    use std::sync::atomic::Ordering::Relaxed;
+    let mut m = Model::new();
+    migrate_page_1(&mut m);
+    m.flip();
+    m.write(1, 256, 8);
+    m.end_window(true);
+    assert_eq!(m.kernel.stats.snapshot().epoch_conflicts, 1, "conflict stop-and-copy");
+    m.write(1, 512, 8);
+    m.flip();
+    m.end_window(true);
+    assert_eq!(m.counters.sac_copies.load(Relaxed), 1, "batch stop-and-copy");
+    m.check("conflict and batch stop-and-copy");
+}
+
+/// An idle migrated page is evicted back to NVM: its committed bytes do
+/// not change, so the flag need not be set.
+#[test]
+fn shipper_rule_eviction() {
+    use std::sync::atomic::Ordering::Relaxed;
+    let mut m = Model::new();
+    migrate_page_1(&mut m);
+    m.write(1, 256, 8);
+    for _ in 0..4 {
+        m.flip();
+        m.end_window(true);
+    }
+    assert_eq!(m.counters.evicted.load(Relaxed), 1, "page 1 evicted");
+    m.write(1, 512, 8);
+    m.flip();
+    m.end_window(true);
+    m.check("eviction");
+}
+
+/// An aborted window's log and capture fold back onto the committed
+/// image; the retried round and the one after ship what they commit.
+#[test]
+fn shipper_rule_abort() {
+    let mut m = Model::new();
+    m.flip();
+    m.write(0, 64, 8);
+    m.write(2, 0, PAGE_SIZE);
+    m.end_window(false);
+    m.write(0, 128, 8);
+    for _ in 0..2 {
+        m.flip();
+        m.end_window(true);
+    }
+    m.check("abort");
 }

@@ -283,7 +283,7 @@ impl Kernel {
     /// now diverges from its last committed image and the owning PMO's
     /// backup record must be rewritten by the next checkpoint. Callers
     /// that know the owning PMO (the `vm_write` path) use this to mark it
-    /// dirty.
+    /// dirty. The page is flagged [`unshipped`](PageMeta::unshipped) too.
     ///
     /// [`EpochFence`]: crate::kernel::EpochFence
     /// [`stop_and_copy`]: Self::stop_and_copy
@@ -379,6 +379,7 @@ impl Kernel {
             }
         }
         meta.idle_rounds = 0;
+        meta.unshipped |= duplicated;
         Ok(duplicated)
     }
 
@@ -389,7 +390,9 @@ impl Kernel {
     /// slot's frame, and tags it `inflight`. The hybrid batch runs it for a
     /// dirty page (`conflict = false`); a write racing the epoch flip runs
     /// it first (`conflict = true`), and whichever of the two runs first
-    /// wins — the other skips. Returns the copy's wall time.
+    /// wins — the other skips. The copy becomes the page's image at the
+    /// commit, so the page is flagged [`unshipped`](PageMeta::unshipped).
+    /// Returns the copy's wall time.
     pub fn stop_and_copy(
         &self,
         meta: &mut PageMeta,
@@ -413,6 +416,7 @@ impl Kernel {
         let copied = tc.elapsed();
         let crc = self.pers.dev.page_crc(frame);
         meta.pairs[dst] = Some(PagePtr::backup(frame, inflight, crc));
+        meta.unshipped = true;
         self.metrics.record_backup_page(inflight);
         self.pers.recorder().record(
             treesls_obs::EventKind::HybridSacCopy,

@@ -285,6 +285,12 @@ pub struct PageMeta {
     /// write appends a pre-write undo record. Persistent: restore
     /// reconstructs the round image as runtime ⊖ reverse(records).
     pub inline_log: Option<InlineLog>,
+    /// The committed image may differ from the one a replication shipper
+    /// last shipped. Volatile: set on every new slot (restore builds new
+    /// ones) and wherever a committed image can change — the freeze of a
+    /// written page, a stop-and-copy, a write's first change of the round
+    /// — and cleared only by [`shipped`](Self::shipped).
+    pub unshipped: bool,
 }
 
 impl PageMeta {
@@ -306,6 +312,7 @@ impl PageMeta {
             epoch_round: 0,
             epoch_capture: None,
             inline_log: None,
+            unshipped: true,
         }
     }
 
@@ -416,6 +423,18 @@ impl PageMeta {
     /// frame itself, so the page's next write must copy it out first.
     pub fn runtime_is_image(&self, global: u64) -> bool {
         matches!(self.restore_image(global), Some(PageSource::Pair(1, p)) if p.version == 0)
+    }
+
+    /// Records that the image `src` (this page's
+    /// [`restore_image`](Self::restore_image) at the committed version)
+    /// was shipped. Only a pair clears [`unshipped`](Self::unshipped): a
+    /// window's capture or in-line log stands for the image until the next
+    /// commit moves it onto the runtime frame, with no write or freeze to
+    /// flag the change, so such a page must be read again next round.
+    pub fn shipped(&mut self, src: PageSource) {
+        if matches!(src, PageSource::Pair(..)) {
+            self.unshipped = false;
+        }
     }
 
     /// Every NVM frame the page holds — both pair entries, the epoch
@@ -567,6 +586,7 @@ mod tests {
             epoch_round: 0,
             epoch_capture: None,
             inline_log: None,
+            unshipped: true,
         };
         assert_eq!(m.restore_pick(20), Some(1));
         let m2 = PageMeta { pairs: [pp(1, 9), pp(2, 8)], ..m.clone() };
@@ -590,6 +610,7 @@ mod tests {
             epoch_round: 0,
             epoch_capture: None,
             inline_log: None,
+            unshipped: true,
         };
         assert_eq!(m.restore_pick(5), Some(0), "must ignore version 6 > global 5");
     }
@@ -626,6 +647,7 @@ mod tests {
                     epoch_round: 0,
                     epoch_capture: None,
                     inline_log: None,
+                    unshipped: true,
                 };
                 if let Some(keep) = m.restore_pick(global) {
                     assert_ne!(m.sac_dst(global), keep, "global={global} pairs={pairs:?}");

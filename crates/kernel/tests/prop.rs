@@ -65,6 +65,7 @@ proptest! {
             epoch_round: 0,
             epoch_capture: None,
             inline_log: None,
+            unshipped: true,
         };
         let pick = meta.restore_pick(global);
         let committed_exists =

@@ -319,6 +319,14 @@ metrics! {
         repl_pages_shipped: counter,
         /// Wire bytes streamed to replication peers.
         repl_bytes_shipped: counter,
+        /// Nanoseconds spent building round frames (deltas and
+        /// snapshots) for replication peers.
+        repl_build_ns: counter,
+        /// Data pages read from NVM to build round deltas (eternal ring
+        /// pages, read every round, excluded).
+        repl_pages_read: counter,
+        /// Nanoseconds spent waiting for a round's replication quorum.
+        repl_quorum_wait_ns: counter,
         /// Round acknowledgements received from replicas.
         repl_acks: counter,
         /// Full-snapshot resyncs served after delta gaps or corruption.
@@ -528,6 +536,16 @@ impl MetricsRegistry {
         add(&self.repl_records_shipped, records);
         add(&self.repl_pages_shipped, pages);
         add(&self.repl_bytes_shipped, bytes);
+    }
+
+    /// Records where one replicated round's time went: `build_ns`
+    /// building its frames (of which `pages_read` data pages were read),
+    /// `wait_ns` waiting for the quorum.
+    #[inline]
+    pub fn record_repl_round(&self, build_ns: u64, pages_read: u64, wait_ns: u64) {
+        add(&self.repl_build_ns, build_ns);
+        add(&self.repl_pages_read, pages_read);
+        add(&self.repl_quorum_wait_ns, wait_ns);
     }
 
     /// Records one round acknowledgement received from a replica.

@@ -77,6 +77,9 @@ fn since_subtracts_counters_and_carries_gauges_and_histograms() {
         repl_records_shipped: 40, 4040 => 4000;
         repl_pages_shipped: 41, 4141 => 4100;
         repl_bytes_shipped: 42, 4242 => 4200;
+        repl_build_ns: 63, 6363 => 6300;
+        repl_pages_read: 64, 6464 => 6400;
+        repl_quorum_wait_ns: 65, 6565 => 6500;
         repl_acks: 43, 4343 => 4300;
         repl_resyncs: 44, 4444 => 4400;
         repl_quarantined: 45, 4545 => 4500;

@@ -4,11 +4,18 @@
 //!
 //! The dirty-queue drain *is* the delta ([`RoundDelta`]): the shipper
 //! serializes only the records the round rewrote plus the page images
-//! whose CRC changed since they were last shipped, so wire bytes scale
-//! with the change rate, not the tree size (the same O(changes) argument
-//! as the checkpoint itself). A replica that misses anything — drop,
-//! reorder past the window, corruption, its own crash — requests a
-//! resync and receives a full snapshot instead of the next delta.
+//! that changed since they were last shipped, so wire bytes scale with
+//! the change rate, not the tree size (the same O(changes) argument as
+//! the checkpoint itself). Reads scale the same way: a data page is read
+//! and hashed only while the kernel flags it
+//! [`unshipped`](treesls_kernel::pmo::PageMeta::unshipped) — a write, a
+//! freeze or a stop-and-copy may have changed its committed image — and
+//! every other manifest entry comes from the page's version and the CRC
+//! cached at its last ship. Eternal rings, which host clients write
+//! without a fault, are read and hashed every round and ship only when
+//! their CRC moved. A replica that misses anything — drop, reorder past
+//! the window, corruption, its own crash — requests a resync and
+//! receives a full snapshot instead of the next delta.
 //!
 //! External synchrony across machines: the shipper runs *before* the
 //! NIC's checkpoint callback (`register_callback_front`), waits up to
@@ -144,6 +151,13 @@ pub struct ShipStats {
     pub tombstones: u64,
     /// Page images shipped.
     pub pages: u64,
+    /// Data pages the round's delta read from NVM (and hashed, unless a
+    /// stored CRC covers them) to build it. Eternal ring pages, read
+    /// every round, are not counted.
+    pub read: u64,
+    /// Nanoseconds spent building the round's frames (the delta and any
+    /// snapshot).
+    pub build_ns: u64,
     /// Encoded frame bytes shipped (all peers).
     pub bytes: u64,
     /// Peers that received a snapshot this round.
@@ -156,12 +170,22 @@ pub struct ShipStats {
     pub degraded: bool,
 }
 
+/// The frames one build collects before encoding them.
+#[derive(Default)]
+struct Shipment {
+    records: Vec<Frame>,
+    pages: Vec<Frame>,
+    /// Data pages read from NVM to build them.
+    read: u64,
+}
+
 #[derive(Default)]
 struct BuiltFrames {
     frames: Vec<Vec<u8>>,
     records: u64,
     tombstones: u64,
     pages: u64,
+    read: u64,
     bytes: u64,
 }
 
@@ -195,7 +219,8 @@ pub struct Shipper {
     epoch: AtomicU64,
     peers: Mutex<Vec<Peer>>,
     /// Last shipped CRC per `(oroot, page idx)`: pages whose content did
-    /// not change since the previous ship are elided from deltas.
+    /// not change since the previous ship are elided from deltas, and an
+    /// unflagged data page takes its CRC from here without being read.
     page_crc: Mutex<HashMap<(u64, u64), u32>>,
     /// Eternal PMOs seen by any ship. Host clients write eternal rings
     /// directly — no fault ever fires, so nothing marks them dirty and
@@ -244,8 +269,12 @@ impl Shipper {
     }
 
     /// Drains the ack rings: acks raise the peer's durable round, resync
-    /// requests flag the peer for a snapshot.
-    fn drain_acks(&self) {
+    /// requests flag the peer for a snapshot. An ack that reaches
+    /// `waiting`, the round whose quorum wait is draining, is counted in
+    /// that round's `ReplShip` event (its peers-durable word); every other
+    /// ack advance — a peer catching up after its round's wait ended — is
+    /// logged as a `ReplAck` of its own.
+    fn drain_acks(&self, waiting: Option<u64>) {
         let epoch = self.epoch.load(Ordering::SeqCst);
         let mut peers = self.peers.lock();
         for peer in peers.iter_mut() {
@@ -257,10 +286,12 @@ impl Shipper {
                             if round > peer.acked {
                                 peer.acked = round;
                                 self.kernel.metrics.record_repl_ack();
-                                self.kernel.pers.recorder().record(
-                                    EventKind::ReplAck,
-                                    [epoch, round, peer.id as u64, 0, 0, 0],
-                                );
+                                if waiting != Some(round) {
+                                    self.kernel.pers.recorder().record(
+                                        EventKind::ReplAck,
+                                        [epoch, round, peer.id as u64, 0, 0, 0],
+                                    );
+                                }
                             }
                         }
                         Ok(Frame::ResyncRequest { applied_round, .. }) => {
@@ -284,24 +315,30 @@ impl Shipper {
         }
     }
 
-    /// Appends the committed record of `id` to `records` in wire form,
+    /// Appends the committed record of `id` to `out` in wire form,
     /// returning `false` when the image holds none (deleted or never
     /// committed). Any object but a PMO travels as itself. A PMO becomes
     /// its page manifest, and the page images whose CRC changed since the
-    /// last ship are appended to `pages` (pass `ship_all` to bypass the
-    /// cache for snapshots).
+    /// last ship are appended to `out.pages`. A delta (`snapshot = false`)
+    /// reads only the data pages flagged [`PageMeta::unshipped`] and takes
+    /// every other manifest entry from the page's version and the cached
+    /// CRC; eternal rings, which host clients write without a fault, are
+    /// read and hashed every round. A snapshot reads every page, ships it
+    /// whatever the cache says, and leaves the flags alone. `out.read`
+    /// counts the data pages read.
+    ///
+    /// [`PageMeta::unshipped`]: treesls_kernel::pmo::PageMeta::unshipped
     fn ship_record(
         &self,
         image: &CommittedImage<'_>,
         id: OrootId,
-        ship_all: bool,
-        records: &mut Vec<Frame>,
-        pages: &mut Vec<Frame>,
+        snapshot: bool,
+        out: &mut Shipment,
     ) -> bool {
         let Some(rec) = image.record(id).ok().flatten() else { return false };
         let raw = id.to_raw();
         let BackupObject::Pmo { npages, kind, pages: radix, synced_tick } = rec else {
-            records.push(Frame::Record { oroot: raw, rec: WireRecord::Object(rec) });
+            out.records.push(Frame::Record { oroot: raw, rec: WireRecord::Object(rec) });
             return true;
         };
         let eternal = kind == PmoKind::Eternal;
@@ -320,10 +357,8 @@ impl Shipper {
             // slot lock. The page is not `check`ed: that would cost a CRC
             // per shipped page, and a promoted replica runs restore's own
             // check anyway.
-            let meta = entry.slot.meta.lock();
+            let mut meta = entry.slot.meta.lock();
             let Some(src) = image.page(&meta) else { return };
-            let mut data = Box::new([0u8; PAGE_SIZE]);
-            image.read(src, &mut data);
             // Version 0 ("the runtime page is the image") travels as-is:
             // it is round-independent, so re-serializing an unchanged
             // record at a later round yields identical bytes, and the
@@ -333,6 +368,22 @@ impl Shipper {
                 PageSource::Capture(p) | PageSource::Pair(_, p) => (p.version, p.crc),
                 PageSource::Log { .. } => (image.version(), None),
             };
+            // A delta needs no bytes of a data page whose image is the
+            // one last shipped: unflagged, or a backup whose stored CRC is
+            // the cached one.
+            let cached = cache.get(&(raw, idx)).copied();
+            if let Some(crc) = cached.filter(|&c| {
+                !snapshot && !eternal && (!meta.unshipped || stored_crc == Some(c))
+            }) {
+                manifest.push((idx, version, crc));
+                meta.shipped(src);
+                return;
+            }
+            let mut data = Box::new([0u8; PAGE_SIZE]);
+            image.read(src, &mut data);
+            if !eternal {
+                out.read += 1;
+            }
             // Backup pages are frozen, so their stored CRC matches the
             // bytes read. A runtime page (no stored CRC) may be an eternal
             // ring a host client is writing right now, and a log
@@ -340,13 +391,16 @@ impl Shipper {
             // actually read, not the frame again.
             let crc = stored_crc.unwrap_or_else(|| treesls_nvm::crc32(&data[..]));
             manifest.push((idx, version, crc));
-            if ship_all || cache.get(&(raw, idx)) != Some(&crc) {
-                pages.push(Frame::Page { oroot: raw, idx, version, crc, data });
+            if snapshot || cached != Some(crc) {
+                out.pages.push(Frame::Page { oroot: raw, idx, version, crc, data });
             }
             cache.insert((raw, idx), crc);
+            if !snapshot {
+                meta.shipped(src);
+            }
         });
         let rec = WireRecord::Pmo { npages, eternal, synced_tick, pages: manifest };
-        records.push(Frame::Record { oroot: raw, rec });
+        out.records.push(Frame::Record { oroot: raw, rec });
         true
     }
 
@@ -354,8 +408,7 @@ impl Shipper {
         let round = delta.round;
         let mut tombs: HashSet<u64> =
             delta.tombstoned.iter().map(|id| id.to_raw()).collect();
-        let mut records = Vec::new();
-        let mut pages = Vec::new();
+        let mut out = Shipment::default();
         let mut shipped: HashSet<u64> = HashSet::new();
         for id in &delta.rewritten {
             let raw = id.to_raw();
@@ -364,7 +417,7 @@ impl Shipper {
             }
             // Rewritten then deleted before the callbacks ran: the store
             // no longer has it, so it is a tombstone.
-            if !self.ship_record(image, *id, false, &mut records, &mut pages) {
+            if !self.ship_record(image, *id, false, &mut out) {
                 tombs.insert(raw);
             }
         }
@@ -376,45 +429,41 @@ impl Shipper {
             if tombs.contains(&raw) || !shipped.insert(raw) {
                 continue;
             }
-            if !self.ship_record(image, OrootId::from_raw(raw), false, &mut records, &mut pages) {
+            if !self.ship_record(image, OrootId::from_raw(raw), false, &mut out) {
                 self.eternal.lock().remove(&raw);
             }
         }
-        {
-            // Deleted objects keep no page state worth deduplicating.
-            let mut cache = self.page_crc.lock();
-            cache.retain(|(o, _), _| !tombs.contains(o));
-            self.eternal.lock().retain(|o| !tombs.contains(o));
-        }
+        // Deleted objects keep no page state worth deduplicating.
+        self.page_crc.lock().retain(|(o, _), _| !tombs.contains(o));
+        self.eternal.lock().retain(|o| !tombs.contains(o));
         let begin = Frame::DeltaBegin {
             epoch,
             round,
-            records: records.len() as u32,
+            records: out.records.len() as u32,
             tombstones: tombs.len() as u32,
-            pages: pages.len() as u32,
+            pages: out.pages.len() as u32,
         };
         let commit = Frame::DeltaCommit { epoch, round, root: image.root().to_raw() };
         let tombs = tombs.into_iter().map(|oroot| Frame::Tombstone { oroot });
-        let frames = once(begin).chain(records).chain(pages).chain(tombs);
-        BuiltFrames::encode(frames.chain(once(commit)))
+        let frames = once(begin).chain(out.records).chain(out.pages).chain(tombs);
+        BuiltFrames { read: out.read, ..BuiltFrames::encode(frames.chain(once(commit))) }
     }
 
     /// A full-state transfer: every live, restorable record and every
     /// live page image of the committed image.
     fn build_snapshot(&self, image: &CommittedImage<'_>, epoch: u64, round: u64) -> BuiltFrames {
-        let mut records = Vec::new();
-        let mut pages = Vec::new();
+        let mut out = Shipment::default();
         for id in self.kernel.pers.oroots.ids() {
-            self.ship_record(image, id, true, &mut records, &mut pages);
+            self.ship_record(image, id, true, &mut out);
         }
         let begin = Frame::SnapBegin {
             epoch,
             round,
-            records: records.len() as u32,
-            pages: pages.len() as u32,
+            records: out.records.len() as u32,
+            pages: out.pages.len() as u32,
         };
         let commit = Frame::SnapCommit { epoch, round, root: image.root().to_raw() };
-        BuiltFrames::encode(once(begin).chain(records).chain(pages).chain(once(commit)))
+        BuiltFrames::encode(once(begin).chain(out.records).chain(out.pages).chain(once(commit)))
     }
 
     /// Pushes `frames` to one peer with bounded retry and capped
@@ -461,24 +510,27 @@ impl CkptCallback for Shipper {
     fn on_checkpoint(&self, version: u64) {
         let sched = self.kernel.pers.dev.crash_schedule();
         let epoch = self.epoch.load(Ordering::SeqCst);
-        self.drain_acks();
+        self.drain_acks(None);
         crash_site!(sched, "repl.pre_ship");
 
         let Ok(image) = CommittedImage::open(&self.kernel.pers) else {
             return;
         };
+        let t_build = Instant::now();
         let delta = self
             .mgr
             .upgrade()
             .and_then(|m| m.take_round_delta())
             .filter(|d| d.round == version)
             .map(|d| self.build_delta(&image, &d, epoch));
+        let mut build = t_build.elapsed();
 
         let mut stats = ShipStats { round: version, ..ShipStats::default() };
         if let Some(b) = &delta {
             stats.records = b.records;
             stats.tombstones = b.tombstones;
             stats.pages = b.pages;
+            stats.read = b.read;
         }
 
         // Ship: peers in good standing get the delta; flagged peers (or
@@ -493,7 +545,9 @@ impl CkptCallback for Shipper {
                     Some(d) if !peer.needs_snapshot => d,
                     _ => {
                         if snapshot.is_none() {
+                            let t = Instant::now();
                             snapshot = Some(self.build_snapshot(&image, epoch, version));
+                            build += t.elapsed();
                         }
                         stats.snapshots += 1;
                         peer.needs_snapshot = false;
@@ -505,6 +559,7 @@ impl CkptCallback for Shipper {
                 first = false;
             }
         }
+        stats.build_ns = build.as_nanos() as u64;
         self.kernel.metrics.record_repl_ship(stats.records, stats.pages, stats.bytes);
 
         // Quorum wait: the visibility barrier may only release rounds
@@ -514,10 +569,11 @@ impl CkptCallback for Shipper {
         let mut durable = self.durable_at(version);
         while durable < self.cfg.quorum && Instant::now() < deadline {
             std::thread::sleep(Duration::from_micros(20));
-            self.drain_acks();
+            self.drain_acks(Some(version));
             durable = self.durable_at(version);
         }
         stats.wait_ns = wait_start.elapsed().as_nanos() as u64;
+        self.kernel.metrics.record_repl_round(stats.build_ns, stats.read, stats.wait_ns);
         stats.durable = durable as u64;
         crash_site!(sched, "repl.post_ack");
 

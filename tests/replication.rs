@@ -22,7 +22,9 @@ use treesls::net::{NetError, NetFaultConfig, VirtualNic};
 use treesls::{ObjId, Program, System, SystemConfig};
 use treesls_apps::wire::{make_key, KvOp, KvResp};
 use treesls_bench::ringsetup::{deploy_kv_cfg, nic_config, RingDeployment};
-use treesls_repl::{promote, Cluster, ClusterConfig, PromoteError};
+use treesls_repl::{
+    promote, Cluster, ClusterConfig, PageImage, PromoteError, ReplicaStore, WireRecord,
+};
 
 fn kv_config() -> SystemConfig {
     KvRingScenario::kv_config()
@@ -316,32 +318,108 @@ fn faulty_wire_delta_stream_matches_snapshot_resync() {
     assert_eq!(cluster.replicas[0].applied_round(), version);
     assert_eq!(cluster.replicas[1].applied_round(), version);
 
-    // The delta-fed mirror and the snapshot-built mirror must agree:
-    // records that encode to identical wire bytes (`WireRecord`'s
-    // equality), the same root, and every page the snapshot carries
-    // present with identical bytes. (The delta-fed side may additionally
-    // hold stale images of pages a later round freed — cumulative by
-    // design — so the comparison is containment, not equality.)
-    let delta_store = cluster.replicas[0].store_snapshot();
-    let snap_store = cluster.replicas[1].store_snapshot();
-    assert_eq!(delta_store.root, snap_store.root);
-    assert_eq!(delta_store.applied_round, snap_store.applied_round);
-    assert_eq!(delta_store.records.len(), snap_store.records.len());
-    for (id, rec) in &snap_store.records {
+    assert_same_mirror(
+        &cluster.replicas[0].store_snapshot(),
+        &cluster.replicas[1].store_snapshot(),
+        "after the drill",
+    );
+}
+
+/// The delta-fed mirror and the snapshot-built mirror must agree: records
+/// that encode to identical wire bytes (`WireRecord`'s equality, so page
+/// manifests included), the same root, and every page the snapshot
+/// carries present with identical bytes. (The delta-fed side may
+/// additionally hold stale images of pages a later round freed —
+/// cumulative by design — so the comparison is containment, not
+/// equality.)
+fn assert_same_mirror(delta: &ReplicaStore, snap: &ReplicaStore, at: &str) {
+    assert_eq!(delta.root, snap.root, "{at}: root");
+    assert_eq!(delta.applied_round, snap.applied_round, "{at}: applied round");
+    assert_eq!(delta.records.len(), snap.records.len(), "{at}: record count");
+    for (id, rec) in &snap.records {
         assert_eq!(
-            delta_store.records.get(id),
+            delta.records.get(id),
             Some(rec),
-            "record {id} diverges between delta stream and snapshot"
+            "{at}: record {id} diverges between delta stream and snapshot"
         );
     }
-    for (key, img) in &snap_store.pages {
-        let mine = delta_store
+    for (key, img) in &snap.pages {
+        let mine = delta
             .pages
             .get(key)
-            .unwrap_or_else(|| panic!("page {key:?} missing from delta-fed mirror"));
-        assert_eq!(mine.crc, img.crc, "page {key:?} CRC diverges");
-        assert_eq!(mine.data, img.data, "page {key:?} bytes diverge");
+            .unwrap_or_else(|| panic!("{at}: page {key:?} missing from delta-fed mirror"));
+        assert_eq!(mine.crc, img.crc, "{at}: page {key:?} CRC diverges");
+        assert_eq!(mine.data, img.data, "{at}: page {key:?} bytes diverge");
     }
+}
+
+/// Data pages (not eternal) whose bytes differ between two snapshot-built
+/// mirrors, counting pages new in `now`.
+fn data_pages_changed(before: &ReplicaStore, now: &ReplicaStore) -> u64 {
+    let eternal = |oroot: &u64| {
+        matches!(now.records.get(oroot), Some(WireRecord::Pmo { eternal: true, .. }))
+    };
+    let changed = |key: &(u64, u64), img: &PageImage| {
+        before.pages.get(key).is_none_or(|old| old.data != img.data)
+    };
+    now.pages.iter().filter(|&(key, img)| !eternal(&key.0) && changed(key, img)).count() as u64
+}
+
+/// Every round, not only at the end: a replica fed only deltas holds the
+/// mirror a replica rebuilt from that round's snapshot holds. And a round
+/// of one SET reads no more data pages to build its delta than the round
+/// changed — the shipper reads only pages flagged since their last ship,
+/// not every live page of every rewritten PMO.
+#[test]
+fn delta_mirror_matches_snapshot_every_round_and_reads_only_changed_pages() {
+    let sys = System::boot(kv_config());
+    // A table of ten pages, so a round that changes one of them is not a
+    // round that changes them all.
+    let dep = deploy_kv_cfg(&sys, 512, 40, nic_config(1, true, &KV_GEOM), KV_GEOM);
+    drive(&sys, &dep.server_threads, 4);
+    let cluster = Cluster::deploy(&sys, &ClusterConfig::default());
+    let mut before: Option<ReplicaStore> = None;
+    let mut compared = 0;
+    for i in 0..20 {
+        // Replica 1 reboots every round, so it is rebuilt from a snapshot.
+        cluster.kill(1);
+        cluster.revive(1);
+        // Six rounds of six SETs spread the keys over the table's pages;
+        // every later round carries one SET.
+        let sets = if i < 6 { 6 } else { 1 };
+        for j in 0..sets {
+            let op = KvOp::Set { key: make_key(format!("k{i}-{j}").as_bytes()), value: vec![1; 8] };
+            dep.nic.send_request(j as u64, &op.encode()).expect("rx push");
+        }
+        dep.nic.flush_wire();
+        drive(&sys, &dep.server_threads, 8);
+        sys.checkpoint_now().expect("checkpoint");
+        cluster.replicas[0].poll();
+        cluster.replicas[1].poll();
+        dep.nic.pump();
+        let version = sys.kernel().pers.global_version();
+        let snap = cluster.replicas[1].store_snapshot();
+        assert_eq!(snap.applied_round, version, "round {i}: snapshot applied");
+        let stats = cluster.shipper.last_ship.lock().clone();
+        assert_eq!(stats.snapshots, 1, "round {i}: replica 1 resynced");
+        // Replica 0 resyncs once at the start, then lives on deltas.
+        if cluster.replicas[0].applied_round() == version && i > 0 {
+            assert_same_mirror(&cluster.replicas[0].store_snapshot(), &snap, &format!("round {i}"));
+            compared += 1;
+        }
+        if let Some(before) = before.filter(|_| i >= 6) {
+            let changed = data_pages_changed(&before, &snap);
+            assert!(changed > 0, "round {i}: a SET changes a page");
+            assert!(
+                stats.read <= changed,
+                "round {i}: the delta read {} data pages, the round changed {changed}",
+                stats.read
+            );
+        }
+        before = Some(snap);
+    }
+    assert!(compared >= 18, "the delta-fed mirror was compared {compared} times");
+    cluster.stop();
 }
 
 /// A CRC-corrupt slot on the wire quarantines the in-flight round (never
