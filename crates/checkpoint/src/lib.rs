@@ -243,12 +243,15 @@ impl CheckpointManager {
         let work = hybrid::build_work(kernel, inflight, Arc::clone(&counters));
 
         let sched = kernel.pers.dev.crash_schedule();
-        kernel.pers.recorder().record(
-            treesls_obs::EventKind::CkptBegin,
-            [inflight, kernel.tracker.active_len() as u64, 0, 0, 0, 0],
-        );
-        let t_pause = Instant::now();
         let flip = !kernel.config.force_full_quiesce;
+        // The flip logs the batch length in its `EpochFlip` slot instead.
+        if !flip {
+            kernel.pers.recorder().record(
+                treesls_obs::EventKind::CkptBegin,
+                [inflight, work.len() as u64, 0, 0, 0, 0],
+            );
+        }
+        let t_pause = Instant::now();
         // ❶ Full quiesce parks every core; they start pulling hybrid-copy
         // items (❸). The epoch flip parks nobody and does not hand the
         // batch out: the leader runs it itself after the flip,
@@ -327,7 +330,7 @@ impl CheckpointManager {
                     queue_depth,
                     stop_mask,
                     p.as_nanos() as u64,
-                    0,
+                    work.len() as u64,
                 ],
             );
             treesls_nvm::crash_site!(sched, "ckpt.concurrent_drain");
@@ -455,23 +458,27 @@ impl CheckpointManager {
             }
         };
         // Telemetry (outside the pause): one flight-recorder slot with the
-        // per-phase durations, plus the registry's counters and pause
-        // histogram.
-        kernel.pers.recorder().record(
-            treesls_obs::EventKind::CkptCommit,
-            [
-                inflight,
-                ipi.as_nanos() as u64,
-                (cap_tree + mark).as_nanos() as u64,
-                others.as_nanos() as u64,
-                counters.busy_ns.load(Ordering::Relaxed),
-                total_pause.as_nanos() as u64,
-            ],
-        );
+        // per-phase durations and the round's shape, plus the registry's
+        // counters and pause histogram.
+        let sac_copies = counters.sac_copies.load(Ordering::Relaxed);
+        let commit = treesls_obs::RoundCommit {
+            version: inflight,
+            total_pause_ns: total_pause.as_nanos() as u64,
+            cap_tree_ns: (cap_tree + mark).as_nanos() as u64,
+            others_ns: others.as_nanos() as u64,
+            ipi_ns: ipi.as_nanos() as u64,
+            hybrid_busy_ns: counters.busy_ns.load(Ordering::Relaxed),
+            full_walk: outcome.full_walk,
+            dirty_drained: outcome.dirty_drained as u64,
+            records_copied: outcome.copied as u64,
+            tombstoned: outcome.tombstoned as u64,
+            sac_copies,
+        };
+        kernel.pers.recorder().record(treesls_obs::EventKind::RoundCommit, commit.payload());
         kernel.metrics.record_checkpoint(total_pause.as_nanos() as u64);
         kernel.metrics.record_hybrid(
             counters.migrated_in.load(Ordering::Relaxed),
-            counters.sac_copies.load(Ordering::Relaxed),
+            sac_copies,
             counters.evicted.load(Ordering::Relaxed),
         );
         kernel.metrics.record_tree_walk(
@@ -485,17 +492,6 @@ impl CheckpointManager {
             kernel.pers.oroots.contention() + kernel.pers.backups.contention(),
         );
         kernel.metrics.set_quiesced_cores(self.stw.stopped_cores() as u64);
-        kernel.pers.recorder().record(
-            treesls_obs::EventKind::TreeWalk,
-            [
-                inflight,
-                u64::from(outcome.full_walk),
-                outcome.dirty_drained as u64,
-                outcome.copied as u64,
-                0,
-                outcome.tombstoned as u64,
-            ],
-        );
 
         // Stash the round's write set for the replication shipper before
         // the callbacks run (the shipper is itself a callback). A delta

@@ -369,9 +369,10 @@ fn sync_pmo(
         let mut new_tombstones = false;
         if *synced_tick != tick {
             // Additions: runtime entries missing from the backup tree.
-            // (Tombstones are always committed — a page cannot be removed and
-            // re-added within one round — so the purge above already cleared
-            // any stale entry at a re-added index.)
+            // (Tombstones are always committed — a page removed and touched
+            // again within one round takes its slot back, see
+            // `Kernel::translate` — so the purge above already cleared any
+            // stale entry at a re-added index.)
             let mut to_add = Vec::new();
             pmo.pages.for_each(|idx, slot| {
                 if pages.get(idx).is_none() {

@@ -593,6 +593,47 @@ fn removed_pages_are_tombstoned_then_reclaimed() {
 }
 
 #[test]
+fn write_after_page_removal_reaches_a_fresh_page() {
+    let (kernel, mgr) = boot();
+    let (_g, vs, pmo) = process(&kernel, "p");
+    kernel.vm_write(vs, Vaddr(0), b"old").unwrap();
+    mgr.checkpoint().unwrap();
+    // The mapping stays; the page under it goes. The next write must fault
+    // in a fresh page rather than land in the detached slot.
+    assert!(kernel.pmo_remove_page(pmo, 0).unwrap());
+    kernel.vm_write(vs, Vaddr(0), b"new").unwrap();
+    mgr.checkpoint().unwrap();
+    mgr.checkpoint().unwrap();
+
+    let image = crash(kernel);
+    let (k2, _) = restore(image, config(), no_programs).unwrap();
+    let vs2 = find_vmspace(&k2, "p");
+    let mut buf = [0u8; 3];
+    k2.vm_read(vs2, Vaddr(0), &mut buf).unwrap();
+    assert_eq!(&buf, b"new", "a committed write through the mapping was lost");
+}
+
+#[test]
+fn page_removed_and_retouched_in_one_round_keeps_its_committed_image() {
+    let (kernel, mgr) = boot();
+    let (_g, vs, pmo) = process(&kernel, "p");
+    kernel.vm_write(vs, Vaddr(0), b"old").unwrap();
+    mgr.checkpoint().unwrap();
+    assert!(kernel.pmo_remove_page(pmo, 0).unwrap());
+    let mut buf = [0xFFu8; 3];
+    kernel.vm_read(vs, Vaddr(0), &mut buf).unwrap();
+    assert_eq!(buf, [0u8; 3], "a removed page reads as zero");
+    kernel.vm_write(vs, Vaddr(0), b"new").unwrap();
+
+    // The round that removed and re-touched the page never commits.
+    let image = crash(kernel);
+    let (k2, _) = restore(image, config(), no_programs).unwrap();
+    let vs2 = find_vmspace(&k2, "p");
+    k2.vm_read(vs2, Vaddr(0), &mut buf).unwrap();
+    assert_eq!(&buf, b"old");
+}
+
+#[test]
 fn verify_checkpoint_passes_and_detects_missing_backup() {
     let (kernel, mgr) = boot();
     let (_g, vs, _pmo) = process(&kernel, "p");

@@ -38,13 +38,14 @@ use treesls_nvm::PAGE_SIZE;
 
 use crate::cap::CapRights;
 use crate::kernel::Kernel;
-use crate::object::{ObjType, ObjectBody};
+use crate::object::{KObject, ObjType, ObjectBody};
+use crate::oroot::BackupObject;
 use crate::pmo::{
     encode_undo_record, undo_record_size, InlineLog, PageMeta, PagePtr, PageSlot, PageSource,
     PhysLoc, INLINE_LOG_CAP, INLINE_MAX_DATA, UNDO_HEADER,
 };
 use crate::types::{KernelError, ObjId, Vaddr, Vpn};
-use crate::vm::PteCache;
+use crate::vm::{tlb_fill, tlb_lookup, PteCache};
 
 /// Fault-path counters (Figure 10 / Table 4 inputs).
 #[derive(Debug, Default)]
@@ -149,8 +150,24 @@ impl Kernel {
     /// Translates `vpn` in `vmspace`, handling minor faults.
     ///
     /// Returns the cached translation entry (shared page slot + region
-    /// permissions).
+    /// permissions). The calling thread's TLB answers when it holds the
+    /// entry under the current generation; otherwise the page table is
+    /// walked and the TLB filled (see [`crate::vm`]).
     pub fn translate(&self, vmspace: ObjId, vpn: Vpn) -> Result<PteCache, KernelError> {
+        // Read before the walk: a removal that races the walk bumps the
+        // generation after removing, so this fill can never hit again.
+        let gen = self.tlb_gen.load(Ordering::Acquire);
+        if let Some(pte) = tlb_lookup(self.tlb_id, gen, vmspace, vpn) {
+            return Ok(pte);
+        }
+        let pte = self.walk_page_table(vmspace, vpn)?;
+        tlb_fill(self.tlb_id, gen, vmspace, vpn, &pte);
+        Ok(pte)
+    }
+
+    /// The TLB miss: looks `vpn` up in the VM space's page table, and on a
+    /// page-table miss runs the minor fault through the region list.
+    fn walk_page_table(&self, vmspace: ObjId, vpn: Vpn) -> Result<PteCache, KernelError> {
         let vs = self.typed_object(vmspace, ObjType::VmSpace)?;
         let pt = {
             let body = vs.body.read();
@@ -182,6 +199,15 @@ impl Kernel {
                 ObjectBody::Pmo(p) => {
                     if let Some(s) = p.get(pidx) {
                         Arc::clone(s)
+                    } else if let Some(s) = self.unsynced_removal(&pmo_obj, pidx) {
+                        // The backup tree holds one entry per index, and
+                        // this slot is still it: take the slot back and
+                        // zero it through the write path, which preserves
+                        // its committed image like any other first write.
+                        p.insert(pidx, Arc::clone(&s));
+                        self.write_page_slot(&s, 0, &[0u8; PAGE_SIZE])?;
+                        pmo_obj.mark_dirty();
+                        s
                     } else {
                         // First touch: materialize a zeroed NVM page.
                         let eternal = p.kind == crate::pmo::PmoKind::Eternal;
@@ -207,6 +233,21 @@ impl Kernel {
         pt.insert(vpn, pte.clone());
         self.charge_fault(t0, Duration::ZERO);
         Ok(pte)
+    }
+
+    /// The slot a page removal took out of PMO `pmo` at `pidx`, while the
+    /// PMO's backup record still lists it live there: the removal has not
+    /// been synced into the backup tree yet (that sync writes a tombstone).
+    /// Called with the PMO body locked, which keeps the sync out.
+    fn unsynced_removal(&self, pmo: &KObject, pidx: u64) -> Option<Arc<PageSlot>> {
+        let bk = self.pers.oroots.with(pmo.oroot()?, |r| r.backups[0])??;
+        self.pers.backups.with(bk.slot, |rec| match rec {
+            BackupObject::Pmo { pages, .. } => pages
+                .get(pidx)
+                .filter(|e| e.removed.is_none())
+                .map(|e| Arc::clone(&e.slot)),
+            _ => None,
+        })?
     }
 
     /// Reads process memory, spanning pages as needed.
@@ -392,7 +433,9 @@ impl Kernel {
     /// it first (`conflict = true`), and whichever of the two runs first
     /// wins — the other skips. The copy becomes the page's image at the
     /// commit, so the page is flagged [`unshipped`](PageMeta::unshipped).
-    /// Returns the copy's wall time.
+    /// A conflict copy logs a `HybridSacCopy` slot; the batch's copies are
+    /// counted in the round's `RoundCommit` instead. Returns the copy's wall
+    /// time.
     pub fn stop_and_copy(
         &self,
         meta: &mut PageMeta,
@@ -418,10 +461,12 @@ impl Kernel {
         meta.pairs[dst] = Some(PagePtr::backup(frame, inflight, crc));
         meta.unshipped = true;
         self.metrics.record_backup_page(inflight);
-        self.pers.recorder().record(
-            treesls_obs::EventKind::HybridSacCopy,
-            [frame.0 as u64, inflight, d.0 as u64, u64::from(conflict), 0, 0],
-        );
+        if conflict {
+            self.pers.recorder().record(
+                treesls_obs::EventKind::HybridSacCopy,
+                [frame.0 as u64, inflight, d.0 as u64, 1, 0, 0],
+            );
+        }
         Ok(copied)
     }
 

@@ -553,9 +553,19 @@ pub struct Kernel {
     pub metrics: Arc<MetricsRegistry>,
     /// IRQ line → IrqNotification object (volatile; rebuilt on restore).
     pub irq_lines: Mutex<HashMap<u32, ObjId>>,
+    /// This kernel instance's id, unique in the process: it keys every
+    /// thread's TLB entries, so a restored kernel never hits a dead one's.
+    pub(crate) tlb_id: u64,
+    /// TLB generation: bumped after every removal from a page table, and
+    /// a TLB entry hits only while the generation it was filled under is
+    /// current (see [`crate::vm`]).
+    pub(crate) tlb_gen: AtomicU64,
     /// Boot configuration.
     pub config: KernelConfig,
 }
+
+/// Source of [`Kernel::tlb_id`].
+static NEXT_TLB_ID: AtomicU64 = AtomicU64::new(1);
 
 impl Kernel {
     /// Boots a fresh machine: formats NVM and creates the root cap group.
@@ -589,8 +599,19 @@ impl Kernel {
             stats: KernelStats::new(),
             metrics: Arc::new(MetricsRegistry::new()),
             irq_lines: Mutex::new(HashMap::new()),
+            tlb_id: NEXT_TLB_ID.fetch_add(1, Ordering::Relaxed),
+            tlb_gen: AtomicU64::new(0),
             config,
         })
+    }
+
+    /// The TLB shootdown: every thread's cached translations of this
+    /// kernel stop hitting. Called after a removal from a page table, so a
+    /// fill that read the old generation before its walk is dropped too.
+    pub fn invalidate_tlbs(&self) {
+        // Release pairs with `translate`'s Acquire load: a fill that reads
+        // the new generation also sees the removal.
+        self.tlb_gen.fetch_add(1, Ordering::Release);
     }
 
     /// The root cap group id.
@@ -815,6 +836,7 @@ impl Kernel {
         for vpn in region.base.0..region.base.0 + region.npages {
             v.page_table.remove(Vpn(vpn));
         }
+        self.invalidate_tlbs();
         vs.mark_dirty();
         Ok(())
     }
@@ -826,18 +848,44 @@ impl Kernel {
     /// checkpoint tombstones the page in the backup radix tree and a later
     /// one reclaims the frames — the deferred reclamation of §4.1's
     /// "reuse the radix tree in subsequent checkpoints" bookkeeping.
+    ///
+    /// Every VM space whose region maps that PMO index drops the page's
+    /// translation, and the TLBs are shot down, so the next access faults
+    /// in a fresh page instead of writing into the detached slot. The VM
+    /// spaces are found by a scan of the object table: a page removal is
+    /// rare, and no reverse map is kept for it.
     pub fn pmo_remove_page(&self, pmo: ObjId, index: u64) -> Result<bool, KernelError> {
         let p = self.typed_object(pmo, ObjType::Pmo)?;
-        let mut body = p.body.write();
-        let ObjectBody::Pmo(pb) = &mut *body else { unreachable!() };
-        if pb.kind == crate::pmo::PmoKind::Eternal {
-            return Err(KernelError::InvalidState("eternal PMOs never shrink"));
-        }
-        let removed = pb.remove(index).is_some();
-        if removed {
+        {
+            let mut body = p.body.write();
+            let ObjectBody::Pmo(pb) = &mut *body else { unreachable!() };
+            if pb.kind == crate::pmo::PmoKind::Eternal {
+                return Err(KernelError::InvalidState("eternal PMOs never shrink"));
+            }
+            if pb.remove(index).is_none() {
+                return Ok(false);
+            }
             p.mark_dirty();
         }
-        Ok(removed)
+        // Lock order: the PMO body is released before any VM space body.
+        let spaces: Vec<Arc<KObject>> = self
+            .objects
+            .read()
+            .iter()
+            .filter(|(_, o)| o.otype == ObjType::VmSpace)
+            .map(|(_, o)| Arc::clone(o))
+            .collect();
+        for vs in spaces {
+            let body = vs.body.read();
+            let ObjectBody::VmSpace(v) = &*body else { unreachable!() };
+            for r in v.regions.iter().filter(|r| r.pmo == pmo) {
+                if (r.pmo_off..r.pmo_off + r.npages).contains(&index) {
+                    v.page_table.remove(Vpn(r.base.0 + index - r.pmo_off));
+                }
+            }
+        }
+        self.invalidate_tlbs();
+        Ok(true)
     }
 
     /// Revokes capability `slot` from `cap_group`.

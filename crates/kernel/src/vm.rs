@@ -1,4 +1,5 @@
-//! VM spaces, regions, and the DRAM-resident soft page table.
+//! VM spaces, regions, the DRAM-resident soft page table and the
+//! per-thread TLB in front of it.
 //!
 //! "VM Space records a list of accessible virtual memory regions and a page
 //! table structure for the space. Each virtual memory region is backed by a
@@ -9,17 +10,31 @@
 //! vpn → page-slot cache that is dropped on crash and repopulated by soft
 //! page faults after restore.
 //!
+//! Each thread also keeps a small direct-mapped TLB ([`TLB_ENTRIES`]
+//! entries) of the translations it used last, keyed by kernel instance,
+//! VM space and vpn, so an access that hits takes no object-table, VM-space
+//! or page-table lock. The page table stays the one authority: a miss walks
+//! it as before and fills the entry. There is one invalidation rule: every
+//! removal from a page table bumps the kernel's TLB generation *after*
+//! removing ([`Kernel::invalidate_tlbs`]), and a fill records the
+//! generation it read *before* its walk, so an entry is used only while the
+//! generation it was filled under is still current. A restore builds a new
+//! kernel with a new instance id, so no entry of the dead kernel can hit.
+//!
 //! Write protection deliberately does NOT live in the cached translation.
 //! A [`PteCache`] entry carries only the region permissions from map time;
 //! the per-checkpoint CoW state (`writable`, migration, the in-line undo
 //! log) lives in the shared [`PageSlot`]'s `PageMeta`, which every write
 //! takes a lock on. That split is what lets the epoch flip's
-//! `mark_readonly` pass stay O(dirty pages) with no shootdown analog: the
-//! leader flips `meta.writable` under each slot lock and every cached
-//! translation — on every core — observes it on its next write, so there
-//! is no per-core TLB/PTE invalidation step to add to the O(1) stop
-//! window (DESIGN.md "Epoch-concurrent checkpointing: the no-park flip").
+//! `mark_readonly` pass stay O(dirty pages) with no shootdown: the leader
+//! flips `meta.writable` under each slot lock and every cached translation
+//! — in every thread's TLB and every page table — observes it on its next
+//! write, so the O(1) stop window has no TLB/PTE invalidation step
+//! (DESIGN.md "Epoch-concurrent checkpointing: the no-park flip").
+//!
+//! [`Kernel::invalidate_tlbs`]: crate::Kernel::invalidate_tlbs
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -97,15 +112,11 @@ impl PageTable {
         self.map.lock().insert(vpn, pte);
     }
 
-    /// Drops a translation (region unmap, page removal).
+    /// Drops a translation (region unmap, page removal). The caller bumps
+    /// the kernel's TLB generation afterwards
+    /// ([`Kernel::invalidate_tlbs`](crate::Kernel::invalidate_tlbs)).
     pub fn remove(&self, vpn: Vpn) -> Option<PteCache> {
         self.map.lock().remove(&vpn)
-    }
-
-    /// Drops every translation (used at restore to model the rebuilt,
-    /// initially empty page table).
-    pub fn clear(&self) {
-        self.map.lock().clear();
     }
 
     /// Number of cached translations.
@@ -117,6 +128,50 @@ impl PageTable {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+}
+
+/// Entries in each thread's TLB (direct-mapped, a power of two).
+pub const TLB_ENTRIES: usize = 64;
+
+/// One cached translation of a thread's TLB.
+struct TlbEntry {
+    /// Instance id of the kernel that owns the VM space.
+    kernel: u64,
+    vmspace: ObjId,
+    vpn: Vpn,
+    /// The kernel's TLB generation read before the page-table walk.
+    gen: u64,
+    pte: PteCache,
+}
+
+thread_local! {
+    static TLB: RefCell<[Option<TlbEntry>; TLB_ENTRIES]> =
+        const { RefCell::new([const { None }; TLB_ENTRIES]) };
+}
+
+fn tlb_index(vmspace: ObjId, vpn: Vpn) -> usize {
+    let h = (vpn.0 ^ vmspace.to_raw().rotate_left(32)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    (h >> (64 - TLB_ENTRIES.trailing_zeros())) as usize
+}
+
+/// Looks `vpn` of `vmspace` up in the calling thread's TLB: a hit needs the
+/// entry to be `kernel`'s and filled under generation `gen`.
+pub(crate) fn tlb_lookup(kernel: u64, gen: u64, vmspace: ObjId, vpn: Vpn) -> Option<PteCache> {
+    TLB.with(|tlb| match &tlb.borrow()[tlb_index(vmspace, vpn)] {
+        Some(e) if e.gen == gen && e.kernel == kernel && e.vmspace == vmspace && e.vpn == vpn => {
+            Some(e.pte.clone())
+        }
+        _ => None,
+    })
+}
+
+/// Caches `pte` in the calling thread's TLB, filled under generation `gen`
+/// (read before the page-table walk that produced `pte`).
+pub(crate) fn tlb_fill(kernel: u64, gen: u64, vmspace: ObjId, vpn: Vpn, pte: &PteCache) {
+    TLB.with(|tlb| {
+        tlb.borrow_mut()[tlb_index(vmspace, vpn)] =
+            Some(TlbEntry { kernel, vmspace, vpn, gen, pte: pte.clone() });
+    });
 }
 
 /// Runtime body of a VM Space object.
@@ -253,7 +308,7 @@ mod tests {
         assert_eq!(pt.len(), 1);
         assert!(Arc::ptr_eq(&pt.get(Vpn(7)).unwrap().slot, &slot));
         assert!(pt.get(Vpn(8)).is_none());
-        pt.clear();
+        assert!(pt.remove(Vpn(7)).is_some());
         assert!(pt.get(Vpn(7)).is_none());
     }
 }

@@ -30,7 +30,7 @@
 //! enumerator can compute how many distinct 64 B tear classes each write
 //! admits.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
 
 use parking_lot::Mutex;
 
@@ -200,6 +200,10 @@ pub struct CrashSchedule {
     trace: Mutex<Option<Vec<SiteHit>>>,
     /// When `Some`, every NVM write is appended (torn-enumeration dry runs).
     write_trace: Mutex<Option<Vec<WriteRec>>>,
+    /// `trace` is `Some`: lets a site hit skip the lock when not tracing.
+    tracing: AtomicBool,
+    /// `write_trace` is `Some`: lets a write skip the lock when not tracing.
+    write_tracing: AtomicBool,
 }
 
 impl CrashSchedule {
@@ -260,20 +264,24 @@ impl CrashSchedule {
     /// Starts recording crash-site hits (replacing any previous trace).
     pub fn start_trace(&self) {
         *self.trace.lock() = Some(Vec::new());
+        self.tracing.store(true, Ordering::SeqCst);
     }
 
     /// Stops recording and returns the collected trace.
     pub fn take_trace(&self) -> Vec<SiteHit> {
+        self.tracing.store(false, Ordering::SeqCst);
         self.trace.lock().take().unwrap_or_default()
     }
 
     /// Starts recording every NVM write (replacing any previous trace).
     pub fn start_write_trace(&self) {
         *self.write_trace.lock() = Some(Vec::new());
+        self.write_tracing.store(true, Ordering::SeqCst);
     }
 
     /// Stops recording writes and returns the collected trace.
     pub fn take_write_trace(&self) -> Vec<WriteRec> {
+        self.write_tracing.store(false, Ordering::SeqCst);
         self.write_trace.lock().take().unwrap_or_default()
     }
 
@@ -313,6 +321,9 @@ impl CrashSchedule {
     }
 
     fn record_write(&self, kind: WriteKind, off: usize, len: usize) {
+        if !self.write_tracing.load(Ordering::Acquire) {
+            return;
+        }
         if let Some(trace) = self.write_trace.lock().as_mut() {
             trace.push(WriteRec { kind, off, len });
         }
@@ -355,8 +366,10 @@ impl CrashSchedule {
     /// Records the hit when tracing, and fires the fuse when armed with a
     /// matching [`CrashPoint::Site`].
     pub fn site(&self, name: &'static str) {
-        if let Some(trace) = self.trace.lock().as_mut() {
-            trace.push(SiteHit { name, writes_before: self.counts().total() });
+        if self.tracing.load(Ordering::Acquire) {
+            if let Some(trace) = self.trace.lock().as_mut() {
+                trace.push(SiteHit { name, writes_before: self.counts().total() });
+            }
         }
         if self.kind.load(Ordering::Relaxed) == KIND_SITE {
             let matches = self.site.lock().as_deref() == Some(name);

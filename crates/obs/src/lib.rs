@@ -8,7 +8,7 @@
 //!    lives *on the emulated NVM device* (inside the metadata arena) and
 //!    therefore survives crashes. The kernel, checkpoint manager, and
 //!    external-synchrony layer append typed [`FlightEvent`]s (checkpoint
-//!    begin/commit with per-phase durations, CoW faults, hybrid-copy
+//!    flip/commit with per-phase durations, CoW faults, hybrid-copy
 //!    decisions, restore, quarantine, journal truncation, ring publish);
 //!    after a crash, recovery replays the surviving tail so post-crash
 //!    forensics show the last events before the cut. The design follows the
@@ -39,4 +39,4 @@ mod recorder;
 
 pub use json::{Json, JsonError};
 pub use metrics::{MetricsRegistry, MetricsSnapshot, PauseHistogram, PauseStats, NET_SHARDS};
-pub use recorder::{EventKind, FlightEvent, FlightRecorder, SLOT_LEN};
+pub use recorder::{EventKind, FlightEvent, FlightRecorder, RoundCommit, SLOT_LEN};

@@ -58,10 +58,13 @@ const PAYLOAD_OFF: usize = 16;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u16)]
 pub enum EventKind {
-    /// A checkpoint round is starting (recorded just before stop-the-world).
-    /// Payload: `[version_being_taken, active_page_list_len, 0, 0, 0, 0]`.
+    /// A full-quiesce checkpoint round is starting (recorded just before
+    /// stop-the-world; the epoch flip carries the same length in
+    /// [`EpochFlip`](Self::EpochFlip)). Payload: `[version_being_taken,
+    /// active_page_list_len, 0, 0, 0, 0]`.
     CkptBegin = 1,
-    /// A checkpoint round committed. Payload: `[version, ipi_ns,
+    /// A checkpoint round committed (older images only: rounds now log
+    /// [`RoundCommit`](Self::RoundCommit)). Payload: `[version, ipi_ns,
     /// cap_tree_ns, others_ns, hybrid_busy_ns, total_pause_ns]`.
     CkptCommit = 2,
     /// A copy-on-write page fault copied a backup page. Payload:
@@ -70,8 +73,12 @@ pub enum EventKind {
     /// Hybrid copy migrated a hot page into DRAM. Payload:
     /// `[home_frame, inflight_version, dram_id, 0, 0, 0]`.
     HybridMigrateIn = 4,
-    /// Hybrid copy performed a stop-and-copy page copy on NVM. Payload:
-    /// `[backup_frame, inflight_version, dram_id, 0, 0, 0]`.
+    /// A write racing the epoch flip preserved its page's round image: a
+    /// stop-and-copy of a migrated page (`conflict` = 1) or a whole-page
+    /// capture (`conflict` = 2). Older images also hold the hybrid batch's
+    /// stop-and-copies (`conflict` = 0); the batch now only counts them in
+    /// [`RoundCommit`](Self::RoundCommit). Payload: `[backup_frame,
+    /// inflight_version, dram_id, conflict, 0, 0]`.
     HybridSacCopy = 5,
     /// Hybrid copy evicted an idle page from DRAM back to NVM. Payload:
     /// `[nvm_frame, inflight_version, 0, 0, 0, 0]`.
@@ -90,10 +97,10 @@ pub enum EventKind {
     RingPublish = 10,
     /// Free-form marker recorded by tests and tools. Payload is opaque.
     Marker = 11,
-    /// One capability-tree walk finished. Payload: `[inflight_version,
-    /// full_walk(0|1), dirty_drained, records_copied, 0, oroots_tombstoned]`
-    /// (slot 4 is reserved: it counted records offloaded to other cores,
-    /// and NVM images pin the six-word layout).
+    /// One capability-tree walk finished (older images only: the walk's
+    /// shape is now part of [`RoundCommit`](Self::RoundCommit)). Payload:
+    /// `[inflight_version, full_walk(0|1), dirty_drained, records_copied,
+    /// 0, oroots_tombstoned]`.
     TreeWalk = 12,
     /// A virtual NIC released all of its queues' buffered responses under
     /// one commit (the cross-queue visibility barrier). Payload:
@@ -127,7 +134,8 @@ pub enum EventKind {
     /// An epoch-concurrent round flipped its epoch: the O(1) stop window
     /// ended and the drain/copy phase began with mutators live. Payload:
     /// `[inflight_version, fence_round, cut_depth, stop_mask (0),
-    /// flip_pause_ns, 0]`.
+    /// flip_pause_ns, active_page_list_len]` (older images hold 0 in the
+    /// last word and a [`CkptBegin`](Self::CkptBegin) before the flip).
     EpochFlip = 20,
     /// A first conflicting write of the round appended an in-line undo
     /// record instead of taking a whole-page capture. Payload:
@@ -137,6 +145,10 @@ pub enum EventKind {
     /// landed; durability follows at the covering checkpoint). Payload:
     /// `[commit_seq, txn_id, writes, reads, latency_ns, snapshot_seq]`.
     TxnCommit = 22,
+    /// A checkpoint round committed: its phase times, its tree walk's shape
+    /// and the hybrid batch's stop-and-copy count, in one slot (see
+    /// [`RoundCommit`] for the packing).
+    RoundCommit = 23,
 }
 
 impl EventKind {
@@ -165,6 +177,7 @@ impl EventKind {
             20 => EventKind::EpochFlip,
             21 => EventKind::InlineLog,
             22 => EventKind::TxnCommit,
+            23 => EventKind::RoundCommit,
             _ => return None,
         })
     }
@@ -194,6 +207,76 @@ impl EventKind {
             EventKind::EpochFlip => "epoch_flip",
             EventKind::InlineLog => "inline_log",
             EventKind::TxnCommit => "txn_commit",
+            EventKind::RoundCommit => "round_commit",
+        }
+    }
+}
+
+/// The payload of an [`EventKind::RoundCommit`] slot: what one committed
+/// round did, decoded.
+///
+/// Packing (little-endian words, `lo`/`hi` = low/high 32 bits): `[version,
+/// total_pause_ns, cap_tree_ns lo | others_ns hi, ipi_ns lo |
+/// hybrid_busy_ns hi, dirty_drained lo | records_copied hi, tombstoned lo |
+/// sac_copies bits 32..63 | full_walk bit 63]`. The 32-bit fields saturate
+/// (4.29 s, 4.29 G) and `sac_copies` saturates at 2³¹ − 1.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct RoundCommit {
+    /// The committed version.
+    pub version: u64,
+    /// The round's pause: the flip window, or the whole stop-the-world.
+    pub total_pause_ns: u64,
+    /// Marking plus the capability-tree copy.
+    pub cap_tree_ns: u64,
+    /// Commit, fold, sweep and active-list compaction.
+    pub others_ns: u64,
+    /// Stopping the cores (0 under the epoch flip).
+    pub ipi_ns: u64,
+    /// Time spent on the hybrid page batch, summed over cores.
+    pub hybrid_busy_ns: u64,
+    /// Whether the tree walk was a full reachability walk.
+    pub full_walk: bool,
+    /// Dirty-queue entries the walk drained.
+    pub dirty_drained: u64,
+    /// Backup records the walk rewrote.
+    pub records_copied: u64,
+    /// ORoots the walk tombstoned.
+    pub tombstoned: u64,
+    /// Stop-and-copies the hybrid batch made.
+    pub sac_copies: u64,
+}
+
+impl RoundCommit {
+    /// Encodes the six payload words.
+    pub fn payload(&self) -> [u64; 6] {
+        let lo_hi = |lo: u64, hi: u64| lo.min(u32::MAX as u64) | hi.min(u32::MAX as u64) << 32;
+        let sac = self.sac_copies.min(u32::MAX as u64 >> 1);
+        [
+            self.version,
+            self.total_pause_ns,
+            lo_hi(self.cap_tree_ns, self.others_ns),
+            lo_hi(self.ipi_ns, self.hybrid_busy_ns),
+            lo_hi(self.dirty_drained, self.records_copied),
+            lo_hi(self.tombstoned, sac) | u64::from(self.full_walk) << 63,
+        ]
+    }
+
+    /// Decodes the six payload words of a `RoundCommit` slot.
+    pub fn decode(p: &[u64; 6]) -> Self {
+        let lo = |w: u64| w & u32::MAX as u64;
+        let hi = |w: u64| w >> 32;
+        RoundCommit {
+            version: p[0],
+            total_pause_ns: p[1],
+            cap_tree_ns: lo(p[2]),
+            others_ns: hi(p[2]),
+            ipi_ns: lo(p[3]),
+            hybrid_busy_ns: hi(p[3]),
+            dirty_drained: lo(p[4]),
+            records_copied: hi(p[4]),
+            tombstoned: lo(p[5]),
+            sac_copies: hi(p[5]) & (u32::MAX as u64 >> 1),
+            full_walk: p[5] >> 63 == 1,
         }
     }
 }
@@ -492,5 +575,28 @@ mod tests {
         assert_eq!(tail.len(), 1);
         assert_eq!(tail[0].event_kind(), None);
         assert_eq!(tail[0].kind_name(), "unknown");
+    }
+
+    #[test]
+    fn round_commit_packs_and_saturates() {
+        let rc = RoundCommit {
+            version: 9,
+            total_pause_ns: 1 << 40,
+            cap_tree_ns: 1_000,
+            others_ns: 2_000,
+            ipi_ns: 0,
+            hybrid_busy_ns: u64::MAX,
+            full_walk: true,
+            dirty_drained: 5,
+            records_copied: 4,
+            tombstoned: 1,
+            sac_copies: 3,
+        };
+        let back = RoundCommit::decode(&rc.payload());
+        assert_eq!(back, RoundCommit { hybrid_busy_ns: u32::MAX as u64, ..rc });
+        let huge = RoundCommit { sac_copies: u64::MAX, full_walk: false, ..rc };
+        let back = RoundCommit::decode(&huge.payload());
+        assert_eq!((back.sac_copies, back.full_walk, back.tombstoned), (u32::MAX as u64 >> 1, false, 1));
+        assert_eq!(EventKind::from_u16(23), Some(EventKind::RoundCommit));
     }
 }

@@ -230,7 +230,7 @@ pub struct KvState {
 }
 
 impl KvState {
-    fn drive(&self, sys: &System, steps: usize) {
+    pub fn drive(&self, sys: &System, steps: usize) {
         for &srv in &self.servers {
             step(sys, srv, steps);
         }

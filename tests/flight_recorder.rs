@@ -21,18 +21,19 @@
 
 mod common;
 
-use common::stride;
+use common::{stride, KvRingScenario};
 
 use treesls::{
     enumerate_crashes, enumerate_torn_crashes, CrashScenario, EventKind, KernelConfig,
-    ProgramRegistry, RestoreReport, System, SystemConfig,
+    ProgramRegistry, RestoreReport, RoundCommit, System, SystemConfig,
 };
+use treesls_apps::wire::{make_key, KvOp};
 use treesls_nvm::PersistMode;
 
 /// Number of marker events the workload records.
 const MARKERS: u64 = 12;
 /// A checkpoint is taken after every `CKPT_EVERY` markers, so cuts land
-/// inside checkpoint instrumentation (CkptBegin/CkptCommit slots) too.
+/// inside checkpoint instrumentation (EpochFlip/RoundCommit slots) too.
 const CKPT_EVERY: u64 = 4;
 
 fn marker_payload(i: u64) -> [u64; 6] {
@@ -140,7 +141,7 @@ fn recorder_workload_actually_records_and_wraps_checkpoints() {
     scenario.workload(&mut sys, &mut st);
     let tail = sys.kernel().pers.recorder().tail();
     let markers = tail.iter().filter(|e| e.event_kind() == Some(EventKind::Marker)).count();
-    let commits = tail.iter().filter(|e| e.event_kind() == Some(EventKind::CkptCommit)).count();
+    let commits = tail.iter().filter(|e| e.event_kind() == Some(EventKind::RoundCommit)).count();
     assert_eq!(markers as u64, MARKERS);
     assert!(commits as u64 >= MARKERS / CKPT_EVERY, "checkpoint events missing: {commits}");
 }
@@ -226,4 +227,50 @@ fn media_fault_in_ring_truncates_forensics_but_not_recovery() {
         events.iter().all(|e| e.seq != victim_seq),
         "the corrupt slot must not decode"
     );
+}
+
+#[test]
+fn an_epoch_flip_round_appends_three_slots() {
+    // A lockstep NIC machine under the default epoch flip: one SET per
+    // round to one key makes its page hot, then DRAM-migrated, then
+    // stop-and-copied by every round's hybrid batch.
+    let scenario = KvRingScenario::new(0);
+    let mut sys = System::boot(scenario.config());
+    let st = scenario.setup(&mut sys);
+    let set = KvOp::Set { key: make_key(b"hot"), value: b"value".to_vec() }.encode();
+    let round = |sys: &System| {
+        let seq = st.nic.send_request(0, &set).expect("rx push");
+        st.drive(sys, 8);
+        sys.checkpoint_now().expect("checkpoint");
+        st.nic.pump();
+        assert!(st.nic.try_take(seq).is_some(), "SET acked at its commit");
+    };
+    for _ in 0..8 {
+        round(&sys);
+    }
+    assert!(sys.metrics_snapshot().hybrid_migrated_in > 0, "the hot page migrated");
+
+    let recorder = sys.kernel().pers.recorder();
+    let (seq0, m0) = (recorder.next_seq(), sys.metrics_snapshot());
+    round(&sys);
+    let m = sys.metrics_snapshot().since(&m0);
+    let added: Vec<_> = recorder.tail().into_iter().filter(|e| e.seq >= seq0).collect();
+    let kinds: Vec<_> = added.iter().map(|e| e.event_kind()).collect();
+    assert_eq!(
+        kinds,
+        [Some(EventKind::EpochFlip), Some(EventKind::RoundCommit), Some(EventKind::NetBarrier)],
+        "one round, three slots: {added:?}"
+    );
+
+    let batch = sys.kernel().tracker.active_len() as u64;
+    assert_eq!(added[0].payload[5], batch, "the flip slot carries the batch length");
+    let commit = RoundCommit::decode(&added[1].payload);
+    assert_eq!(commit.version, added[0].payload[0]);
+    assert!(commit.sac_copies >= 1, "the hot page was stop-and-copied");
+    assert_eq!(commit.sac_copies, m.hybrid_sac_copies);
+    assert_eq!(commit.full_walk, m.tree_full_walks == 1);
+    assert_eq!(commit.dirty_drained, m.tree_dirty_drained);
+    assert_eq!(commit.records_copied, m.tree_copied);
+    assert_eq!(commit.tombstoned, m.tree_tombstoned);
+    assert!(commit.records_copied > 0, "the SET rewrote the data PMO's record");
 }
