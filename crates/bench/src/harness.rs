@@ -7,7 +7,7 @@
 //! were also checkpointed", §7.3).
 //!
 //! Scales are reduced from the paper's (100 MiB datasets, 10 M keys) so a
-//! full table regenerates in seconds; pass `--full` to the binaries for
+//! full table regenerates in seconds; pass `--full` to `paperfigs` for
 //! paper-scale runs. Shapes, not absolute sizes, are the target.
 
 use std::sync::Arc;
@@ -85,8 +85,6 @@ pub struct BenchOpts {
     pub full: bool,
     /// Calibrated NVM latency injection.
     pub optane: bool,
-    /// Also write `results/BENCH_<name>.json` (see `sink`).
-    pub json: bool,
 }
 
 impl Default for BenchOpts {
@@ -99,34 +97,40 @@ impl Default for BenchOpts {
             hybrid: true,
             full: false,
             optane: false,
-            json: false,
         }
     }
 }
 
 impl BenchOpts {
-    /// Parses common CLI flags (`--full`, `--optane`, `--cores N`,
-    /// `--json`).
-    pub fn from_args() -> Self {
+    /// The flags [`parse`](Self::parse) accepts.
+    pub const USAGE: &'static str = "usage: [--full] [--optane] [--cores N]";
+
+    /// Parses the command-line flags (program name excluded). An unknown
+    /// flag or a missing or non-numeric `--cores` value is an error, so a
+    /// stale command line cannot run at settings it did not ask for.
+    pub fn parse(args: &[String]) -> Result<Self, String> {
         let mut o = Self::default();
-        let args: Vec<String> = std::env::args().collect();
-        for (i, a) in args.iter().enumerate() {
+        let mut args = args.iter();
+        while let Some(a) = args.next() {
             match a.as_str() {
                 "--full" => o.full = true,
                 "--optane" => o.optane = true,
-                "--json" => o.json = true,
                 "--cores" => {
-                    if let Some(n) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                        o.cores = n;
-                    }
+                    let n = args.next().ok_or("--cores needs a value")?;
+                    o.cores = n
+                        .parse()
+                        .ok()
+                        .filter(|&n| n > 0)
+                        .ok_or(format!("--cores {n}: not a core count"))?;
                 }
-                _ => {}
+                _ => return Err(format!("unknown flag {a}")),
             }
         }
-        o
+        Ok(o)
     }
 
-    fn system_config(&self) -> SystemConfig {
+    /// The system these options describe.
+    pub fn system_config(&self) -> SystemConfig {
         SystemConfig {
             kernel: KernelConfig {
                 nvm_frames: if self.full { 262_144 } else { 65_536 }, // 1 GiB / 256 MiB
@@ -458,5 +462,35 @@ impl BenchSystem {
         let elapsed = t0.elapsed();
         self.sys.stop();
         elapsed
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<BenchOpts, String> {
+        BenchOpts::parse(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn parse_accepts_the_three_flags() {
+        let o = parse(&[]).unwrap();
+        assert_eq!((o.cores, o.full, o.optane), (2, false, false));
+        let o = parse(&["--full", "--cores", "4", "--optane"]).unwrap();
+        assert_eq!((o.cores, o.full, o.optane), (4, true, true));
+    }
+
+    #[test]
+    fn parse_rejects_an_unknown_flag() {
+        assert!(parse(&["--json"]).unwrap_err().contains("--json"));
+        assert!(parse(&["--full", "--gate", "2.0"]).unwrap_err().contains("--gate"));
+    }
+
+    #[test]
+    fn parse_rejects_a_bad_core_count() {
+        for bad in [&["--cores"][..], &["--cores", "two"], &["--cores", "0"], &["--cores", "-1"]] {
+            assert!(parse(bad).unwrap_err().contains("--cores"), "{bad:?}");
+        }
     }
 }

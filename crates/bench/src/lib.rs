@@ -1,19 +1,19 @@
 //! Benchmark harness reproducing every table and figure of the TreeSLS
 //! paper's evaluation (§7).
 //!
-//! One binary per experiment (see DESIGN.md's experiment index):
-//! `table2`, `table3`, `table4`, `fig9a`, `fig9b`, `fig10`, `fig11`,
-//! `fig12`, `fig13`, `fig14`. Each prints the same rows/series the paper
-//! reports; absolute numbers reflect the emulated substrate, the *shapes*
-//! are the reproduction target (see EXPERIMENTS.md).
+//! One binary, `paperfigs`, prints them all in one run and writes
+//! `results/PAPERFIGS.json` (see DESIGN.md's experiment index). Absolute
+//! numbers reflect the emulated substrate; the *shapes* are the
+//! reproduction target (see EXPERIMENTS.md).
 //!
 //! The [`harness`] module assembles the paper's workloads (Table 2) on a
-//! running TreeSLS instance; [`table`] provides plain-text table output.
+//! running TreeSLS instance; [`figs`] reads Tables 2–4 and Figs. 9a/9b
+//! from one run per workload and holds the regression gates' pass rules;
+//! [`table`] provides plain-text table output.
 
+pub mod figs;
 pub mod harness;
 pub mod ringsetup;
-pub mod sink;
 pub mod table;
 
 pub use harness::{BenchSystem, WorkloadKind};
-pub use sink::{Sink, SCHEMA_VERSION};

@@ -1,4 +1,4 @@
-//! Plain-text table rendering for the benchmark binaries.
+//! Plain-text table rendering for `paperfigs`.
 
 /// A simple column-aligned table printer.
 #[derive(Debug, Default)]
@@ -19,12 +19,12 @@ impl Table {
         self.rows.push(cells);
     }
 
-    /// The column headers (for serialization by the result sink).
+    /// The column headers.
     pub fn header(&self) -> &[String] {
         &self.header
     }
 
-    /// The appended rows (for serialization by the result sink).
+    /// The appended rows.
     pub fn rows(&self) -> &[Vec<String>] {
         &self.rows
     }

@@ -39,8 +39,8 @@ pub use treesls_checkpoint::{
 pub use treesls_extsync as extsync;
 pub use treesls_net as net;
 pub use treesls_obs::{
-    EventKind, FlightEvent, FlightRecorder, Json, JsonError, MetricsRegistry, MetricsSnapshot,
-    PauseStats, RoundCommit, SLOT_LEN,
+    EventKind, FlightEvent, FlightRecorder, MetricsRegistry, MetricsSnapshot, PauseStats,
+    RoundCommit, SLOT_LEN,
 };
 pub use treesls_kernel::cap::CapRights;
 pub use treesls_kernel::kernel::LatencyProfile;

@@ -2,7 +2,7 @@
 //!
 //! The paper's evaluation (§7) is entirely about *measuring* the 1 ms
 //! checkpoint loop; this crate is the single place where the stack's
-//! telemetry converges. It provides three independent pieces:
+//! telemetry converges. It provides two independent pieces:
 //!
 //! 1. **[`FlightRecorder`]** — a fixed-size, CRC-tagged event ring that
 //!    lives *on the emulated NVM device* (inside the metadata arena) and
@@ -22,21 +22,14 @@
 //!    feature-gated (`metrics`, on by default): with the feature off every
 //!    record method compiles to an empty inline stub.
 //!
-//! 3. **[`Json`]** — a dependency-free JSON value model (emitter and
-//!    parser) used by `treesls-bench` to write schema-versioned
-//!    `BENCH_<name>.json` files and by the CI schema validator to check
-//!    them. The workspace is offline; this replaces serde.
-//!
 //! See `OBSERVABILITY.md` at the repository root for the NVM layout, the
 //! event taxonomy, and the crash-survival argument.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod json;
 mod metrics;
 mod recorder;
 
-pub use json::{Json, JsonError};
 pub use metrics::{MetricsRegistry, MetricsSnapshot, PauseHistogram, PauseStats, NET_SHARDS};
 pub use recorder::{EventKind, FlightEvent, FlightRecorder, RoundCommit, SLOT_LEN};
