@@ -337,7 +337,7 @@ impl BTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testmem::TestMem;
+    use treesls_extsync::HeapMem;
 
     fn val(tag: u64) -> [u8; VAL_LEN] {
         let mut v = [0u8; VAL_LEN];
@@ -345,8 +345,8 @@ mod tests {
         v
     }
 
-    fn tree(nodes: u64) -> (TestMem, BTree) {
-        let m = TestMem::new(BTree::region_len(nodes) as usize);
+    fn tree(nodes: u64) -> (HeapMem, BTree) {
+        let m = HeapMem::new(BTree::region_len(nodes) as usize);
         let t = BTree::format(&m, 0, nodes).unwrap();
         (m, t)
     }

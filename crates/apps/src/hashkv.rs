@@ -274,12 +274,12 @@ impl HashKv {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testmem::TestMem;
+    use treesls_extsync::HeapMem;
     use crate::wire::make_key;
 
-    fn table() -> (TestMem, HashKv) {
+    fn table() -> (HeapMem, HashKv) {
         let len = HashKv::region_len(256, 64);
-        let m = TestMem::new(len as usize);
+        let m = HeapMem::new(len as usize);
         let t = HashKv::format(&m, 0, 256, 64).unwrap();
         (m, t)
     }
@@ -331,7 +331,7 @@ mod tests {
     #[test]
     fn fills_to_capacity_then_rejects() {
         let len = HashKv::region_len(16, 8);
-        let m = TestMem::new(len as usize);
+        let m = HeapMem::new(len as usize);
         let t = HashKv::format(&m, 0, 16, 8).unwrap();
         for i in 0..16u64 {
             t.set(&m, &make_key(&i.to_le_bytes()), b"x").unwrap();

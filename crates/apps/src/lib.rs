@@ -22,7 +22,11 @@
 //!   paired two-frame RMW transactions.
 //! * [`hist`] — log-bucketed latency histograms (P50/P95/P99).
 //! * [`wire`] — the KV wire protocol shared by servers and clients.
-//! * [`testmem`] — a flat host-memory backend (tests and baselines).
+//!
+//! The flat host-memory backend the baselines and unit tests run these
+//! structures on is [`treesls_extsync::HeapMem`].
+
+#![deny(missing_docs)]
 
 pub mod btree;
 pub mod client;
@@ -31,7 +35,6 @@ pub mod hist;
 pub mod lsm;
 pub mod phoenix;
 pub mod server;
-pub mod testmem;
 pub mod wire;
 pub mod workload;
 pub mod ycsb;

@@ -337,7 +337,7 @@ impl Lsm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testmem::TestMem;
+    use treesls_extsync::HeapMem;
     use std::sync::atomic::Ordering;
 
     fn cfg(wal: bool) -> LsmConfig {
@@ -352,8 +352,8 @@ mod tests {
         }
     }
 
-    fn tree(wal: bool) -> (TestMem, Lsm) {
-        let m = TestMem::new(1024 * 1024);
+    fn tree(wal: bool) -> (HeapMem, Lsm) {
+        let m = HeapMem::new(1024 * 1024);
         let t = Lsm::format(&m, cfg(wal)).unwrap();
         (m, t)
     }

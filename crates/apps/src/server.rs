@@ -8,7 +8,8 @@
 //!   the configuration behind Figures 11/12/13/14.
 //! * **IPC pairs** ([`IpcKvServer`], [`IpcKvClient`]) put both sides inside
 //!   the SLS ("clients were also checkpointed", §7.3) — the configuration
-//!   behind Table 2 and the Figure 9/10 breakdowns.
+//!   behind Table 2 and the Figure 9/10 breakdowns. The server fronts a
+//!   [`KvService`], so both shapes run the same request path.
 //!
 //! All programs are re-entrant step machines: a crash between checkpoints
 //! rolls them back to a step boundary and they resume correctly.
@@ -17,7 +18,7 @@ use treesls_kernel::program::{Program, StepOutcome, UserCtx};
 use treesls_kernel::types::CapSlot;
 use treesls_net::{Service, ServiceError};
 
-use crate::hashkv::{HashKv, KvError};
+use crate::hashkv::HashKv;
 use crate::lsm::{Lsm, LsmConfig};
 use crate::wire::{resp, KvOp, KvOpRef, KvResp, KEY_LEN};
 
@@ -42,69 +43,15 @@ pub fn xorshift64(mut x: u64) -> u64 {
     x.max(1)
 }
 
-fn apply_kv_op<M: treesls_extsync::MemIo>(table: &HashKv, io: &M, op: KvOp) -> KvResp {
-    match op {
-        KvOp::Get { key } => match table.get(io, &key) {
-            Ok(Some(v)) => KvResp::Ok(Some(v)),
-            Ok(None) => KvResp::Miss,
-            Err(_) => KvResp::Error,
-        },
-        KvOp::Set { key, value } => match table.set(io, &key, &value) {
-            Ok(_) => KvResp::Ok(None),
-            Err(KvError::Full | KvError::ValueTooLarge) => KvResp::Error,
-            Err(_) => KvResp::Error,
-        },
-        KvOp::Del { key } => match table.del(io, &key) {
-            Ok(true) => KvResp::Ok(None),
-            Ok(false) => KvResp::Miss,
-            Err(_) => KvResp::Error,
-        },
-    }
-}
-
-/// Zero-copy form of [`apply_kv_op`]: the request is a borrowed view into
-/// the poll loop's scratch buffer and the response is framed directly
-/// into its output buffer — a `Get` hit reads the value from the table
-/// straight into the length-framed response, no intermediate `Vec`.
-fn apply_kv_op_ref<M: treesls_extsync::MemIo>(
-    table: &HashKv,
-    io: &M,
-    op: KvOpRef<'_>,
-    out: &mut Vec<u8>,
-) {
-    match op {
-        KvOpRef::Get { key } => {
-            let mark = resp::begin_value(out);
-            match table.get_into(io, key, out) {
-                Ok(Some(_)) => resp::finish_value(out, mark),
-                Ok(None) => {
-                    out.truncate(mark - 5);
-                    resp::miss_into(out);
-                }
-                Err(_) => {
-                    out.truncate(mark - 5);
-                    resp::error_into(out);
-                }
-            }
-        }
-        KvOpRef::Set { key, value } => match table.set(io, key, value) {
-            Ok(_) => resp::ok_into(out),
-            Err(_) => resp::error_into(out),
-        },
-        KvOpRef::Del { key } => match table.del(io, key) {
-            Ok(true) => resp::ok_into(out),
-            Ok(false) => resp::miss_into(out),
-            Err(_) => resp::error_into(out),
-        },
-    }
-}
-
 /// A memcached/redis-like KV protocol served through the NIC poll
-/// runtime.
+/// runtime, and inside the SLS by [`IpcKvServer`].
 ///
-/// One instance per queue, each owning its own table region (the queue
-/// index shards the data). `init` formats the table on first boot only —
-/// a restored thread resumes past it and `handle` re-attaches.
+/// One instance per queue (or IPC shard), each owning its own table
+/// region (the queue index shards the data). `init` formats the table on
+/// first boot only — a restored thread resumes past it and `handle`
+/// re-attaches. `handle` is zero-copy: the request is a borrowed view into
+/// the caller's buffer, and a `Get` hit reads the value from the table
+/// straight into the length-framed response.
 #[derive(Debug)]
 pub struct KvService {
     /// Table base address.
@@ -130,7 +77,29 @@ impl Service for KvService {
     ) -> Result<(), ServiceError> {
         let table = HashKv::attach(ctx, self.table_base).map_err(|_| ServiceError)?;
         match KvOpRef::decode(payload) {
-            Some(op) => apply_kv_op_ref(&table, ctx, op, out),
+            Some(KvOpRef::Get { key }) => {
+                let mark = resp::begin_value(out);
+                match table.get_into(ctx, key, out) {
+                    Ok(Some(_)) => resp::finish_value(out, mark),
+                    Ok(None) => {
+                        out.truncate(mark - 5);
+                        resp::miss_into(out);
+                    }
+                    Err(_) => {
+                        out.truncate(mark - 5);
+                        resp::error_into(out);
+                    }
+                }
+            }
+            Some(KvOpRef::Set { key, value }) => match table.set(ctx, key, value) {
+                Ok(_) => resp::ok_into(out),
+                Err(_) => resp::error_into(out),
+            },
+            Some(KvOpRef::Del { key }) => match table.del(ctx, key) {
+                Ok(true) => resp::ok_into(out),
+                Ok(false) => resp::miss_into(out),
+                Err(_) => resp::error_into(out),
+            },
             None => resp::error_into(out),
         }
         Ok(())
@@ -184,37 +153,37 @@ impl Service for LsmService {
 
 /// A KV server thread receiving requests over an IPC connection
 /// (both endpoints inside the SLS).
+///
+/// It fronts the same [`KvService`] the NIC runtime serves: its first
+/// step is [`Service::init`], and every request goes through
+/// [`Service::handle`], so the IPC pair and the NIC path share one
+/// request path and differ only in transport.
 #[derive(Debug)]
 pub struct IpcKvServer {
     /// Capability slot of the server's IPC connection.
     pub conn_slot: CapSlot,
-    /// Table base address.
-    pub table_base: u64,
-    /// Table buckets (power of two).
-    pub nbuckets: u64,
-    /// Max value bytes.
-    pub val_cap: u64,
+    /// The table this shard serves.
+    pub kv: KvService,
 }
 
 impl Program for IpcKvServer {
     fn step(&self, ctx: &mut UserCtx<'_>) -> StepOutcome {
         if ctx.pc() == 0 {
-            if HashKv::format(ctx, self.table_base, self.nbuckets, self.val_cap).is_err() {
+            if self.kv.init(ctx).is_err() {
                 return StepOutcome::Exited;
             }
             ctx.set_pc(1);
             return StepOutcome::Ready;
         }
-        let Ok(table) = HashKv::attach(ctx, self.table_base) else {
-            return StepOutcome::Exited;
-        };
         match ctx.ipc_recv(self.conn_slot) {
             Ok(Some((client, req))) => {
-                let resp = match KvOp::decode(&req) {
-                    Some(op) => apply_kv_op(&table, ctx, op),
-                    None => KvResp::Error,
-                };
-                let _ = ctx.ipc_reply(self.conn_slot, client, resp.encode());
+                // The reply takes the buffer by value: size it once for the
+                // largest response (a value frame), so a hit never regrows.
+                let mut resp = Vec::with_capacity(5 + self.kv.val_cap as usize);
+                if self.kv.handle(ctx, &req, &mut resp).is_err() {
+                    return StepOutcome::Exited;
+                }
+                let _ = ctx.ipc_reply(self.conn_slot, client, resp);
                 let done = ctx.reg(regs::DONE);
                 ctx.set_reg(regs::DONE, done + 1);
                 StepOutcome::Ready
@@ -288,7 +257,8 @@ impl Program for IpcKvClient {
             _ => {
                 let slot = ctx.reg(regs::PENDING) as CapSlot;
                 match ctx.ipc_take_reply(slot) {
-                    Ok(Some(_resp)) => {
+                    Ok(Some(resp)) => {
+                        debug_assert!(KvResp::decode(&resp).is_some());
                         ctx.set_reg(regs::DONE, ctx.reg(regs::DONE) + 1);
                         ctx.set_pc(0);
                         StepOutcome::Ready

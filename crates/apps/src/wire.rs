@@ -2,7 +2,12 @@
 //!
 //! A tiny binary protocol shared by all KV servers (memcached-like,
 //! redis-like, LSM) and the host-side clients, so the same request stream
-//! can be replayed against TreeSLS servers and baseline backends.
+//! can be replayed against TreeSLS servers and baseline backends. Frames
+//! are read through the shared [`treesls_extsync::wire::Reader`] and
+//! written with its `put_*` helpers; their bytes are pinned in
+//! `tests/wire_golden.rs`.
+
+use treesls_extsync::wire::{decode_exact, put_bytes, WireError};
 
 /// Fixed key width on the wire (shorter keys are zero-padded).
 pub const KEY_LEN: usize = 16;
@@ -78,29 +83,20 @@ pub enum KvOpRef<'a> {
 
 impl<'a> KvOpRef<'a> {
     /// Parses an operation without copying; `None` on malformed input.
-    /// Accepts exactly the bytes [`KvOp::encode`] produces.
+    /// Accepts exactly the bytes [`KvOp::encode`] produces: truncated
+    /// frames, unknown opcodes and trailing bytes are all rejected.
     pub fn decode(data: &'a [u8]) -> Option<KvOpRef<'a>> {
-        let (&op, rest) = data.split_first()?;
-        if rest.len() < KEY_LEN {
-            return None;
-        }
-        let key: &[u8; KEY_LEN] = rest[..KEY_LEN].try_into().ok()?;
-        match op {
-            OP_GET => Some(KvOpRef::Get { key }),
-            OP_DEL => Some(KvOpRef::Del { key }),
-            OP_SET => {
-                let rest = &rest[KEY_LEN..];
-                if rest.len() < 4 {
-                    return None;
-                }
-                let len = u32::from_le_bytes(rest[..4].try_into().ok()?) as usize;
-                if rest.len() < 4 + len {
-                    return None;
-                }
-                Some(KvOpRef::Set { key, value: &rest[4..4 + len] })
-            }
-            _ => None,
-        }
+        decode_exact(data, |r| {
+            let op = r.u8()?;
+            let key = r.array_ref()?;
+            Ok(match op {
+                OP_GET => KvOpRef::Get { key },
+                OP_SET => KvOpRef::Set { key, value: r.bytes()? },
+                OP_DEL => KvOpRef::Del { key },
+                t => return Err(WireError::BadTag(t)),
+            })
+        })
+        .ok()
     }
 
     /// Returns `true` for operations that mutate the store.
@@ -122,6 +118,8 @@ impl<'a> KvOpRef<'a> {
 /// reusable output buffer instead of allocating a `Vec` per response.
 /// [`KvResp::encode`] is built from these writers.
 pub mod resp {
+    use treesls_extsync::wire::{put_bytes, put_u32};
+
     use super::{ST_ERROR, ST_MISS, ST_OK, ST_OK_VALUE};
 
     /// Appends an `Ok` (no value) response.
@@ -144,7 +142,7 @@ pub mod resp {
     /// the returned mark.
     pub fn begin_value(out: &mut Vec<u8>) -> usize {
         out.push(ST_OK_VALUE);
-        out.extend_from_slice(&0u32.to_le_bytes());
+        put_u32(out, 0);
         out.len()
     }
 
@@ -157,9 +155,8 @@ pub mod resp {
 
     /// Appends a complete `Ok(value)` response.
     pub fn value_into(out: &mut Vec<u8>, value: &[u8]) {
-        let mark = begin_value(out);
-        out.extend_from_slice(value);
-        finish_value(out, mark);
+        out.push(ST_OK_VALUE);
+        put_bytes(out, value);
     }
 }
 
@@ -182,28 +179,18 @@ pub fn numeric_key(id: u64) -> [u8; KEY_LEN] {
 impl KvOp {
     /// Serializes the operation.
     pub fn encode(&self) -> Vec<u8> {
-        match self {
-            KvOp::Get { key } => {
-                let mut b = Vec::with_capacity(1 + KEY_LEN);
-                b.push(OP_GET);
-                b.extend_from_slice(key);
-                b
-            }
-            KvOp::Set { key, value } => {
-                let mut b = Vec::with_capacity(1 + KEY_LEN + 4 + value.len());
-                b.push(OP_SET);
-                b.extend_from_slice(key);
-                b.extend_from_slice(&(value.len() as u32).to_le_bytes());
-                b.extend_from_slice(value);
-                b
-            }
-            KvOp::Del { key } => {
-                let mut b = Vec::with_capacity(1 + KEY_LEN);
-                b.push(OP_DEL);
-                b.extend_from_slice(key);
-                b
-            }
+        let (op, key, value) = match self {
+            KvOp::Get { key } => (OP_GET, key, None),
+            KvOp::Set { key, value } => (OP_SET, key, Some(value)),
+            KvOp::Del { key } => (OP_DEL, key, None),
+        };
+        let mut b = Vec::with_capacity(1 + KEY_LEN + value.map_or(0, |v| 4 + v.len()));
+        b.push(op);
+        b.extend_from_slice(key);
+        if let Some(v) = value {
+            put_bytes(&mut b, v);
         }
+        b
     }
 
     /// Parses an operation; `None` on malformed input.
@@ -230,25 +217,19 @@ impl KvResp {
         b
     }
 
-    /// Parses a response; `None` on malformed input.
+    /// Parses a response; `None` on malformed input (truncation, an
+    /// unknown status or trailing bytes).
     pub fn decode(data: &[u8]) -> Option<KvResp> {
-        let (&st, rest) = data.split_first()?;
-        match st {
-            ST_OK => Some(KvResp::Ok(None)),
-            ST_MISS => Some(KvResp::Miss),
-            ST_ERROR => Some(KvResp::Error),
-            ST_OK_VALUE => {
-                if rest.len() < 4 {
-                    return None;
-                }
-                let len = u32::from_le_bytes(rest[..4].try_into().ok()?) as usize;
-                if rest.len() < 4 + len {
-                    return None;
-                }
-                Some(KvResp::Ok(Some(rest[4..4 + len].to_vec())))
-            }
-            _ => None,
-        }
+        decode_exact(data, |r| {
+            Ok(match r.u8()? {
+                ST_OK => KvResp::Ok(None),
+                ST_OK_VALUE => KvResp::Ok(Some(r.bytes()?.to_vec())),
+                ST_MISS => KvResp::Miss,
+                ST_ERROR => KvResp::Error,
+                t => return Err(WireError::BadTag(t)),
+            })
+        })
+        .ok()
     }
 }
 

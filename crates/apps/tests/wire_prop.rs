@@ -1,14 +1,15 @@
 //! Property-based tests for the KV wire protocol.
 //!
-//! Two invariants over random payloads: encode → decode is the identity
-//! for every operation and response, and no strict prefix of a valid
-//! encoding decodes successfully (a truncated buffer must be rejected,
-//! never misparsed — ring slots carry explicit lengths, but a server must
+//! Three invariants over random payloads: encode → decode is the identity
+//! for every operation and response, no strict prefix of a valid
+//! encoding decodes successfully, and neither does a valid encoding with
+//! bytes appended (a truncated or overlong buffer must be rejected, never
+//! misparsed — ring slots carry explicit lengths, but a server must
 //! survive a client that lies about them).
 
 use proptest::prelude::*;
 
-use treesls_apps::wire::{KvOp, KvResp, KEY_LEN};
+use treesls_apps::wire::{KvOp, KvOpRef, KvResp, KEY_LEN};
 use treesls_txn::wire::{ScanRow, TxnOp, TxnResp};
 use treesls_txn::VAL_CAP;
 
@@ -84,6 +85,27 @@ proptest! {
                 wire.len()
             );
         }
+    }
+
+    #[test]
+    fn op_with_trailing_garbage_is_rejected(
+        op in op_strategy(),
+        junk in proptest::collection::vec(any::<u8>(), 1..8),
+    ) {
+        let mut wire = op.encode();
+        wire.extend_from_slice(&junk);
+        prop_assert_eq!(KvOp::decode(&wire), None);
+        prop_assert_eq!(KvOpRef::decode(&wire), None);
+    }
+
+    #[test]
+    fn resp_with_trailing_garbage_is_rejected(
+        resp in resp_strategy(),
+        junk in proptest::collection::vec(any::<u8>(), 1..8),
+    ) {
+        let mut wire = resp.encode();
+        wire.extend_from_slice(&junk);
+        prop_assert_eq!(KvResp::decode(&wire), None);
     }
 
     #[test]

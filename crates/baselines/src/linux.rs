@@ -12,15 +12,15 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use treesls_apps::testmem::TestMem;
-use treesls_extsync::MemIo;
+use treesls_extsync::wire::put_bytes;
+use treesls_extsync::{HeapMem, MemIo};
 use treesls_kernel::types::KernelError;
 use treesls_nvm::LatencyModel;
 
 /// A host ("Linux") process heap with an optional WAL device.
 #[derive(Debug)]
 pub struct LinuxHost {
-    mem: TestMem,
+    mem: HeapMem,
     wal: Mutex<Vec<u8>>,
     wal_enabled: bool,
     latency: Arc<LatencyModel>,
@@ -38,7 +38,7 @@ impl LinuxHost {
     /// is free (the `-base` configurations).
     pub fn new(len: usize, wal_enabled: bool, latency: Arc<LatencyModel>) -> Self {
         Self {
-            mem: TestMem::new(len),
+            mem: HeapMem::new(len),
             wal: Mutex::new(Vec::new()),
             wal_enabled,
             latency,
@@ -58,11 +58,7 @@ impl LinuxHost {
         if !self.wal_enabled {
             return;
         }
-        {
-            let mut wal = self.wal.lock();
-            wal.extend_from_slice(&(record.len() as u32).to_le_bytes());
-            wal.extend_from_slice(record);
-        }
+        put_bytes(&mut self.wal.lock(), record);
         self.wal_bytes.fetch_add(record.len() as u64 + 4, Ordering::Relaxed);
         self.wal_flushes.fetch_add(1, Ordering::Relaxed);
         // The WAL lives on the PM device: charge the write plus the sync.

@@ -373,24 +373,32 @@ mod tests {
 
     #[test]
     fn one_default_run_fills_the_per_workload_tables() {
+        // Default, plus Memcached: the in-SLS IPC client/server pair (four
+        // server shards, eight checkpointed clients).
         let opts = BenchOpts::default();
-        let runs = [run_workload(WorkloadKind::Default, &opts, Duration::from_millis(300))];
-        assert_eq!(runs[0].restore, Ok(()));
+        let runs = [WorkloadKind::Default, WorkloadKind::Memcached]
+            .map(|kind| run_workload(kind, &opts, Duration::from_millis(300)));
+        for run in &runs {
+            assert_eq!(run.restore, Ok(()), "{}", run.kind.label());
+        }
         let rows = |t: &Table| t.rows().to_vec();
         let t2 = rows(&table2(&runs));
-        assert_eq!(t2.len(), 1);
+        assert_eq!(t2.len(), 2);
         assert_eq!(t2[0][0], "Default");
+        assert_eq!(t2[1][0], "Memcached");
+        assert_eq!(t2[1][3], "+4", "one IPC connection per server shard: {:?}", t2[1]);
         // Table 3 has a row per object type; a restored cap group has a time.
         let t3 = rows(&table3(&runs));
         let cg = t3.iter().find(|r| r[0] == ObjType::CapGroup.short_name()).unwrap();
         assert_ne!(cg[5], "-", "no restore time recorded: {cg:?}");
         let [bars, pauses] = fig9a(&runs, opts.cores);
-        assert_eq!(rows(&bars).len(), 1, "no steady-state rounds");
-        assert_eq!(rows(&pauses)[0][0], "Default");
-        assert_eq!(rows(&fig9b(&runs)).len(), 1);
-        // Table 4 has its five metric rows, with `-` for the workloads not run.
+        assert_eq!(rows(&bars).len(), 2, "no steady-state rounds");
+        assert_eq!(rows(&pauses)[1][0], "Memcached");
+        assert_eq!(rows(&fig9b(&runs)).len(), 2);
+        // Table 4 has its five metric rows, with `-` for the workloads not
+        // run (every column after Memcached's).
         let t4 = rows(&table4(&runs));
         assert_eq!(t4.len(), 5);
-        assert!(t4.iter().all(|r| r[1..].iter().all(|c| c == "-")));
+        assert!(t4.iter().all(|r| r[2..].iter().all(|c| c == "-")));
     }
 }

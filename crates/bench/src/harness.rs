@@ -18,7 +18,7 @@ use treesls::{
     SystemConfig, ThreadSpec, Vpn,
 };
 use treesls_apps::phoenix::{KMeans, Pca, WordCount};
-use treesls_apps::server::{regs, BtreeWorker, IpcKvClient, IpcKvServer, LsmFillBatch};
+use treesls_apps::server::{regs, BtreeWorker, IpcKvClient, IpcKvServer, KvService, LsmFillBatch};
 use treesls_apps::lsm::LsmConfig;
 use treesls_kernel::object::ObjectBody;
 use treesls_kernel::program::{Program, StepOutcome, UserCtx};
@@ -414,9 +414,11 @@ pub fn build(kind: WorkloadKind, opts: &BenchOpts) -> BenchSystem {
                     &prog,
                     Arc::new(IpcKvServer {
                         conn_slot: sslot,
-                        table_base: s * table_stride,
-                        nbuckets,
-                        val_cap: val_len as u64,
+                        kv: KvService {
+                            table_base: s * table_stride,
+                            nbuckets,
+                            val_cap: val_len as u64,
+                        },
                     }),
                 );
                 sys.kernel()

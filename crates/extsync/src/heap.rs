@@ -1,28 +1,31 @@
-//! A plain host-memory [`MemIo`] backend.
+//! Flat host memory: a [`MemIo`] over an ordinary byte buffer.
 //!
-//! Used by unit tests and by the baseline systems (`treesls-baselines`):
-//! the same application data structures (hash table, LSM tree, B+ tree)
-//! run unchanged on TreeSLS process memory and on this flat buffer, which
-//! models an ordinary DRAM process heap.
+//! Whatever is not SLS-persistent state but still speaks the ring codec or
+//! runs the application data structures uses this: the replication
+//! channel's delta and ack rings (host infrastructure, like the NIC's DMA
+//! engine), the baseline systems' DRAM process heap, and unit tests of
+//! the rings, hash table, LSM and B+ tree.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::RwLock;
 
-use treesls_extsync::MemIo;
 use treesls_kernel::types::KernelError;
 
-/// A flat byte buffer implementing [`MemIo`].
+use crate::ring::MemIo;
+
+/// A zero-initialised byte buffer implementing [`MemIo`], with a settable
+/// version tag and a count of flush barriers.
 #[derive(Debug)]
-pub struct TestMem {
+pub struct HeapMem {
     bytes: RwLock<Vec<u8>>,
     version: AtomicU64,
     /// Count of flush barriers issued (WAL accounting in baselines).
     pub flushes: AtomicU64,
 }
 
-impl TestMem {
-    /// Creates a zeroed buffer of `len` bytes.
+impl HeapMem {
+    /// Allocates a zeroed buffer of `len` bytes.
     pub fn new(len: usize) -> Self {
         Self {
             bytes: RwLock::new(vec![0; len]),
@@ -31,40 +34,35 @@ impl TestMem {
         }
     }
 
-    /// Sets the value returned by [`MemIo::version`].
+    /// Sets the value returned by [`MemIo::version`] (the tag stamped
+    /// into subsequently pushed ring slots).
     pub fn set_version(&self, v: u64) {
         self.version.store(v, Ordering::SeqCst);
     }
 
-    /// Buffer length.
-    pub fn len(&self) -> usize {
-        self.bytes.read().len()
-    }
-
-    /// Returns `true` if the buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// Flips one bit of the byte at `addr` (wrapped into the buffer):
+    /// corruption injection for quarantine drills.
+    pub fn corrupt_byte(&self, addr: u64) {
+        let mut g = self.bytes.write();
+        let a = (addr as usize) % g.len();
+        g[a] ^= 0x40;
     }
 }
 
-impl MemIo for TestMem {
+impl MemIo for HeapMem {
     fn mem_read(&self, addr: u64, buf: &mut [u8]) -> Result<(), KernelError> {
         let g = self.bytes.read();
         let a = addr as usize;
-        if a + buf.len() > g.len() {
-            return Err(KernelError::UnmappedAddress(addr));
-        }
-        buf.copy_from_slice(&g[a..a + buf.len()]);
+        let src = g.get(a..a + buf.len()).ok_or(KernelError::UnmappedAddress(addr))?;
+        buf.copy_from_slice(src);
         Ok(())
     }
 
     fn mem_write(&self, addr: u64, data: &[u8]) -> Result<(), KernelError> {
         let mut g = self.bytes.write();
         let a = addr as usize;
-        if a + data.len() > g.len() {
-            return Err(KernelError::UnmappedAddress(addr));
-        }
-        g[a..a + data.len()].copy_from_slice(data);
+        let dst = g.get_mut(a..a + data.len()).ok_or(KernelError::UnmappedAddress(addr))?;
+        dst.copy_from_slice(data);
         Ok(())
     }
 
@@ -83,7 +81,7 @@ mod tests {
 
     #[test]
     fn bounds_checked() {
-        let m = TestMem::new(16);
+        let m = HeapMem::new(16);
         let mut b = [0u8; 8];
         assert!(m.mem_read(8, &mut b).is_ok());
         assert!(m.mem_read(9, &mut b).is_err());
@@ -92,7 +90,7 @@ mod tests {
 
     #[test]
     fn flush_counts() {
-        let m = TestMem::new(1);
+        let m = HeapMem::new(1);
         m.flush();
         m.flush();
         assert_eq!(m.flushes.load(Ordering::Relaxed), 2);

@@ -14,12 +14,23 @@
 //!   doorbells, the commit-gated visibility barrier — is the
 //!   `treesls-net` crate's `VirtualNic`, and its in-SLS serving loop is
 //!   that crate's `PollServer`, both built on these primitives.
+//! * [`wire`] — the bounds-checked byte cursor ([`Reader`] and the `put_*`
+//!   writers) that the KV, transaction and replication codecs read and
+//!   write ring-slot payloads through.
+//! * [`heap`] — flat host memory ([`HeapMem`]): a [`MemIo`] over a plain
+//!   buffer for host-side rings, baseline heaps and tests.
 
+#![deny(missing_docs)]
+
+pub mod heap;
 pub mod port;
 pub mod ring;
+pub mod wire;
 
+pub use heap::HeapMem;
 pub use port::{HostIo, PortLayout};
 pub use ring::{check_ext_sync_invariants, MemIo, RingError, RingLayout, RingMsg, SlotInfo};
+pub use wire::{Reader, WireError};
 
 use treesls_kernel::program::UserCtx;
 use treesls_kernel::types::KernelError;

@@ -518,51 +518,15 @@ pub fn check_ext_sync_invariants<M: MemIo>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parking_lot::Mutex;
-
-    /// A plain in-memory MemIo with a settable version, for unit tests.
-    struct TestMem {
-        bytes: Mutex<Vec<u8>>,
-        version: std::sync::atomic::AtomicU64,
-    }
-
-    impl TestMem {
-        fn new(len: usize) -> Self {
-            Self {
-                bytes: Mutex::new(vec![0; len]),
-                version: std::sync::atomic::AtomicU64::new(0),
-            }
-        }
-        fn set_version(&self, v: u64) {
-            self.version.store(v, std::sync::atomic::Ordering::SeqCst);
-        }
-    }
-
-    impl MemIo for TestMem {
-        fn mem_read(&self, addr: u64, buf: &mut [u8]) -> Result<(), KernelError> {
-            let g = self.bytes.lock();
-            let a = addr as usize;
-            buf.copy_from_slice(&g[a..a + buf.len()]);
-            Ok(())
-        }
-        fn mem_write(&self, addr: u64, data: &[u8]) -> Result<(), KernelError> {
-            let mut g = self.bytes.lock();
-            let a = addr as usize;
-            g[a..a + data.len()].copy_from_slice(data);
-            Ok(())
-        }
-        fn version(&self) -> u64 {
-            self.version.load(std::sync::atomic::Ordering::SeqCst)
-        }
-    }
+    use crate::HeapMem;
 
     fn layout() -> RingLayout {
         RingLayout { base: 0, nslots: 4, slot_size: 84 }
     }
 
-    fn mem() -> TestMem {
+    fn mem() -> HeapMem {
         let l = layout();
-        TestMem::new(l.byte_len() as usize)
+        HeapMem::new(l.byte_len() as usize)
     }
 
     #[test]

@@ -39,5 +39,5 @@ pub use deploy::{deploy, DeploySpec, NicDeployment};
 pub use fault::{FaultState, NetFaultConfig, Perturbation};
 pub use flow::{flow_hash, key_flow, queue_for, shard_for};
 pub use nic::{CallOutcome, NetError, NicConfig, NicLayout, VirtualNic};
-pub use repl::{HeapMem, ReleaseGate, ReplChannel, ShipError};
+pub use repl::{ReleaseGate, ReplChannel, ShipError};
 pub use runtime::{PollServer, Scratch, Service, ServiceError};

@@ -10,7 +10,11 @@
 //!   a NIC without a gate behaves exactly as before (single-box external
 //!   synchrony), which keeps `quorum = 1` as the compatibility oracle.
 //! * [`ReplChannel`] — a queue pair (delta ring out, ack ring back) built
-//!   from the extsync ring codec over plain host memory ([`HeapMem`]).
+//!   from the extsync ring codec over plain host memory ([`HeapMem`]):
+//!   the replication wire is host infrastructure (like the NIC's DMA
+//!   engine), not SLS-persistent state, so it needs the slot codec but no
+//!   NVM semantics; the version tag stamped into a pushed slot is the
+//!   shipping round.
 //!   The wire between primary and replica reuses the CRC-checked slot
 //!   format (a torn or bit-flipped frame surfaces as
 //!   [`RingError::Corrupt`], never as garbage data) and the deterministic
@@ -20,10 +24,8 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
-use treesls_extsync::ring::{self, hdr, MemIo, RingError, RingLayout};
-use treesls_kernel::types::KernelError;
+use treesls_extsync::ring::{self, hdr, RingError, RingLayout};
+use treesls_extsync::HeapMem;
 
 use crate::fault::{NetFaultConfig, Wire, WireEvent};
 
@@ -48,65 +50,6 @@ pub trait ReleaseGate: Send + Sync {
     /// to return.
     fn admit(&self, _payload: &[u8]) -> bool {
         true
-    }
-}
-
-/// Plain-host-memory [`MemIo`] backend for replication rings.
-///
-/// The replication wire is host infrastructure (like the NIC's DMA
-/// engine), not SLS-persistent state: it needs the ring *codec* (slot
-/// CRCs, header discipline) but no NVM semantics. The version tag stamped
-/// into pushed slots is settable so delta frames carry the shipping
-/// round.
-#[derive(Debug)]
-pub struct HeapMem {
-    bytes: Mutex<Vec<u8>>,
-    version: AtomicU64,
-}
-
-impl HeapMem {
-    /// Allocates a zeroed arena of `len` bytes.
-    pub fn new(len: usize) -> Self {
-        Self { bytes: Mutex::new(vec![0; len]), version: AtomicU64::new(0) }
-    }
-
-    /// Sets the version tag stamped into subsequently pushed slots.
-    pub fn set_version(&self, v: u64) {
-        self.version.store(v, Ordering::SeqCst);
-    }
-
-    /// Flips one bit inside the arena (corruption injection for
-    /// quarantine drills).
-    pub fn corrupt_byte(&self, addr: u64) {
-        let mut g = self.bytes.lock();
-        let a = (addr as usize) % g.len();
-        g[a] ^= 0x40;
-    }
-}
-
-impl MemIo for HeapMem {
-    fn mem_read(&self, addr: u64, buf: &mut [u8]) -> Result<(), KernelError> {
-        let g = self.bytes.lock();
-        let a = addr as usize;
-        if a + buf.len() > g.len() {
-            return Err(KernelError::UnmappedAddress(addr));
-        }
-        buf.copy_from_slice(&g[a..a + buf.len()]);
-        Ok(())
-    }
-
-    fn mem_write(&self, addr: u64, data: &[u8]) -> Result<(), KernelError> {
-        let mut g = self.bytes.lock();
-        let a = addr as usize;
-        if a + data.len() > g.len() {
-            return Err(KernelError::UnmappedAddress(addr));
-        }
-        g[a..a + data.len()].copy_from_slice(data);
-        Ok(())
-    }
-
-    fn version(&self) -> u64 {
-        self.version.load(Ordering::SeqCst)
     }
 }
 

@@ -15,6 +15,8 @@
 //! [`Frame::Page`] frames so a delta only carries the pages whose content
 //! actually changed.
 
+use treesls_extsync::wire::{put_bytes, put_list, put_u32, put_u64, Reader};
+pub use treesls_extsync::WireError;
 use treesls_kernel::cap::CapRights;
 use treesls_kernel::object::ObjType;
 use treesls_kernel::oroot::{BackupObject, BkCap, BkRegion, BkThreadState};
@@ -150,18 +152,6 @@ impl PartialEq for WireRecord {
     }
 }
 
-/// Structural decode failures (distinct from wire corruption, which the
-/// ring slot CRC catches before decode).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WireError {
-    /// The frame ended before its structure did.
-    Truncated,
-    /// Unknown frame or record tag.
-    BadTag(u8),
-    /// Bytes left over after a complete decode.
-    Trailing,
-}
-
 // Frame tags.
 const T_DELTA_BEGIN: u8 = 1;
 const T_RECORD: u8 = 2;
@@ -172,64 +162,6 @@ const T_SNAP_BEGIN: u8 = 6;
 const T_SNAP_COMMIT: u8 = 7;
 const T_ACK: u8 = 8;
 const T_RESYNC: u8 = 9;
-
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_bytes(buf: &mut Vec<u8>, b: &[u8]) {
-    put_u32(buf, b.len() as u32);
-    buf.extend_from_slice(b);
-}
-
-/// A bounds-checked little-endian reader over a frame.
-struct Reader<'a> {
-    buf: &'a [u8],
-    off: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn u8(&mut self) -> Result<u8, WireError> {
-        let v = *self.buf.get(self.off).ok_or(WireError::Truncated)?;
-        self.off += 1;
-        Ok(v)
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        let s = self.buf.get(self.off..self.off + 4).ok_or(WireError::Truncated)?;
-        self.off += 4;
-        Ok(u32::from_le_bytes(s.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        let s = self.buf.get(self.off..self.off + 8).ok_or(WireError::Truncated)?;
-        self.off += 8;
-        Ok(u64::from_le_bytes(s.try_into().unwrap()))
-    }
-
-    fn bytes(&mut self) -> Result<Vec<u8>, WireError> {
-        let n = self.u32()? as usize;
-        let s = self.buf.get(self.off..self.off + n).ok_or(WireError::Truncated)?;
-        self.off += n;
-        Ok(s.to_vec())
-    }
-
-    fn string(&mut self) -> Result<String, WireError> {
-        String::from_utf8(self.bytes()?).map_err(|_| WireError::Truncated)
-    }
-
-    fn done(&self) -> Result<(), WireError> {
-        if self.off == self.buf.len() {
-            Ok(())
-        } else {
-            Err(WireError::Trailing)
-        }
-    }
-}
 
 impl Frame {
     /// Serializes the frame.
@@ -297,7 +229,7 @@ impl Frame {
 
     /// Decodes one frame, rejecting truncation and trailing garbage.
     pub fn decode(buf: &[u8]) -> Result<Frame, WireError> {
-        let mut r = Reader { buf, off: 0 };
+        let mut r = Reader::new(buf);
         let frame = match r.u8()? {
             T_DELTA_BEGIN => Frame::DeltaBegin {
                 epoch: r.u64()?,
@@ -316,10 +248,8 @@ impl Frame {
                 let idx = r.u64()?;
                 let version = r.u64()?;
                 let crc = r.u32()?;
-                let s = r.buf.get(r.off..r.off + 4096).ok_or(WireError::Truncated)?;
                 let mut data = Box::new([0u8; 4096]);
-                data.copy_from_slice(s);
-                r.off += 4096;
+                data.copy_from_slice(r.take(4096)?);
                 Frame::Page { oroot, idx, version, crc, data }
             }
             T_TOMBSTONE => Frame::Tombstone { oroot: r.u64()? },
@@ -332,9 +262,7 @@ impl Frame {
                 records: r.u32()?,
                 pages: r.u32()?,
             },
-            T_SNAP_COMMIT => {
-                Frame::SnapCommit { epoch: r.u64()?, round: r.u64()?, root: r.u64()? }
-            }
+            T_SNAP_COMMIT => Frame::SnapCommit { epoch: r.u64()?, round: r.u64()?, root: r.u64()? },
             T_ACK => Frame::Ack { epoch: r.u64()?, round: r.u64()? },
             T_RESYNC => Frame::ResyncRequest { epoch: r.u64()?, applied_round: r.u64()? },
             t => return Err(WireError::BadTag(t)),
@@ -363,14 +291,6 @@ fn put_id(buf: &mut Vec<u8>, id: OrootId) {
     put_u64(buf, id.to_raw());
 }
 
-/// A `u32` count followed by each item.
-fn put_list<T>(buf: &mut Vec<u8>, items: &[T], mut put: impl FnMut(&mut Vec<u8>, &T)) {
-    put_u32(buf, items.len() as u32);
-    for item in items {
-        put(buf, item);
-    }
-}
-
 fn put_opt_id(buf: &mut Vec<u8>, id: Option<OrootId>) {
     match id {
         Some(id) => {
@@ -381,25 +301,8 @@ fn put_opt_id(buf: &mut Vec<u8>, id: Option<OrootId>) {
     }
 }
 
-impl Reader<'_> {
-    fn id(&mut self) -> Result<OrootId, WireError> {
-        Ok(OrootId::from_raw(self.u64()?))
-    }
-
-    /// The inverse of [`put_list`].
-    fn list<T>(
-        &mut self,
-        mut item: impl FnMut(&mut Self) -> Result<T, WireError>,
-    ) -> Result<Vec<T>, WireError> {
-        let n = self.u32()? as usize;
-        // Every item takes at least one byte: a count beyond the bytes left
-        // is truncation, so it must not size the allocation.
-        let mut out = Vec::with_capacity(n.min(self.buf.len() - self.off));
-        for _ in 0..n {
-            out.push(item(self)?);
-        }
-        Ok(out)
-    }
+fn id(r: &mut Reader<'_>) -> Result<OrootId, WireError> {
+    Ok(OrootId::from_raw(r.u64()?))
 }
 
 impl WireRecord {
@@ -497,9 +400,9 @@ impl WireRecord {
     fn decode_from(r: &mut Reader<'_>) -> Result<WireRecord, WireError> {
         let opt_id = |r: &mut Reader<'_>| match r.u8()? {
             0 => Ok(None),
-            _ => r.id().map(Some),
+            _ => id(r).map(Some),
         };
-        let msg = |r: &mut Reader<'_>| Ok((r.id()?, r.bytes()?));
+        let msg = |r: &mut Reader<'_>| Ok((id(r)?, r.bytes()?.to_vec()));
         let rec = match r.u8()? {
             R_CAP_GROUP => BackupObject::CapGroup {
                 name: r.string()?,
@@ -516,21 +419,21 @@ impl WireRecord {
                 ctx.pc = r.u64()?;
                 let state = match r.u8()? {
                     TS_RUNNABLE => BkThreadState::Runnable,
-                    TS_NOTIF => BkThreadState::BlockedNotification(r.id()?),
-                    TS_RECV => BkThreadState::BlockedIpcRecv(r.id()?),
-                    TS_REPLY => BkThreadState::BlockedIpcReply(r.id()?),
+                    TS_NOTIF => BkThreadState::BlockedNotification(id(r)?),
+                    TS_RECV => BkThreadState::BlockedIpcRecv(id(r)?),
+                    TS_REPLY => BkThreadState::BlockedIpcReply(id(r)?),
                     TS_EXITED => BkThreadState::Exited,
                     t => return Err(WireError::BadTag(t)),
                 };
                 let program = r.string()?;
-                BackupObject::Thread { ctx, state, program, cap_group: r.id()?, vmspace: r.id()? }
+                BackupObject::Thread { ctx, state, program, cap_group: id(r)?, vmspace: id(r)? }
             }
             R_VMSPACE => BackupObject::VmSpace {
                 regions: r.list(|r| {
                     Ok(BkRegion {
                         base: r.u64()?,
                         npages: r.u64()?,
-                        pmo: r.id()?,
+                        pmo: id(r)?,
                         pmo_off: r.u64()?,
                         perm: CapRights(r.u32()?),
                     })
@@ -549,11 +452,11 @@ impl WireRecord {
                 queue: r.list(msg)?,
                 replies: r.list(msg)?,
             },
-            R_NOTIF => BackupObject::Notification { count: r.u64()?, waiters: r.list(Reader::id)? },
+            R_NOTIF => BackupObject::Notification { count: r.u64()?, waiters: r.list(id)? },
             R_IRQ => BackupObject::IrqNotification {
                 line: r.u32()?,
                 count: r.u64()?,
-                waiters: r.list(Reader::id)?,
+                waiters: r.list(id)?,
             },
             t => return Err(WireError::BadTag(t)),
         };

@@ -3,14 +3,19 @@
 //! Extends the KV wire surface (opcodes 1–3 in `treesls-apps`) with a
 //! disjoint opcode range for multi-key transactions. Frames are
 //! little-endian and length-prefixed only by the ring slot, so decoders
-//! must reject every truncated or oversized frame without panicking —
-//! property-tested in `treesls-apps/tests/wire_prop.rs`.
+//! must reject every truncated, oversized or overlong frame without
+//! panicking: both directions read through the shared
+//! [`treesls_extsync::wire::Reader`] and end in its `done()` check.
+//! Property-tested in `treesls-apps/tests/wire_prop.rs`; the bytes are
+//! pinned in `treesls-apps/tests/wire_golden.rs`.
 //!
 //! Transaction ids are **client-chosen**: a tenant picks ids it knows are
 //! unique (e.g. `tenant << 48 | counter`), which lets a driver pair a
 //! `BeginRead` with a later `WriteCommit` without waiting for the first
 //! response, and makes retries after a crash explicit (the server lost
 //! every working set; a resent id simply begins a fresh transaction).
+
+use treesls_extsync::wire::{decode_exact, put_u16, put_u64, Reader, WireError};
 
 use crate::engine::TxnError;
 use crate::store::{Record, KEY_LEN, VAL_CAP};
@@ -138,91 +143,55 @@ pub enum TxnOp {
 /// Sentinel `vlen` encoding a delete in write frames.
 const VLEN_DELETE: u16 = 0xffff;
 
-fn take<const N: usize>(buf: &[u8], at: usize) -> Option<[u8; N]> {
-    buf.get(at..at + N)?.try_into().ok()
-}
-
-fn take_u64(buf: &[u8], at: usize) -> Option<u64> {
-    Some(u64::from_le_bytes(take::<8>(buf, at)?))
-}
-
-fn take_u16(buf: &[u8], at: usize) -> Option<u16> {
-    Some(u16::from_le_bytes(take::<2>(buf, at)?))
-}
-
-fn put_val(out: &mut Vec<u8>, val: &Option<Vec<u8>>) {
-    match val {
-        Some(v) => {
-            out.extend_from_slice(&(v.len() as u16).to_le_bytes());
-            out.extend_from_slice(v);
-        }
-        None => out.extend_from_slice(&VLEN_DELETE.to_le_bytes()),
+/// Reads `len` value bytes, rejecting a length beyond [`VAL_CAP`].
+fn read_val(r: &mut Reader<'_>, len: u16) -> Result<Vec<u8>, WireError> {
+    if len as usize > VAL_CAP {
+        return Err(WireError::Invalid);
     }
-}
-
-fn parse_val(buf: &[u8], at: usize) -> Option<(Option<Vec<u8>>, usize)> {
-    let vlen = take_u16(buf, at)?;
-    if vlen == VLEN_DELETE {
-        return Some((None, at + 2));
-    }
-    let vlen = vlen as usize;
-    if vlen > VAL_CAP {
-        return None;
-    }
-    let v = buf.get(at + 2..at + 2 + vlen)?.to_vec();
-    Some((Some(v), at + 2 + vlen))
+    Ok(r.take(len as usize)?.to_vec())
 }
 
 impl TxnOp {
-    /// Encodes the request frame.
+    /// Encodes the request frame: opcode, transaction id, then the
+    /// operation's own fields.
     pub fn encode(&self) -> Vec<u8> {
+        let (op, txn) = match *self {
+            TxnOp::Begin { txn, .. } => (OP_TXN_BEGIN, txn),
+            TxnOp::Read { txn, .. } => (OP_TXN_READ, txn),
+            TxnOp::Write { txn, .. } => (OP_TXN_WRITE, txn),
+            TxnOp::Scan { txn, .. } => (OP_TXN_SCAN, txn),
+            TxnOp::Commit { txn } => (OP_TXN_COMMIT, txn),
+            TxnOp::Abort { txn } => (OP_TXN_ABORT, txn),
+            TxnOp::BeginRead { txn, .. } => (OP_TXN_BEGIN_READ, txn),
+            TxnOp::WriteCommit { txn, .. } => (OP_TXN_WRITE_COMMIT, txn),
+        };
         let mut out = Vec::with_capacity(64);
+        out.push(op);
+        put_u64(&mut out, txn);
         match self {
-            TxnOp::Begin { txn, flags } => {
-                out.push(OP_TXN_BEGIN);
-                out.extend_from_slice(&txn.to_le_bytes());
-                out.push(*flags);
-            }
-            TxnOp::Read { txn, key } => {
-                out.push(OP_TXN_READ);
-                out.extend_from_slice(&txn.to_le_bytes());
-                out.extend_from_slice(key);
-            }
-            TxnOp::Write { txn, key, tag, val } => {
-                out.push(OP_TXN_WRITE);
-                out.extend_from_slice(&txn.to_le_bytes());
+            TxnOp::Begin { flags, .. } => out.push(*flags),
+            TxnOp::Read { key, .. } => out.extend_from_slice(key),
+            TxnOp::Write { key, tag, val, .. } | TxnOp::WriteCommit { key, tag, val, .. } => {
                 out.extend_from_slice(key);
                 out.extend_from_slice(tag);
-                put_val(&mut out, val);
+                match val {
+                    Some(v) => {
+                        put_u16(&mut out, v.len() as u16);
+                        out.extend_from_slice(v);
+                    }
+                    None => put_u16(&mut out, VLEN_DELETE),
+                }
             }
-            TxnOp::Scan { txn, space, lo, hi, limit } => {
-                out.push(OP_TXN_SCAN);
-                out.extend_from_slice(&txn.to_le_bytes());
+            TxnOp::Scan { space, lo, hi, limit, .. } => {
                 out.push(*space);
                 out.extend_from_slice(lo);
                 out.extend_from_slice(hi);
-                out.extend_from_slice(&limit.to_le_bytes());
+                put_u16(&mut out, *limit);
             }
-            TxnOp::Commit { txn } => {
-                out.push(OP_TXN_COMMIT);
-                out.extend_from_slice(&txn.to_le_bytes());
-            }
-            TxnOp::Abort { txn } => {
-                out.push(OP_TXN_ABORT);
-                out.extend_from_slice(&txn.to_le_bytes());
-            }
-            TxnOp::BeginRead { txn, flags, key } => {
-                out.push(OP_TXN_BEGIN_READ);
-                out.extend_from_slice(&txn.to_le_bytes());
+            TxnOp::Commit { .. } | TxnOp::Abort { .. } => {}
+            TxnOp::BeginRead { flags, key, .. } => {
                 out.push(*flags);
                 out.extend_from_slice(key);
-            }
-            TxnOp::WriteCommit { txn, key, tag, val } => {
-                out.push(OP_TXN_WRITE_COMMIT);
-                out.extend_from_slice(&txn.to_le_bytes());
-                out.extend_from_slice(key);
-                out.extend_from_slice(tag);
-                put_val(&mut out, val);
             }
         }
         out
@@ -231,58 +200,38 @@ impl TxnOp {
     /// Decodes a request frame; `None` on any malformed input (wrong
     /// opcode, truncation, oversized value, trailing garbage).
     pub fn decode(buf: &[u8]) -> Option<TxnOp> {
-        let op = *buf.first()?;
-        let txn = take_u64(buf, 1)?;
-        let exact = |end: usize| if buf.len() == end { Some(()) } else { None };
-        match op {
-            OP_TXN_BEGIN => {
-                let flags = *buf.get(9)?;
-                exact(10)?;
-                Some(TxnOp::Begin { txn, flags })
-            }
-            OP_TXN_READ => {
-                let key = take::<KEY_LEN>(buf, 9)?;
-                exact(9 + KEY_LEN)?;
-                Some(TxnOp::Read { txn, key })
-            }
-            OP_TXN_WRITE | OP_TXN_WRITE_COMMIT => {
-                let key = take::<KEY_LEN>(buf, 9)?;
-                let tag = take::<KEY_LEN>(buf, 9 + KEY_LEN)?;
-                let (val, end) = parse_val(buf, 9 + 2 * KEY_LEN)?;
-                exact(end)?;
-                Some(if op == OP_TXN_WRITE {
-                    TxnOp::Write { txn, key, tag, val }
-                } else {
-                    TxnOp::WriteCommit { txn, key, tag, val }
-                })
-            }
-            OP_TXN_SCAN => {
-                let space = *buf.get(9)?;
-                if space > 1 {
-                    return None;
+        decode_exact(buf, |r| {
+            let op = r.u8()?;
+            let txn = r.u64()?;
+            Ok(match op {
+                OP_TXN_BEGIN => TxnOp::Begin { txn, flags: r.u8()? },
+                OP_TXN_READ => TxnOp::Read { txn, key: r.array()? },
+                OP_TXN_WRITE | OP_TXN_WRITE_COMMIT => {
+                    let (key, tag) = (r.array()?, r.array()?);
+                    let val = match r.u16()? {
+                        VLEN_DELETE => None,
+                        len => Some(read_val(r, len)?),
+                    };
+                    if op == OP_TXN_WRITE {
+                        TxnOp::Write { txn, key, tag, val }
+                    } else {
+                        TxnOp::WriteCommit { txn, key, tag, val }
+                    }
                 }
-                let lo = take::<KEY_LEN>(buf, 10)?;
-                let hi = take::<KEY_LEN>(buf, 10 + KEY_LEN)?;
-                let limit = take_u16(buf, 10 + 2 * KEY_LEN)?;
-                exact(12 + 2 * KEY_LEN)?;
-                Some(TxnOp::Scan { txn, space, lo, hi, limit })
-            }
-            OP_TXN_COMMIT => {
-                exact(9)?;
-                Some(TxnOp::Commit { txn })
-            }
-            OP_TXN_ABORT => {
-                exact(9)?;
-                Some(TxnOp::Abort { txn })
-            }
-            OP_TXN_BEGIN_READ => {
-                let flags = *buf.get(9)?;
-                let key = take::<KEY_LEN>(buf, 10)?;
-                exact(10 + KEY_LEN)?;
-                Some(TxnOp::BeginRead { txn, flags, key })
-            }
-            _ => None,
-        }
+                OP_TXN_SCAN => {
+                    let space = r.u8()?;
+                    if space > 1 {
+                        return Err(WireError::Invalid);
+                    }
+                    TxnOp::Scan { txn, space, lo: r.array()?, hi: r.array()?, limit: r.u16()? }
+                }
+                OP_TXN_COMMIT => TxnOp::Commit { txn },
+                OP_TXN_ABORT => TxnOp::Abort { txn },
+                OP_TXN_BEGIN_READ => TxnOp::BeginRead { txn, flags: r.u8()?, key: r.array()? },
+                t => return Err(WireError::BadTag(t)),
+            })
+        })
+        .ok()
     }
 }
 
@@ -343,22 +292,22 @@ impl TxnResp {
         match self {
             TxnResp::Ok { seq } => {
                 out.push(ST_TXN_OK);
-                out.extend_from_slice(&seq.to_le_bytes());
+                put_u64(out, *seq);
             }
             TxnResp::Value { val } => {
                 out.push(ST_TXN_VALUE);
-                out.extend_from_slice(&(val.len() as u16).to_le_bytes());
+                put_u16(out, val.len() as u16);
                 out.extend_from_slice(val);
             }
             TxnResp::Miss => out.push(ST_TXN_MISS),
             TxnResp::Conflict => out.push(ST_TXN_CONFLICT),
             TxnResp::Scan { rows } => {
                 out.push(ST_TXN_SCAN);
-                out.extend_from_slice(&(rows.len() as u16).to_le_bytes());
+                put_u16(out, rows.len() as u16);
                 for r in rows {
                     out.extend_from_slice(&r.major);
                     out.extend_from_slice(&r.minor);
-                    out.extend_from_slice(&(r.val.len() as u16).to_le_bytes());
+                    put_u16(out, r.val.len() as u16);
                     out.extend_from_slice(&r.val);
                 }
             }
@@ -374,61 +323,33 @@ impl TxnResp {
         out
     }
 
-    /// Decodes a response frame; `None` on malformed input.
+    /// Decodes a response frame; `None` on malformed input (unknown
+    /// status, truncation, oversized value, trailing garbage).
     pub fn decode(buf: &[u8]) -> Option<TxnResp> {
-        let exact = |end: usize| if buf.len() == end { Some(()) } else { None };
-        match *buf.first()? {
-            ST_TXN_OK => {
-                let seq = take_u64(buf, 1)?;
-                exact(9)?;
-                Some(TxnResp::Ok { seq })
-            }
-            ST_TXN_VALUE => {
-                let vlen = take_u16(buf, 1)? as usize;
-                if vlen > VAL_CAP {
-                    return None;
+        decode_exact(buf, |r| {
+            Ok(match r.u8()? {
+                ST_TXN_OK => TxnResp::Ok { seq: r.u64()? },
+                ST_TXN_VALUE => {
+                    let len = r.u16()?;
+                    TxnResp::Value { val: read_val(r, len)? }
                 }
-                let val = buf.get(3..3 + vlen)?.to_vec();
-                exact(3 + vlen)?;
-                Some(TxnResp::Value { val })
-            }
-            ST_TXN_MISS => {
-                exact(1)?;
-                Some(TxnResp::Miss)
-            }
-            ST_TXN_CONFLICT => {
-                exact(1)?;
-                Some(TxnResp::Conflict)
-            }
-            ST_TXN_SCAN => {
-                let count = take_u16(buf, 1)? as usize;
-                let mut at = 3;
-                let mut rows = Vec::with_capacity(count.min(256));
-                for _ in 0..count {
-                    let major = take::<KEY_LEN>(buf, at)?;
-                    let minor = take::<KEY_LEN>(buf, at + KEY_LEN)?;
-                    let vlen = take_u16(buf, at + 2 * KEY_LEN)? as usize;
-                    if vlen > VAL_CAP {
-                        return None;
+                ST_TXN_MISS => TxnResp::Miss,
+                ST_TXN_CONFLICT => TxnResp::Conflict,
+                ST_TXN_SCAN => {
+                    let count = r.u16()?;
+                    let mut rows = Vec::with_capacity(count.min(256) as usize);
+                    for _ in 0..count {
+                        let (major, minor, len) = (r.array()?, r.array()?, r.u16()?);
+                        rows.push(ScanRow { major, minor, val: read_val(r, len)? });
                     }
-                    let vo = at + 2 * KEY_LEN + 2;
-                    let val = buf.get(vo..vo + vlen)?.to_vec();
-                    rows.push(ScanRow { major, minor, val });
-                    at = vo + vlen;
+                    TxnResp::Scan { rows }
                 }
-                exact(at)?;
-                Some(TxnResp::Scan { rows })
-            }
-            ST_TXN_UNKNOWN => {
-                exact(1)?;
-                Some(TxnResp::UnknownTxn)
-            }
-            ST_TXN_ERROR => {
-                exact(1)?;
-                Some(TxnResp::Error)
-            }
-            _ => None,
-        }
+                ST_TXN_UNKNOWN => TxnResp::UnknownTxn,
+                ST_TXN_ERROR => TxnResp::Error,
+                t => return Err(WireError::BadTag(t)),
+            })
+        })
+        .ok()
     }
 }
 
