@@ -279,8 +279,7 @@ pub fn fig9b(runs: &[WorkloadRun]) -> Table {
 pub const GATE_ROUNDS: usize = 20;
 
 /// Bound on the scaling gate's median-pause ratio across a 10× object
-/// growth. Medians are log₂-bucket upper bounds, so the ratio is a power
-/// of two: flat = 1, one bucket of jitter = 2, an O(objects) walk ≥ 8.
+/// growth: flat ≈ 1, an O(objects) walk ≈ 10.
 pub const SCALING_MAX_RATIO: f64 = 2.0;
 
 /// Bound on the worst median epoch-flip pause across the heap sweep, µs.
@@ -316,7 +315,19 @@ fn ratio(num: Duration, den: Duration) -> f64 {
     }
 }
 
-/// Median pause at the largest tree over the median at the smallest.
+/// The nearest-rank median of `samples` (zero when empty): the smallest
+/// sample with at least half of them at or below it, the rule the pause
+/// histogram's quantiles use.
+pub fn median(samples: &[Duration]) -> Duration {
+    let mut sorted = samples.to_vec();
+    sorted.sort_unstable();
+    sorted.get(sorted.len().div_ceil(2).max(1) - 1).copied().unwrap_or_default()
+}
+
+/// Median pause at the largest tree over the median at the smallest,
+/// both exact per-round pauses. (A ratio of log₂-bucket upper bounds
+/// jumps from 1 to 2.001 when one median crosses a bucket edge, however
+/// flat the pause.)
 pub fn scaling_gate(smallest: Duration, largest: Duration) -> Gate {
     Gate { value: ratio(largest, smallest), bound: SCALING_MAX_RATIO }
 }
@@ -353,6 +364,16 @@ mod tests {
         assert!(scaling_gate(us(64), us(128)).pass());
         assert!(flip_pause_gate(&[us(64), us(64), us(64)]).pass());
         assert!(parked_gate(Duration::ZERO, us(900)).pass());
+    }
+
+    #[test]
+    fn the_scaling_gate_divides_exact_medians() {
+        let ns = Duration::from_nanos;
+        assert!(scaling_gate(ns(1_000), ns(1_100)).pass());
+        assert!(!scaling_gate(ns(1_000), ns(2_100)).pass());
+        assert_eq!(median(&[us(3), us(1), us(2), us(4)]), us(2));
+        assert_eq!(median(&[us(3), us(1), us(2)]), us(2));
+        assert_eq!(median(&[]), Duration::ZERO);
     }
 
     #[test]

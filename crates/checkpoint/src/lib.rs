@@ -252,20 +252,16 @@ impl CheckpointManager {
             );
         }
         let t_pause = Instant::now();
-        // ❶ Full quiesce parks every core; they start pulling hybrid-copy
-        // items (❸). The epoch flip parks nobody and does not hand the
-        // batch out: the leader runs it itself after the flip,
-        // concurrently with the running cores.
+        // ❶ Every core slice ends at a step boundary. Full quiesce parks
+        // every core, and they start pulling hybrid-copy items (❸). The
+        // epoch flip parks nobody and does not hand the batch out: the
+        // leader runs it itself after the flip, concurrently with the
+        // running cores. Either way no program step runs until the world
+        // resumes, so every step lands entirely before or entirely after
+        // the round's image, with the registers that go with it.
         let ipi = self.stw.stop_world((!flip).then(|| Arc::clone(&work)), kernel);
-        // Step atomicity against the flip comes from the fence instead of
-        // parking: arm it unsealed, wait the step grace period out (every
-        // step in flight at the arm finishes with write-through semantics
-        // — cores keep running), then mark and cut while post-arm steps
-        // hold their first write at the seal. Every program step thus
-        // lands entirely before or entirely after the round's image.
         if flip {
             kernel.fence.arm(inflight);
-            kernel.steps.wait_step_grace();
         }
         treesls_nvm::crash_site!(sched, "ckpt.stw_stopped");
         // The stop set of a full quiesce; the flip stops nobody and logs
@@ -310,10 +306,6 @@ impl CheckpointManager {
             let stop_mask = self.stw.stop_mask();
             let cut = kernel.dirty_queue.take_cut();
             treesls_nvm::crash_site!(sched, "stw.epoch_flip");
-            // Seal after the cut: writes released from the seal push
-            // their dirty entries into the fresh live queue, never into
-            // the cut the drain below is walking.
-            kernel.fence.seal();
             // Measure the flip *before* releasing the world: once
             // `resume_world` lands, freshly woken mutators may claim the
             // CPU ahead of this thread, and that scheduler handoff is
@@ -378,7 +370,7 @@ impl CheckpointManager {
     ///   parks for the whole copy phase;
     /// * **epoch flip** (the default): the stop window shrinks to a flip —
     ///   arm the fence, snapshot per-service TX writers via `on_epoch`,
-    ///   mark, cut the dirty queue (one pointer swap), seal, resume — and
+    ///   mark, cut the dirty queue (one pointer swap), resume — and
     ///   the tree walk, record builds, and page copies all run
     ///   concurrently with mutators. Every first conflicting write of the
     ///   round preserves its page's flip image in-line (whole-page

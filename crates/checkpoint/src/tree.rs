@@ -19,9 +19,12 @@
 //!   a restore or a failed round — in those cases it rewrites every
 //!   reachable record and rebuilds all reference counts from scratch.
 //!
-//! Object-kind strategies follow §4.1 exactly:
+//! Object-kind strategies follow §4.1:
 //! * small, frequently updated objects (threads, notifications, IPC
-//!   connections, cap groups) are copied during the pause;
+//!   connections, cap groups) are copied whole. Under full quiesce that
+//!   happens during the pause; under the epoch flip the records are built
+//!   after `resume_world` from the objects' live bodies, so they are not
+//!   yet a cut of the flip instant (ROADMAP item 1);
 //! * VM spaces copy their region list and *not* their page table, plus the
 //!   read-only marking of newly-changed pages (attributed to VM Space in
 //!   Figure 9b);

@@ -3,7 +3,7 @@
 //! Each seed runs a random sequence of host writes (small ones that take
 //! an in-line undo record, big ones that take a whole-page capture or a
 //! CoW copy), epoch rounds played the way the flip leader plays them (fold,
-//! arm, mark, seal), hybrid-batch items (`hybrid::process_slot`: migration,
+//! arm, mark), hybrid-batch items (`hybrid::process_slot`: migration,
 //! stop-and-copy, eviction) interleaved with the window's writes, commits
 //! and aborts. After every step it checks, for every page:
 //!
@@ -20,8 +20,8 @@
 //! unflagged by `PageMeta::shipped`), and an unflagged page — which the
 //! shipper does not read — must restore to exactly the bytes shipped last.
 //! Named scripts pin the paths that rule depends on: a logged window write
-//! left idle for two rounds, a whole-page capture, a pre-arm step's CoW,
-//! conflict and batch stop-and-copy, eviction and an abort.
+//! left idle for two rounds, a whole-page capture, conflict and batch
+//! stop-and-copy, eviction and an abort.
 
 use std::sync::Arc;
 
@@ -30,7 +30,7 @@ use rand::{Rng, SeedableRng};
 
 use treesls_checkpoint::hybrid::{self, RoundCounters};
 use treesls_kernel::cap::CapRights;
-use treesls_kernel::cores::{self, HybridWork};
+use treesls_kernel::cores::HybridWork;
 use treesls_kernel::object::ObjectBody;
 use treesls_kernel::pmo::{PageSlot, PmoKind};
 use treesls_kernel::types::{ObjId, Vaddr, Vpn};
@@ -128,28 +128,17 @@ impl Model {
     }
 
     /// Steps ❶–❷ of a flip round: fold the last window's leftovers, take
-    /// the hybrid batch, arm, mark, seal.
+    /// the hybrid batch, arm, mark. The round's image is the runtime as
+    /// of now.
     fn flip(&mut self) {
-        self.arm();
-        self.seal();
-    }
-
-    /// The flip up to its arm: fold, take the batch, arm (unsealed).
-    fn arm(&mut self) {
         let k = &self.kernel;
         k.fold_epoch_captures().unwrap();
         let inflight = k.pers.global_version() + 1;
         let batch = std::mem::take(&mut *k.tracker.active_list.lock());
         k.fence.arm(inflight);
-        self.window = Some(Window { inflight, image: Vec::new(), batch, ran: 0 });
-    }
-
-    /// The rest of the flip: mark and seal. The round's image is the
-    /// runtime as of now.
-    fn seal(&mut self) {
-        hybrid::mark_readonly(&self.kernel);
-        self.kernel.fence.seal();
-        self.window.as_mut().expect("armed").image = self.runtime.clone();
+        hybrid::mark_readonly(k);
+        let image = self.runtime.clone();
+        self.window = Some(Window { inflight, image, batch, ran: 0 });
     }
 
     /// Runs the next hybrid-batch item; `false` once the batch is drained.
@@ -200,17 +189,6 @@ impl Model {
             self.shipped[page] = img.to_vec();
             meta.shipped(src);
         }
-    }
-
-    /// Runs `f` as a step of core 0 that latched the fence round current
-    /// when it began (the round of a sealed window, or 0 with the fence
-    /// down), as the core loop does.
-    fn core_step(&mut self, f: impl FnOnce(&mut Self)) {
-        cores::set_current_core(0);
-        self.kernel.steps.begin_step(0, self.kernel.fence.active_round());
-        f(self);
-        self.kernel.steps.end_step(0);
-        cores::set_current_core(cores::NO_CORE);
     }
 
     /// One random step: a write, or — outside a window — a flip, or —
@@ -330,30 +308,6 @@ fn shipper_rule_whole_page_capture() {
         m.end_window(true);
     }
     m.check("whole-page capture");
-}
-
-/// A core step that began inside one round's sealed window logs its first
-/// write, straddles that round's commit, and writes again after the next
-/// round armed: pre-arm semantics, a CoW that folds the log and joins the
-/// new round's image.
-#[test]
-fn shipper_rule_pre_arm_straddle_cow() {
-    let mut m = Model::new();
-    m.flip();
-    let folds = m.kernel.stats.snapshot().cow_copies;
-    m.core_step(|m| {
-        m.write(0, 64, 8);
-        m.end_window(true);
-        m.arm();
-        m.write(0, 128, 8);
-    });
-    assert_eq!(m.kernel.metrics.snapshot().inline_log_captures, 1, "first write logged");
-    assert_eq!(m.kernel.stats.snapshot().cow_copies, folds + 1, "the CoW folded the log");
-    m.seal();
-    m.end_window(true);
-    m.flip();
-    m.end_window(true);
-    m.check("pre-arm straddle CoW");
 }
 
 /// Makes page 1 hot (two CoW faults) so the next batch migrates it to

@@ -18,15 +18,16 @@
 //! [`StwController::stop_world`] stops either every registered core or
 //! none. `KernelConfig::force_full_quiesce` selects the paper's
 //! stop-the-world protocol: every core parks for the whole copy phase.
-//! The default epoch flip parks nobody: cores keep running behind the
-//! kernel's per-round [`EpochFence`] — a post-arm step's first write
-//! waits for the seal, and a first conflicting write to a page whose
-//! round image is not yet preserved is captured in-line (see
-//! `fault.rs`) — and during the flip window their scheduler pulls are
-//! restricted to their own affinity queue, so an unpinned thread cannot
-//! start a slice while the leader defines the round's image.
+//! The default epoch flip parks nobody, but applies the paper's rule at
+//! the flip all the same: every core slice ends at its next step
+//! boundary and no core pulls a thread until [`resume_world`], so no
+//! program step runs while the leader arms the fence, marks and cuts.
+//! After the flip cores run on behind the kernel's per-round
+//! [`EpochFence`]: a first conflicting write to a page whose round image
+//! is not yet preserved is captured in-line (see `fault.rs`).
 //!
 //! [`EpochFence`]: crate::kernel::EpochFence
+//! [`resume_world`]: StwController::resume_world
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -43,29 +44,16 @@ use crate::thread::ThreadState;
 use crate::types::ObjId;
 
 /// Core id of threads that are not kernel cores (host drivers, the
-/// checkpoint leader, tests). Their writes never latch a fence round:
-/// state mutated off-core is protected by per-object locks, not by
-/// quiescence.
+/// checkpoint leader, tests).
 pub const NO_CORE: u32 = u32::MAX;
 
 thread_local! {
     /// The simulated core id of the calling OS thread (`NO_CORE` for
     /// threads that are not core workers: the leader, hosts, tests).
     static CURRENT_CORE: std::cell::Cell<u32> = const { std::cell::Cell::new(NO_CORE) };
-
-    /// The epoch-fence round the calling core latched at the start of
-    /// its current program step (0 between steps or when the fence was
-    /// unarmed at step start). `write_page_slot` compares this against
-    /// the live fence round to tell pre-arm in-flight steps — which
-    /// write through and are waited out by the leader's grace period —
-    /// from post-arm steps, which hold their first write until the flip
-    /// seals.
-    static CURRENT_STEP_ROUND: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
-/// The core id of the calling thread (`NO_CORE` off-core). Used by the
-/// write path to tell core steps, which the flip's grace protocol
-/// tracks, from off-core writers.
+/// The core id of the calling thread (`NO_CORE` off-core).
 #[inline]
 pub fn current_core() -> u32 {
     CURRENT_CORE.with(|c| c.get())
@@ -75,103 +63,6 @@ pub fn current_core() -> u32 {
 /// worker at spawn; tests may use it to impersonate a core).
 pub fn set_current_core(core: u32) {
     CURRENT_CORE.with(|c| c.set(core));
-}
-
-/// The fence round the calling core's current program step latched at
-/// its start (0 off-step / off-core / pre-arm).
-#[inline]
-pub fn current_step_round() -> u64 {
-    CURRENT_STEP_ROUND.with(|r| r.get())
-}
-
-/// Per-core program-step publication: the shared half of the epoch
-/// flip's no-park atomicity protocol (the private half is the
-/// [`current_step_round`] latch).
-///
-/// Each core bumps its sequence word around every program step — odd
-/// while mid-step, even between steps — with SeqCst ordering against
-/// the fence-round latch taken at step start. The flip leader arms the
-/// fence unsealed and then runs [`wait_step_grace`]: any core whose
-/// step predates the arm is still odd-and-unchanged in the scan, so the
-/// leader waits (the step is at most microseconds; the core never
-/// parks). A core whose step postdates the arm either finishes without
-/// writing, or publishes [`blocked`] and spins at its first write until
-/// the seal — both let the scan pass it. After the grace period every
-/// write the leader can race belongs to a whole step on exactly one
-/// side of the flip.
-///
-/// [`wait_step_grace`]: Self::wait_step_grace
-/// [`blocked`]: Self::set_blocked
-#[derive(Debug)]
-pub struct StepTracker {
-    /// Per-core step sequence (odd = mid-step). Indexed by core id,
-    /// matching the 64-bit stop mask's core-id space.
-    seqs: [AtomicU64; 64],
-    /// Cores currently spinning at the fence seal inside their first
-    /// write — mid-step by definition, but safe for the grace scan to
-    /// pass: the held write has not executed, and it will land in a
-    /// conflict capture once sealed.
-    blocked: [AtomicBool; 64],
-}
-
-impl Default for StepTracker {
-    fn default() -> Self {
-        Self {
-            seqs: [const { AtomicU64::new(0) }; 64],
-            blocked: [const { AtomicBool::new(false) }; 64],
-        }
-    }
-}
-
-impl StepTracker {
-    /// Marks the calling core mid-step and latches `fence_round` (the
-    /// fence's [`active_round`] read *after* the sequence bump — the
-    /// SeqCst pairing the grace scan relies on).
-    ///
-    /// [`active_round`]: crate::kernel::EpochFence::active_round
-    #[inline]
-    pub fn begin_step(&self, core: u32, fence_round: u64) {
-        if let Some(seq) = self.seqs.get(core as usize) {
-            seq.fetch_add(1, Ordering::SeqCst);
-        }
-        CURRENT_STEP_ROUND.with(|r| r.set(fence_round));
-    }
-
-    /// Marks the calling core between steps and clears its round latch.
-    #[inline]
-    pub fn end_step(&self, core: u32) {
-        CURRENT_STEP_ROUND.with(|r| r.set(0));
-        if let Some(seq) = self.seqs.get(core as usize) {
-            seq.fetch_add(1, Ordering::SeqCst);
-        }
-    }
-
-    /// Publishes whether the calling core is spinning at the fence seal.
-    #[inline]
-    pub fn set_blocked(&self, core: u32, blocked: bool) {
-        if let Some(b) = self.blocked.get(core as usize) {
-            b.store(blocked, Ordering::SeqCst);
-        }
-    }
-
-    /// Leader: waits until no program step that started before the
-    /// (just-armed, unsealed) fence is still executing. A core passes
-    /// the scan once it is between steps, has advanced to a new step
-    /// (which then latched the armed round), or is spinning at the
-    /// seal. Bounded by one program step per core; no core parks.
-    pub fn wait_step_grace(&self) {
-        let snap: Vec<u64> = self.seqs.iter().map(|s| s.load(Ordering::SeqCst)).collect();
-        loop {
-            let settled = self.seqs.iter().enumerate().all(|(i, s)| {
-                let cur = s.load(Ordering::SeqCst);
-                cur.is_multiple_of(2) || cur != snap[i] || self.blocked[i].load(Ordering::SeqCst)
-            });
-            if settled {
-                return;
-            }
-            std::thread::yield_now();
-        }
-    }
 }
 
 /// The per-slot closure a [`HybridWork`] batch runs on each worker core.
@@ -291,7 +182,7 @@ pub struct StwController {
     /// still be mid-step, and copying a page concurrently with program
     /// writes captures a torn image into the checkpoint. (Under the
     /// epoch flip nobody stops; the epoch fence protects the round's
-    /// images instead, see `fault.rs`.)
+    /// images after the flip instead, see `fault.rs`.)
     go: AtomicBool,
     registered: AtomicUsize,
     quiescent: AtomicUsize,
@@ -302,11 +193,10 @@ pub struct StwController {
     /// every registered core under full quiesce, none under the epoch
     /// flip.
     stop_count: AtomicUsize,
-    /// Cores currently executing a slice of an *unpinned* thread. The
-    /// leader waits for this to reach zero after requesting a pause:
-    /// such slices break at their next step boundary — so the wait is at
-    /// most one program step long.
-    unpinned_active: AtomicUsize,
+    /// Cores currently executing a slice. The leader waits for this to
+    /// reach zero after requesting a pause: every slice breaks at its
+    /// next step boundary, so the wait is at most one program step long.
+    active_slices: AtomicUsize,
     /// Aggregate nanoseconds cores spent parked in `participate` since
     /// the last [`take_paused_ns`] — the per-core pause the epoch flip
     /// removes. (Wall pause time divides the same tree-copy work over
@@ -352,15 +242,11 @@ impl StwController {
         self.pending.load(Ordering::Acquire)
     }
 
-    /// Returns `true` if `core` must park for the current pause: a pause
-    /// is pending and the round stops every core. Off-core callers
-    /// (`NO_CORE`) conservatively report `true` while a pause is pending,
-    /// preserving the historical `pending()` semantics for direct
-    /// `run_slice` drivers.
+    /// Returns `true` if cores must park for the current pause: a pause
+    /// is pending and the round stops every core.
     #[inline]
-    pub fn should_park(&self, core: u32) -> bool {
-        self.pending.load(Ordering::Acquire)
-            && (core == NO_CORE || self.stop_count.load(Ordering::Acquire) != 0)
+    pub fn should_park(&self) -> bool {
+        self.pending.load(Ordering::Acquire) && self.stop_count.load(Ordering::Acquire) != 0
     }
 
     /// Number of cores the current (or last) round actually stopped: all
@@ -381,14 +267,16 @@ impl StwController {
         }
     }
 
-    /// Leader: requests quiescence and waits for the stop set to park.
+    /// Leader: requests quiescence and waits for the stop set to park
+    /// and for every core slice to end.
     ///
     /// `KernelConfig::force_full_quiesce` stops every registered core
     /// (the paper's protocol); the default epoch flip stops none — it
-    /// only raises `pending`, which restricts scheduler pulls and drains
-    /// in-flight unpinned slices. `work` is the hybrid-copy batch the
-    /// parked cores will execute (Figure 5 step ❸). Returns the IPI
-    /// round-trip time — the Figure 9a "IPI" component.
+    /// only raises `pending`, which stops scheduler pulls. Either way no
+    /// core runs a program step from the return until
+    /// [`resume_world`](Self::resume_world). `work` is the hybrid-copy
+    /// batch the parked cores will execute (Figure 5 step ❸). Returns the
+    /// IPI round-trip time — the Figure 9a "IPI" component.
     ///
     /// # Panics
     ///
@@ -406,14 +294,10 @@ impl StwController {
         let target = if kernel.config.force_full_quiesce {
             self.registered.load(Ordering::SeqCst)
         } else {
-            // Epoch flip: *no* core parks. Step atomicity against the
-            // flip image comes from the fence protocol instead of
-            // parking: the leader arms the fence unsealed,
-            // [`StepTracker::wait_step_grace`] drains pre-arm in-flight
-            // steps (cores keep running), and post-arm steps hold their
-            // first write at the seal — so the quiescence handshake,
-            // whose serialized per-core park latency dominated the flip
-            // on small hosts, buys nothing.
+            // Epoch flip: *no* core parks. The slice drain below already
+            // keeps every step out of the flip, so the quiescence
+            // handshake, whose serialized per-core park latency dominated
+            // the flip on small hosts, buys nothing.
             0
         };
         self.stop_count.store(target, Ordering::SeqCst);
@@ -434,11 +318,11 @@ impl StwController {
             }
             std::thread::yield_now();
         }
-        // A free core may have pulled an unpinned thread just before the
+        // A core may be mid-slice, or have pulled a thread just before the
         // pause became visible; its slice breaks at the very next step
-        // boundary. Wait it out so no unpinned thread executes a step
-        // after this returns.
-        while self.unpinned_active.load(Ordering::SeqCst) != 0 {
+        // boundary. Wait it out so no thread executes a step after this
+        // returns.
+        while self.active_slices.load(Ordering::SeqCst) != 0 {
             std::thread::yield_now();
         }
         // Every stopped core is parked: open the copy phase. Not before —
@@ -521,32 +405,28 @@ impl StwController {
 }
 
 /// Runs up to `max_steps` program steps of thread `tid` on the calling
-/// core, honouring the stop-the-world flag at every step boundary.
-///
-/// During a pause, the slice breaks when the round stops the calling core
-/// — or when the thread is not pinned to this core: an unpinned thread
-/// must not keep executing while the leader defines the round's image.
+/// core, honouring the stop-the-world flag at every step boundary: during
+/// a pause the slice breaks, so the thread's registers are written back
+/// before the leader defines the round's image.
 pub fn run_slice(kernel: &Kernel, tid: ObjId, max_steps: usize, stw: &StwController) {
-    let core = current_core();
-    let pinned_here = core != NO_CORE && kernel.sched.affinity(tid) == Some(core);
+    let on_core = current_core() != NO_CORE;
     // Advertise this slice before checking the pause flag. The SeqCst
     // pairing with `stop_world` guarantees: either the leader sees our
     // increment and waits the slice out, or we see `pending` here and bail
-    // before touching the thread at all. Either way no unpinned thread is
-    // mutated after the leader opens the copy phase.
+    // before touching the thread at all. Either way no core mutates a
+    // thread after the leader opens the copy phase.
     struct SliceGuard<'a>(&'a StwController);
     impl Drop for SliceGuard<'_> {
         fn drop(&mut self) {
-            self.0.unpinned_active.fetch_sub(1, Ordering::SeqCst);
+            self.0.active_slices.fetch_sub(1, Ordering::SeqCst);
         }
     }
-    let _unpinned = (core != NO_CORE && !pinned_here).then(|| {
-        stw.unpinned_active.fetch_add(1, Ordering::SeqCst);
+    let _slice = on_core.then(|| {
+        stw.active_slices.fetch_add(1, Ordering::SeqCst);
         SliceGuard(stw)
     });
-    if core != NO_CORE && !pinned_here && stw.pending() {
-        // Pause in progress and this thread belongs to the round's copy
-        // set: hand it back to the queue untouched.
+    if on_core && stw.pending() {
+        // Pause in progress: hand the thread back to the queue untouched.
         kernel.sched.enqueue(tid);
         return;
     }
@@ -570,26 +450,10 @@ pub fn run_slice(kernel: &Kernel, tid: ObjId, max_steps: usize, stw: &StwControl
     let mut outcome = StepOutcome::Exited;
     if let Some(program) = program {
         outcome = StepOutcome::Yielded;
-        // Publishes the step boundary for the epoch flip's grace scan;
-        // the guard keeps the sequence even if an injected crash unwinds
-        // mid-step.
-        struct StepGuard<'a>(&'a StepTracker, u32);
-        impl Drop for StepGuard<'_> {
-            fn drop(&mut self) {
-                self.0.end_step(self.1);
-            }
-        }
         for _ in 0..max_steps {
-            if stw.pending() && (!pinned_here || stw.should_park(core)) {
+            if stw.pending() {
                 break;
             }
-            let _step = (core != NO_CORE).then(|| {
-                // Latch the fence round *after* the sequence bump: the
-                // SeqCst pair guarantees the leader's post-arm grace
-                // scan sees this step if the latch missed the arm.
-                kernel.steps.begin_step(core, kernel.fence.active_round());
-                StepGuard(&kernel.steps, core)
-            });
             let mut uc = UserCtx::new(kernel, tid, cap_group, vmspace, &mut ctx);
             outcome = program.step(&mut uc);
             if outcome != StepOutcome::Ready {
@@ -712,15 +576,17 @@ fn core_loop(
 ) {
     set_current_core(core);
     while !shutdown.load(Ordering::SeqCst) {
-        if stw.should_park(core) {
+        if stw.should_park() {
             stw.participate();
             continue;
         }
-        // Not stopped during a pause (the epoch flip): run on, but only
-        // threads pinned to this core — unpinned threads wait out the
-        // flip window in the global queue.
-        let restricted = stw.pending();
-        match kernel.sched.next_for(core, restricted) {
+        // Not stopped during a pause (the epoch flip): pull nothing until
+        // the leader resumes the world.
+        if stw.pending() {
+            std::thread::yield_now();
+            continue;
+        }
+        match kernel.sched.next_for(core) {
             Some(tid) => run_slice(kernel, tid, quantum, stw),
             None => kernel.sched.park(Duration::from_micros(200)),
         }
@@ -869,10 +735,11 @@ mod tests {
     }
 
     #[test]
-    fn epoch_flip_never_parks_a_dirty_owning_pinned_writer() {
+    fn epoch_flip_parks_nobody() {
         // Under the default config `stop_world` raises the pause without
-        // parking anyone: a pinned writer that owns the round's dirty
-        // state keeps stepping through the whole window.
+        // parking anyone: the pinned writer's slice ends at a step
+        // boundary, its core pulls nothing until the resume, and the
+        // writer steps again right after it.
         let k = kernel();
         let stw = Arc::new(StwController::new());
         let (tid, vs) = spawn_counter(&k, u64::MAX); // runs forever
@@ -891,11 +758,13 @@ mod tests {
         stw.stop_world(None, &k);
         assert_eq!(stw.stopped_cores(), 0, "the epoch flip parks nobody");
         let v1 = read();
+        std::thread::sleep(Duration::from_millis(5));
+        assert_eq!(read(), v1, "the pinned writer stepped inside the flip");
+        stw.resume_world();
         while read() == v1 {
-            assert!(Instant::now() < deadline, "pinned writer was parked by stop_world");
+            assert!(Instant::now() < deadline, "pinned writer never resumed");
             std::thread::yield_now();
         }
-        stw.resume_world();
         stw.wait_all_resumed();
         assert_eq!(stw.take_paused_ns(), 0, "no core accrued pause time");
         cores.stop();

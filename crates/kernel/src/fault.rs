@@ -314,8 +314,9 @@ impl Kernel {
     ///   `pairs` untouched, so no third copy is ever at risk;
     /// * **non-migrated writable pages** write through — their runtime
     ///   frame only becomes the round's image when `mark_readonly`
-    ///   freezes it, after which the write lands in the capture branch
-    ///   (the accepted fuzzy boundary of the flip).
+    ///   freezes it, after which the write lands in the capture branch.
+    ///   Before the mark only off-core writers can get here: no core runs
+    ///   a program step between the arm and the flip's resume.
     ///
     /// Returns `true` when this write is the page's first content change
     /// of the round — a CoW fault, an epoch conflict capture or first
@@ -334,53 +335,13 @@ impl Kernel {
         off: usize,
         data: &[u8],
     ) -> Result<bool, KernelError> {
-        // Epoch-flip seal wait: a program step that *started after* the
-        // fence armed (its latched round matches) must not write while
-        // the flip is still defining the round's images — hold its
-        // first write here, outside every lock, until the leader seals
-        // (or the round aborts). Pre-arm in-flight steps have a stale
-        // latch and write through; the leader's grace period waits them
-        // out before marking. Off-core writers (hosts, services) never
-        // latch, so each of their writes is a single-page pre-flip
-        // store — the same semantics they had under parked flips.
-        if self.fence.active() && !self.fence.sealed() {
-            let core = crate::cores::current_core();
-            if core != crate::cores::NO_CORE
-                && crate::cores::current_step_round() == self.fence.round()
-            {
-                self.steps.set_blocked(core, true);
-                while self.fence.active() && !self.fence.sealed() {
-                    std::thread::yield_now();
-                }
-                self.steps.set_blocked(core, false);
-            }
-        }
-        // A core step that was already in flight when the flip armed
-        // keeps *pre-arm* write semantics for its whole duration: its
-        // latched round predates the fence's, the leader's grace period
-        // waits the step out before marking, and every one of its writes
-        // — including ones landing after the next round armed, if the
-        // step straddled a commit — must join the pre-flip image rather
-        // than capture. Without this, a step's first write could be
-        // excluded from round N (logged) and its second excluded from
-        // round N+1, splitting one atomic step across two recovery
-        // points.
-        let pre_arm_step = {
-            let core = crate::cores::current_core();
-            core != crate::cores::NO_CORE
-                && crate::cores::current_step_round() != self.fence.round()
-        };
         let mut meta = slot.meta.lock();
         let inflight = self.fence.inflight();
         let mut duplicated = false;
         // The fence only governs the pre-commit window: once the round's
         // commit record lands (global == inflight), ordinary CoW
         // semantics preserve images correctly even before disarm.
-        if self.fence.active()
-            && !pre_arm_step
-            && !meta.eternal
-            && self.pers.global_version() < inflight
-        {
+        if self.fence.active() && !meta.eternal && self.pers.global_version() < inflight {
             if meta.is_migrated() {
                 // Keyed to the fence *round*, not the version tag: an
                 // aborted round leaves captures carrying the same

@@ -407,13 +407,15 @@ impl Persistent {
 
 /// The per-round epoch fence of the epoch flip.
 ///
-/// While a checkpoint's copy phase is in progress every core keeps
-/// running. A conflicting write to a page whose round image has not been
-/// preserved yet must not destroy that image: the fault path consults
-/// this fence and preserves the image in-line — a small write (≤ 64 B
-/// changed) appends a record-level undo entry to the page's in-line log,
-/// a large one captures the whole pre-write page (see `fault.rs`).
-/// Nobody ever waits the fence out.
+/// The leader arms it while no core runs a program step (the flip's slice
+/// drain, see `cores.rs`) and resumes the world once the round's image is
+/// defined; the copy phase then runs while every core keeps running. A
+/// conflicting write to a page whose round image has not been preserved
+/// yet must not destroy that image: the fault path consults this fence
+/// and preserves the image in-line — a small write (≤ 64 B changed)
+/// appends a record-level undo entry to the page's in-line log, a large
+/// one captures the whole pre-write page (see `fault.rs`). Nobody ever
+/// waits the fence out.
 ///
 /// Armed only by the epoch flip's leader, disarmed right after the
 /// commit record lands (from then on the ordinary post-commit CoW path
@@ -428,60 +430,19 @@ pub struct EpochFence {
     /// round leaves stale captures carrying the same in-flight version,
     /// and the next round must not mistake them for its own.
     round: AtomicU64,
-    /// Epoch-flip seal. While the fence is armed but *unsealed* the
-    /// leader is still defining the round's page images (step grace +
-    /// `mark_readonly` + queue cut), so a program step that started
-    /// *after* the arm must not write yet: its first write spins until
-    /// the seal (see `write_page_slot`), which makes every step land
-    /// entirely before or entirely after the flip image — step-granular
-    /// atomicity without parking any core. Steps that started before
-    /// the arm write through freely; the leader's grace period waits
-    /// them out before marking.
-    sealed: AtomicBool,
 }
 
 impl EpochFence {
-    /// Arms the fence, unsealed, for the round checkpointing version
-    /// `inflight`: post-arm steps hold their first write until
-    /// [`seal`](Self::seal). SeqCst so the arm totally orders against
-    /// every core's step-start fence load — a step that missed the arm is
-    /// provably visible to the leader's subsequent grace scan.
+    /// Arms the fence for the round checkpointing version `inflight`.
     pub fn arm(&self, inflight: u64) {
         self.inflight.store(inflight, Ordering::Release);
-        self.sealed.store(false, Ordering::SeqCst);
         self.round.fetch_add(1, Ordering::SeqCst);
         self.active.store(true, Ordering::SeqCst);
     }
 
-    /// Seals the flip: the round's images are all preserved (or capture-
-    /// protected), held first writes may proceed into conflict capture.
-    pub fn seal(&self) {
-        self.sealed.store(true, Ordering::SeqCst);
-    }
-
-    /// Returns `true` once the armed round's flip images are defined.
-    #[inline]
-    pub fn sealed(&self) -> bool {
-        self.sealed.load(Ordering::SeqCst)
-    }
-
-    /// The round counter if the fence is armed, else 0 (never a valid
-    /// round: arming starts at 1). Step starts latch this with SeqCst
-    /// ordering against their step-sequence publication.
-    #[inline]
-    pub fn active_round(&self) -> u64 {
-        if self.active.load(Ordering::SeqCst) {
-            self.round.load(Ordering::SeqCst)
-        } else {
-            0
-        }
-    }
-
-    /// Disarms the fence (round committed or aborted). Also seals, so a
-    /// write held at an aborted unsealed flip is released.
+    /// Disarms the fence (round committed or aborted).
     pub fn disarm(&self) {
         self.active.store(false, Ordering::SeqCst);
-        self.sealed.store(true, Ordering::SeqCst);
     }
 
     /// Returns `true` while an epoch-flip round is in flight.
@@ -537,9 +498,6 @@ pub struct Kernel {
     /// Per-round epoch fence consulted by the write-fault path while an
     /// epoch-flip round is copying concurrently with mutators.
     pub fence: EpochFence,
-    /// Per-core step-boundary publication for the epoch flip's no-park
-    /// grace period (see [`crate::cores::StepTracker`]).
-    pub steps: crate::cores::StepTracker,
     /// Page slots that took a whole-page epoch capture or an in-line undo
     /// log during the current round's fence window, until the leader's
     /// `fold_epoch_captures` after the round commits or aborts (a page
@@ -594,7 +552,6 @@ impl Kernel {
             rounds_since_full: AtomicU64::new(0),
             pending_sweep: Mutex::new(Vec::new()),
             fence: EpochFence::default(),
-            steps: crate::cores::StepTracker::default(),
             epoch_captures: Mutex::new(Vec::new()),
             stats: KernelStats::new(),
             metrics: Arc::new(MetricsRegistry::new()),

@@ -31,14 +31,10 @@ struct PinState {
 /// per-core affinity queues for pinned threads.
 ///
 /// Core worker threads park on [`park`] when idle; enqueues and
-/// stop-the-world requests wake them. During an epoch flip's stop window
-/// no core parks, so every core restricts itself to its own affinity
-/// queue ([`next_for`] with `restricted = true`): an unpinned thread must
-/// not start a slice mid-flip, or its state would change while the
-/// leader defines the round's image.
+/// stop-the-world requests wake them. While a pause is pending no core
+/// pulls from any queue (see `cores.rs`).
 ///
 /// [`park`]: Self::park
-/// [`next_for`]: Self::next_for
 #[derive(Debug, Default)]
 pub struct Scheduler {
     queue: Mutex<VecDeque<ObjId>>,
@@ -150,9 +146,8 @@ impl Scheduler {
     }
 
     /// Dequeues the next thread for `core`: its affinity queue first, then
-    /// (unless `restricted`) the global queue. `restricted` is set by
-    /// running cores during an epoch flip's stop window.
-    pub fn next_for(&self, core: u32, restricted: bool) -> Option<ObjId> {
+    /// the global queue.
+    pub fn next_for(&self, core: u32) -> Option<ObjId> {
         {
             let mut pins = self.pins.lock();
             if let Some(q) = pins.queues.get_mut(&core) {
@@ -160,9 +155,6 @@ impl Scheduler {
                     return Some(tid);
                 }
             }
-        }
-        if restricted {
-            return None;
         }
         self.queue.lock().pop_front()
     }
@@ -284,22 +276,13 @@ mod tests {
         s.set_affinity(t[0], Some(2));
         s.enqueue(t[0]);
         s.enqueue(t[1]);
-        // Core 0 must not see the pinned thread, restricted or not.
-        assert_eq!(s.next_for(0, false), Some(t[1]));
-        assert_eq!(s.next_for(0, true), None);
+        // Core 0 must not see the pinned thread.
+        assert_eq!(s.next_for(0), Some(t[1]));
+        assert_eq!(s.next_for(0), None);
         // Core 2 pulls its affinity queue first.
         s.enqueue(t[2]);
-        assert_eq!(s.next_for(2, false), Some(t[0]));
-        assert_eq!(s.next_for(2, false), Some(t[2]));
-    }
-
-    #[test]
-    fn restricted_next_ignores_global_queue() {
-        let s = Scheduler::new();
-        let t = ids(2);
-        s.enqueue(t[0]);
-        assert_eq!(s.next_for(1, true), None, "fence must not leak unpinned work");
-        assert_eq!(s.next_for(1, false), Some(t[0]));
+        assert_eq!(s.next_for(2), Some(t[0]));
+        assert_eq!(s.next_for(2), Some(t[2]));
     }
 
     #[test]
@@ -310,7 +293,7 @@ mod tests {
         s.set_affinity(t[0], Some(3));
         // Entry moved out of the global queue into core 3's queue.
         assert_eq!(s.next(), None);
-        assert_eq!(s.next_for(3, true), Some(t[0]));
+        assert_eq!(s.next_for(3), Some(t[0]));
         // Unpin moves it back.
         s.enqueue(t[0]);
         s.set_affinity(t[0], None);

@@ -51,9 +51,9 @@ pub struct DeploySpec {
     pub batch: usize,
     /// When `Some(n)`, pin queue `q`'s server thread to simulated core
     /// `q % n`, aligning the service shard with the core that owns its
-    /// dirty pages (and keeping it runnable through an epoch flip's stop
-    /// window, which holds unpinned threads back). `None` leaves
-    /// scheduling unconstrained.
+    /// dirty pages. An epoch flip holds pinned and unpinned threads back
+    /// alike. `None` (every shipped deployment) leaves scheduling
+    /// unconstrained.
     pub pin_cores: Option<u32>,
 }
 

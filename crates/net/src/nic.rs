@@ -652,17 +652,17 @@ impl CkptCallback for VirtualNic {
     fn on_epoch(&self, _version: u64) {
         // Inside the stop window: snapshot every queue's TX writer —
         // this is the commit barrier's TX cut. Under the default
-        // epoch-concurrent flip NO server parks: every core keeps
+        // epoch-concurrent flip NO server parks: every core resumes
         // producing responses through the copy phase (their first
         // conflicting writes self-capture the flip image), and a
         // response appended after this cut was produced by state the
         // *next* checkpoint covers — so the commit barrier below must
         // not release it (the snapshot is the cap). The cut is sound
-        // because this callback runs inside the grace-held flip window:
-        // pre-arm steps have finished and post-arm steps are held at
-        // their first write until the seal, so no ring append lands
-        // between this read and the flip. Under full quiescence nothing
-        // runs between here and the commit, so the cap is exactly the
+        // because this callback runs inside the flip window, where no
+        // core runs a program step: every slice ended before the arm and
+        // none starts before the resume, so no ring append lands between
+        // this read and the flip. Under full quiescence nothing runs
+        // between here and the commit, so the cap is exactly the
         // barrier-time writer. The same window makes the RX cursor read
         // here the cursor of the image this round commits.
         for q in 0..self.layout.queues {

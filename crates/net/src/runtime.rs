@@ -1,8 +1,9 @@
 //! The poll-mode server runtime: one service loop per queue.
 //!
 //! A [`PollServer`] is the in-SLS half of a NIC queue — a re-entrant
-//! step-machine program pinned to one emulated core, draining its RX ring
-//! in batches and dispatching each request to a registered [`Service`].
+//! step-machine program run by one server thread per queue, draining its
+//! RX ring in batches and dispatching each request to a registered
+//! [`Service`].
 //! It is the DPDK-style shape: the loop *polls* while work is queued and
 //! parks on the queue's doorbell notification (the virtual MSI) only when
 //! the ring runs dry, so an idle queue costs no cycles but a busy one

@@ -86,13 +86,12 @@ pub fn find_process(sys: &System, name: &str) -> (ObjId, ObjId, Option<ObjId>) {
 
 /// Plays the epoch-flip leader for the round after the last commit, the
 /// way `CheckpointManager::pre_commit` does when no core is running: arm
-/// the fence, mark the write set read-only, seal. Host writes from here
-/// on race the round's copy phase until `fence.disarm()` aborts it.
+/// the fence, mark the write set read-only. Host writes from here on race
+/// the round's copy phase until `fence.disarm()` aborts it.
 pub fn open_window(sys: &System) {
     let kernel = sys.kernel();
     kernel.fence.arm(kernel.pers.global_version() + 1);
     treesls_checkpoint::hybrid::mark_readonly(kernel);
-    kernel.fence.seal();
 }
 
 /// Reads the whole data heap of `vmspace` (`pages` 4 KiB pages).

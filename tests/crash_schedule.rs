@@ -224,9 +224,9 @@ fn restore_rearm_crash_is_survivable() {
 /// The epoch-fence conflict capture ("stw.clean_core_cow") fires on a
 /// write racing an epoch flip's copy phase, a schedule the
 /// single-threaded site enumeration never produces — so a dedicated drill
-/// covers it: arm and seal the fence the way the flip leader would, issue
-/// a host write to a migrated dirty page, crash inside the capture, and
-/// check that recovery rolls back cleanly and the first post-restore
+/// covers it: arm the fence the way the flip leader would, issue a host
+/// write to a migrated dirty page, crash inside the capture, and check
+/// that recovery rolls back cleanly and the first post-restore
 /// checkpoint runs the healing full walk.
 #[test]
 fn clean_core_cow_crash_is_survivable_and_heals() {
@@ -244,13 +244,12 @@ fn clean_core_cow_crash_is_survivable_and_heals() {
     }
     step(&sys, st.writer, HYBRID_PAGES as usize);
 
-    // Play the leader: arm and seal the epoch fence for the next round,
+    // Play the leader: arm the epoch fence for the next round,
     // then write to a migrated page from the host — the conflict CoW must
     // trigger, and the injected crash cuts it mid-capture.
     let sched = {
         let kernel = sys.kernel();
         kernel.fence.arm(kernel.pers.global_version() + 1);
-        kernel.fence.seal();
         std::sync::Arc::clone(kernel.pers.dev.crash_schedule())
     };
     sched.arm(treesls_nvm::CrashPoint::Site { name: "stw.clean_core_cow".into(), skip: 0 });
@@ -290,8 +289,8 @@ fn clean_core_cow_crash_is_survivable_and_heals() {
 /// racing the concurrent copy phase — again a schedule single-threaded
 /// site enumeration never produces. Dedicated drill: commit one round so
 /// the heap pages are read-only but not yet hot enough to migrate, arm
-/// and seal the fence the way the epoch flip would, issue an 8-byte host
-/// write (undo record, not whole-page CoW), crash inside the capture, and
+/// the fence the way the epoch flip would, issue an 8-byte host write
+/// (undo record, not whole-page CoW), crash inside the capture, and
 /// check that recovery rolls back to the last commit and the first
 /// post-restore checkpoint runs the healing full walk.
 #[test]
@@ -311,7 +310,6 @@ fn inline_log_capture_crash_is_survivable_and_heals() {
     let sched = {
         let kernel = sys.kernel();
         kernel.fence.arm(kernel.pers.global_version() + 1);
-        kernel.fence.seal();
         std::sync::Arc::clone(kernel.pers.dev.crash_schedule())
     };
     sched.arm(treesls_nvm::CrashPoint::Site {

@@ -9,6 +9,7 @@
 
 mod common;
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -425,6 +426,94 @@ fn epoch_flip_never_tears_a_page_under_pinned_writers() {
         }
         // Affinity is scheduler state, volatile across restore: re-pin.
         pin(&sys);
+    }
+}
+
+/// Words [`GatedCounter`] writes before it exits.
+const GATED_WORDS: u64 = 16;
+
+/// Step `k` writes `k + 1` at word `k` and sets r1 = `k + 1`, so r1 always
+/// equals the number of non-zero words. Step 5 announces itself on `at5`
+/// and spins until the host raises `f1`; step 6 spins until `f2`.
+struct GatedCounter {
+    at5: Arc<AtomicBool>,
+    f1: Arc<AtomicBool>,
+    f2: Arc<AtomicBool>,
+}
+
+impl Program for GatedCounter {
+    fn step(&self, ctx: &mut UserCtx<'_>) -> StepOutcome {
+        let k = ctx.reg(1);
+        if k == GATED_WORDS {
+            return StepOutcome::Exited;
+        }
+        let gate = match k {
+            5 => {
+                self.at5.store(true, Ordering::SeqCst);
+                Some(&self.f1)
+            }
+            6 => Some(&self.f2),
+            _ => None,
+        };
+        while gate.is_some_and(|g| !g.load(Ordering::SeqCst)) {
+            std::thread::yield_now();
+        }
+        ctx.write_u64(k * 8, k + 1).unwrap();
+        ctx.set_reg(1, k + 1);
+        StepOutcome::Ready
+    }
+}
+
+/// A checkpoint whose flip lands while a slice is mid-step must record
+/// the thread's registers as of the step boundary its memory is cut at.
+/// The flip arrives during step 5; the thread is still inside step 6 of
+/// the same slice while the round builds its records. Whether or not the
+/// thread is pinned, the restored r1 must count the restored words.
+#[test]
+fn flip_mid_slice_keeps_registers_with_memory() {
+    fn wait_for(what: &str, cond: impl Fn() -> bool) {
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while !cond() {
+            assert!(std::time::Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::yield_now();
+        }
+    }
+    for pinned in [true, false] {
+        let flags: [Arc<AtomicBool>; 3] = Default::default();
+        let [at5, f1, f2] = flags.clone();
+        let register = move |r: &ProgramRegistry| {
+            let [at5, f1, f2] = flags.clone();
+            r.register("gated", Arc::new(GatedCounter { at5, f1, f2 }));
+        };
+        let mut sys = System::boot(SystemConfig::small());
+        register(sys.programs());
+        let p = sys.spawn(&ProcessSpec::new("gated").heap(1).thread(ThreadSpec::new("gated")));
+        let tid = p.unwrap().threads[0];
+        if pinned {
+            sys.kernel().sched.set_affinity(tid, Some(0));
+        }
+        sys.start();
+        wait_for("step 5", || at5.load(Ordering::SeqCst));
+        let mgr = Arc::clone(sys.manager());
+        let round = std::thread::spawn(move || mgr.checkpoint().map(|_| ()));
+        wait_for("the pause", || sys.manager().stw().pending());
+        f1.store(true, Ordering::SeqCst);
+        round.join().unwrap().expect("checkpoint");
+        f2.store(true, Ordering::SeqCst);
+
+        let image = sys.crash();
+        let (sys, _) = System::recover(image, SystemConfig::small(), register).expect("recover");
+        let tid = find_named_thread(&sys, "gated");
+        let r1 = match &*sys.kernel().object(tid).unwrap().body.read() {
+            ObjectBody::Thread(t) => t.ctx.regs[1],
+            _ => unreachable!(),
+        };
+        let mut buf = [0u8; GATED_WORDS as usize * 8];
+        sys.read_mem(find_named_vmspace(&sys, "gated"), 0, &mut buf).unwrap();
+        let words: Vec<u64> =
+            buf.chunks_exact(8).map(|w| u64::from_le_bytes(w.try_into().unwrap())).collect();
+        let written = words.iter().filter(|&&w| w != 0).count() as u64;
+        assert_eq!(r1, written, "pinned = {pinned}: r1 = {r1} but memory holds {words:?}");
     }
 }
 
