@@ -622,7 +622,11 @@ impl Kernel {
         let mut copy = Duration::ZERO;
         let mut failed = Vec::new();
         let mut result = Ok(());
-        for slot in std::mem::take(&mut *self.epoch_captures.lock()) {
+        // Its own statement: a `for` head's guard would hold the list
+        // across the loop, and a core capturing a page registers it here
+        // while holding the page's lock — the lock the loop waits for.
+        let captured = std::mem::take(&mut *self.epoch_captures.lock());
+        for slot in captured {
             let mut meta = slot.meta.lock();
             if !meta.pending_fold()
                 || matches!(meta.restore_image(global),
@@ -866,6 +870,29 @@ mod tests {
         let dirty = k.tracker.take_dirty();
         assert_eq!(dirty.len(), 2);
         assert!(k.tracker.take_dirty().is_empty());
+    }
+
+    #[test]
+    fn folding_captures_never_waits_for_a_page_while_holding_the_list() {
+        // A core capturing a page holds the page's lock when it registers
+        // the page in `epoch_captures`; the fold must not hold the list
+        // while it waits for a page lock, or the two deadlock.
+        let (k, vs, _) = setup();
+        k.vm_write(vs, Vaddr(0), &[1]).unwrap();
+        let slot = k.translate(vs, Vpn(0)).unwrap().slot;
+        k.epoch_captures.lock().push(Arc::clone(&slot));
+        let page_lock = slot.meta.lock();
+        std::thread::scope(|s| {
+            let fold = s.spawn(|| k.fold_epoch_captures());
+            let deadline = Instant::now() + Duration::from_secs(5);
+            // The fold has taken the list once it reads empty.
+            while k.epoch_captures.try_lock().is_none_or(|list| !list.is_empty()) {
+                assert!(Instant::now() < deadline, "the fold holds the list while it waits");
+                std::thread::yield_now();
+            }
+            drop(page_lock);
+            fold.join().unwrap().unwrap();
+        });
     }
 
     #[test]
