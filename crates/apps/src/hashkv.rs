@@ -22,6 +22,11 @@
 //!        +24 vlen   u32, pad 4 B
 //!        +32 value  val_cap B (rounded up to 8)
 //! ```
+//!
+//! Every access is one `MemIo` call per contiguous span, since inside
+//! TreeSLS each call is a soft-MMU translation: [`HashKv::attach`] reads
+//! the geometry in one call, a probe reads a bucket's `state..vlen` head
+//! (32 B) in one call, and an insert stores `key ‖ vlen` in one.
 
 use treesls_extsync::MemIo;
 use treesls_kernel::types::KernelError;
@@ -35,6 +40,8 @@ const B_STATE: u64 = 0;
 const B_KEY: u64 = 8;
 const B_VLEN: u64 = 24;
 const B_VALUE: u64 = 32;
+/// Bytes of a bucket before its value: `state`, `key` and `vlen`.
+const B_HEAD: usize = B_VALUE as usize;
 
 const EMPTY: u8 = 0;
 const USED: u8 = 1;
@@ -114,14 +121,37 @@ impl HashKv {
         Ok(t)
     }
 
-    /// Attaches to an existing table (e.g. after a restore).
+    /// Attaches to an existing table (e.g. after a restore): one 24 B
+    /// read of `magic`, `nbuckets` and `val_cap`.
     pub fn attach<M: MemIo>(io: &M, base: u64) -> Result<Self, KvError> {
-        if io.mem_read_u64(base)? != MAGIC {
+        let mut h = [0u8; 24];
+        io.mem_read(base, &mut h)?;
+        let word = |i: usize| u64::from_le_bytes(h[i * 8..i * 8 + 8].try_into().expect("8 B"));
+        if word(0) != MAGIC {
             return Err(KvError::BadMagic);
         }
-        let nbuckets = io.mem_read_u64(base + 8)?;
-        let val_cap = io.mem_read_u64(base + 16)?;
-        Ok(Self { base, nbuckets, val_cap })
+        Ok(Self { base, nbuckets: word(1), val_cap: word(2) })
+    }
+
+    /// Reads bucket `b`'s head (`state`, `key`, `vlen`) in one call.
+    fn head<M: MemIo>(io: &M, b: u64) -> Result<BucketHead, KvError> {
+        let mut h = [0u8; B_HEAD];
+        io.mem_read(b, &mut h)?;
+        Ok(BucketHead(h))
+    }
+
+    /// Stores `key ‖ vlen` (20 contiguous bytes) at bucket `b`.
+    fn write_key_len<M: MemIo>(
+        io: &M,
+        b: u64,
+        key: &[u8; KEY_LEN],
+        vlen: usize,
+    ) -> Result<(), KvError> {
+        let mut kl = [0u8; KEY_LEN + 4];
+        kl[..KEY_LEN].copy_from_slice(key);
+        kl[KEY_LEN..].copy_from_slice(&(vlen as u32).to_le_bytes());
+        io.mem_write(b + B_KEY, &kl)?;
+        Ok(())
     }
 
     fn bucket(&self, i: u64) -> u64 {
@@ -163,22 +193,15 @@ impl HashKv {
         let mut i = Self::hash(key);
         for _ in 0..self.nbuckets {
             let b = self.bucket(i);
-            let mut state = [0u8];
-            io.mem_read(b + B_STATE, &mut state)?;
-            match state[0] {
+            let head = Self::head(io, b)?;
+            match head.state() {
                 EMPTY => return Ok(None),
-                USED => {
-                    let mut k = [0u8; KEY_LEN];
-                    io.mem_read(b + B_KEY, &mut k)?;
-                    if &k == key {
-                        let mut lb = [0u8; 4];
-                        io.mem_read(b + B_VLEN, &mut lb)?;
-                        let len = (u32::from_le_bytes(lb) as u64).min(self.val_cap) as usize;
-                        let start = out.len();
-                        out.resize(start + len, 0);
-                        io.mem_read(b + B_VALUE, &mut out[start..])?;
-                        return Ok(Some(len));
-                    }
+                USED if head.key() == key => {
+                    let len = (head.vlen() as u64).min(self.val_cap) as usize;
+                    let start = out.len();
+                    out.resize(start + len, 0);
+                    io.mem_read(b + B_VALUE, &mut out[start..])?;
+                    return Ok(Some(len));
                 }
                 _ => {}
             }
@@ -201,13 +224,11 @@ impl HashKv {
         let mut insert_at: Option<u64> = None;
         for _ in 0..self.nbuckets {
             let b = self.bucket(i);
-            let mut state = [0u8];
-            io.mem_read(b + B_STATE, &mut state)?;
-            match state[0] {
+            let head = Self::head(io, b)?;
+            match head.state() {
                 EMPTY => {
                     let b = insert_at.unwrap_or(b);
-                    io.mem_write(b + B_KEY, key)?;
-                    io.mem_write(b + B_VLEN, &(value.len() as u32).to_le_bytes())?;
+                    Self::write_key_len(io, b, key, value.len())?;
                     io.mem_write(b + B_VALUE, value)?;
                     io.mem_write(b + B_STATE, &[USED])?;
                     let count = io.mem_read_u64(self.base + 24)?;
@@ -220,9 +241,7 @@ impl HashKv {
                     }
                 }
                 _ => {
-                    let mut k = [0u8; KEY_LEN];
-                    io.mem_read(b + B_KEY, &mut k)?;
-                    if &k == key {
+                    if head.key() == key {
                         io.mem_write(b + B_VLEN, &(value.len() as u32).to_le_bytes())?;
                         io.mem_write(b + B_VALUE, value)?;
                         return Ok(false);
@@ -233,8 +252,7 @@ impl HashKv {
         }
         // No empty bucket found; reuse a tombstone if we saw one.
         if let Some(b) = insert_at {
-            io.mem_write(b + B_KEY, key)?;
-            io.mem_write(b + B_VLEN, &(value.len() as u32).to_le_bytes())?;
+            Self::write_key_len(io, b, key, value.len())?;
             io.mem_write(b + B_VALUE, value)?;
             io.mem_write(b + B_STATE, &[USED])?;
             let count = io.mem_read_u64(self.base + 24)?;
@@ -249,19 +267,14 @@ impl HashKv {
         let mut i = Self::hash(key);
         for _ in 0..self.nbuckets {
             let b = self.bucket(i);
-            let mut state = [0u8];
-            io.mem_read(b + B_STATE, &mut state)?;
-            match state[0] {
+            let head = Self::head(io, b)?;
+            match head.state() {
                 EMPTY => return Ok(false),
-                USED => {
-                    let mut k = [0u8; KEY_LEN];
-                    io.mem_read(b + B_KEY, &mut k)?;
-                    if &k == key {
-                        io.mem_write(b + B_STATE, &[TOMB])?;
-                        let count = io.mem_read_u64(self.base + 24)?;
-                        io.mem_write_u64(self.base + 24, count.saturating_sub(1))?;
-                        return Ok(true);
-                    }
+                USED if head.key() == key => {
+                    io.mem_write(b + B_STATE, &[TOMB])?;
+                    let count = io.mem_read_u64(self.base + 24)?;
+                    io.mem_write_u64(self.base + 24, count.saturating_sub(1))?;
+                    return Ok(true);
                 }
                 _ => {}
             }
@@ -271,10 +284,27 @@ impl HashKv {
     }
 }
 
+/// A bucket's first 32 bytes, as [`HashKv::head`] read them.
+struct BucketHead([u8; B_HEAD]);
+
+impl BucketHead {
+    fn state(&self) -> u8 {
+        self.0[B_STATE as usize]
+    }
+
+    fn key(&self) -> &[u8; KEY_LEN] {
+        self.0[B_KEY as usize..B_VLEN as usize].try_into().expect("16 B key")
+    }
+
+    fn vlen(&self) -> u32 {
+        u32::from_le_bytes(self.0[B_VLEN as usize..B_VLEN as usize + 4].try_into().expect("4 B"))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use treesls_extsync::HeapMem;
+    use treesls_extsync::{Counted, HeapMem};
     use crate::wire::make_key;
 
     fn table() -> (HeapMem, HashKv) {
@@ -348,6 +378,35 @@ mod tests {
     fn oversized_value_rejected() {
         let (m, t) = table();
         assert_eq!(t.set(&m, &make_key(b"k"), &[0; 65]), Err(KvError::ValueTooLarge));
+    }
+
+    #[test]
+    fn get_hit_without_collision_is_attach_bucket_value() {
+        let (m, t) = table();
+        let k = make_key(b"hit");
+        t.set(&m, &k, b"value").unwrap();
+        let m = Counted::new(m);
+        // `KvService`'s GET: attach, then one probe and the value.
+        let t = HashKv::attach(&m, t.base).unwrap();
+        let mut out = Vec::new();
+        assert_eq!(t.get_into(&m, &k, &mut out).unwrap(), Some(5));
+        assert_eq!(out, b"value");
+        assert_eq!((m.reads(), m.writes()), (3, 0));
+    }
+
+    #[test]
+    fn set_stores_key_and_length_in_one_call() {
+        let (m, t) = table();
+        let m = Counted::new(m);
+        let k = make_key(b"new");
+        assert!(t.set(&m, &k, b"v1").unwrap());
+        // Probe + count read; key ‖ vlen, value, state, count.
+        assert_eq!((m.reads(), m.writes()), (2, 4));
+        m.reset();
+        assert!(!t.set(&m, &k, b"v2").unwrap());
+        // Probe; vlen, value.
+        assert_eq!((m.reads(), m.writes()), (1, 2));
+        assert_eq!(t.get(&m, &k).unwrap(), Some(b"v2".to_vec()));
     }
 
     #[test]

@@ -75,6 +75,70 @@ impl MemIo for HeapMem {
     }
 }
 
+/// A [`MemIo`] wrapper counting the reads and writes made through it.
+///
+/// Inside TreeSLS every `MemIo` call is one soft-MMU translation, so tests
+/// pin a code path's call budget by running it over a counted
+/// [`HeapMem`].
+#[derive(Debug)]
+pub struct Counted<M> {
+    inner: M,
+    reads: AtomicU64,
+    writes: AtomicU64,
+}
+
+impl<M> Counted<M> {
+    /// Wraps `inner` with both counts at zero.
+    pub fn new(inner: M) -> Self {
+        Self { inner, reads: AtomicU64::new(0), writes: AtomicU64::new(0) }
+    }
+
+    /// The wrapped memory (its accesses are not counted).
+    pub fn inner(&self) -> &M {
+        &self.inner
+    }
+
+    /// `mem_read` calls so far.
+    pub fn reads(&self) -> u64 {
+        self.reads.load(Ordering::Relaxed)
+    }
+
+    /// `mem_write` calls so far.
+    pub fn writes(&self) -> u64 {
+        self.writes.load(Ordering::Relaxed)
+    }
+
+    /// Sets both counts back to zero.
+    pub fn reset(&self) {
+        self.reads.store(0, Ordering::Relaxed);
+        self.writes.store(0, Ordering::Relaxed);
+    }
+}
+
+impl<M: MemIo> MemIo for Counted<M> {
+    fn mem_read(&self, addr: u64, buf: &mut [u8]) -> Result<(), KernelError> {
+        self.reads.fetch_add(1, Ordering::Relaxed);
+        self.inner.mem_read(addr, buf)
+    }
+
+    fn mem_write(&self, addr: u64, data: &[u8]) -> Result<(), KernelError> {
+        self.writes.fetch_add(1, Ordering::Relaxed);
+        self.inner.mem_write(addr, data)
+    }
+
+    fn version(&self) -> u64 {
+        self.inner.version()
+    }
+
+    fn flush(&self) {
+        self.inner.flush()
+    }
+
+    fn crash_hook(&self, site: &'static str) {
+        self.inner.crash_hook(site)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -86,6 +150,17 @@ mod tests {
         assert!(m.mem_read(8, &mut b).is_ok());
         assert!(m.mem_read(9, &mut b).is_err());
         assert!(m.mem_write(16, &[1]).is_err());
+    }
+
+    #[test]
+    fn counted_counts_calls_not_bytes() {
+        let m = Counted::new(HeapMem::new(64));
+        m.mem_write(0, &[1; 32]).unwrap();
+        m.mem_write_u64(32, 7).unwrap();
+        assert_eq!(m.mem_read_u64(32).unwrap(), 7);
+        assert_eq!((m.reads(), m.writes()), (1, 2));
+        m.reset();
+        assert_eq!((m.reads(), m.writes()), (0, 0));
     }
 
     #[test]

@@ -18,7 +18,8 @@
 //!   writers) that the KV, transaction and replication codecs read and
 //!   write ring-slot payloads through.
 //! * [`heap`] — flat host memory ([`HeapMem`]): a [`MemIo`] over a plain
-//!   buffer for host-side rings, baseline heaps and tests.
+//!   buffer for host-side rings, baseline heaps and tests; and
+//!   [`Counted`], which counts the `MemIo` calls a code path makes.
 
 #![deny(missing_docs)]
 
@@ -27,7 +28,7 @@ pub mod port;
 pub mod ring;
 pub mod wire;
 
-pub use heap::HeapMem;
+pub use heap::{Counted, HeapMem};
 pub use port::{HostIo, PortLayout};
 pub use ring::{check_ext_sync_invariants, MemIo, RingError, RingLayout, RingMsg, SlotInfo};
 pub use wire::{Reader, WireError};

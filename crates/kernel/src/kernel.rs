@@ -943,22 +943,34 @@ impl Kernel {
         Ok(())
     }
 
-    /// Signals a batch of notification objects in one pass (doorbell
-    /// fan-in): each notification's counter is bumped under its own body
-    /// lock, the woken waiters are collected, and the scheduler is poked
-    /// once for the whole batch instead of once per doorbell. Invalid ids
-    /// in the batch are skipped — a device re-arming many queues must not
-    /// lose the rest because one queue's doorbell was revoked.
+    /// Raises a batch of device doorbells in one pass (the NIC's delivery
+    /// path, its commit-time watchdog and its restore re-arm): each
+    /// notification is signalled under its own body lock, the woken
+    /// waiters are collected, and the scheduler is poked once for the
+    /// whole batch instead of once per doorbell. Invalid ids in the batch
+    /// are skipped — a device re-arming many queues must not lose the
+    /// rest because one queue's doorbell was revoked.
+    ///
+    /// Unlike [`Self::signal_object`], a raise is dropped while the
+    /// notification already holds an unconsumed signal and nobody waits
+    /// on it — the MSI pending bit. The waiter that consumes the pending
+    /// signal re-checks its device after it, so it sees every request
+    /// pushed before the dropped raise; and a raise with a waiter queued
+    /// always wakes it, whatever the count.
     pub fn signal_objects(&self, notif_ids: &[ObjId]) {
         let mut woken = Vec::new();
         for &id in notif_ids {
             let Ok(notif) = self.object(id) else { continue };
             let mut body = notif.body.write();
-            let tid = match &mut *body {
-                ObjectBody::Notification(n) => n.signal(),
-                ObjectBody::IrqNotification(irq) => irq.inner.signal(),
+            let n = match &mut *body {
+                ObjectBody::Notification(n) => n,
+                ObjectBody::IrqNotification(irq) => &mut irq.inner,
                 _ => continue,
             };
+            if n.is_pending() {
+                continue;
+            }
+            let tid = n.signal();
             notif.mark_dirty();
             drop(body);
             if let Some(tid) = tid {
@@ -1209,6 +1221,48 @@ mod tests {
         if let ObjectBody::Thread(t) = &*th.body.read() {
             assert_eq!(t.state, ThreadState::Runnable);
         };
+    }
+
+    fn notif_count(k: &Kernel, n: ObjId) -> u64 {
+        match &*k.object(n).unwrap().body.read() {
+            ObjectBody::Notification(b) => b.count,
+            _ => unreachable!(),
+        }
+    }
+
+    #[test]
+    fn device_raise_with_a_pending_signal_and_no_waiter_is_dropped() {
+        let k = Kernel::boot(small());
+        let g = k.create_cap_group("p").unwrap();
+        let n = k.create_notification(g).unwrap();
+        k.signal_objects(&[n]);
+        k.signal_objects(&[n, n]);
+        assert_eq!(notif_count(&k, n), 1, "the pending bit holds one signal");
+        // Program signals keep counting semantics.
+        k.signal_object(n).unwrap();
+        assert_eq!(notif_count(&k, n), 2);
+    }
+
+    #[test]
+    fn device_raise_with_a_waiter_queued_wakes_it_even_at_positive_count() {
+        let k = Kernel::boot(small());
+        let g = k.create_cap_group("p").unwrap();
+        let vs = k.create_vmspace(g).unwrap();
+        let n = k.create_notification(g).unwrap();
+        k.programs.register("idle", Arc::new(crate::cores::IdleProgram));
+        let t = k.create_thread(g, vs, "idle", ThreadContext::new()).unwrap();
+        let slot = k.install_cap(g, n, CapRights::ALL).unwrap();
+        assert!(!k.notif_wait(t, g, slot).unwrap(), "blocks on an empty notification");
+        // A torn restored cut can hold a token next to a queued waiter.
+        if let ObjectBody::Notification(b) = &mut *k.object(n).unwrap().body.write() {
+            b.count = 1;
+        }
+        k.signal_objects(&[n]);
+        let th = k.typed_object(t, ObjType::Thread).unwrap();
+        if let ObjectBody::Thread(body) = &*th.body.read() {
+            assert_eq!(body.state, ThreadState::Runnable, "the queued waiter was not woken");
+        };
+        assert_eq!(notif_count(&k, n), 2);
     }
 
     #[test]

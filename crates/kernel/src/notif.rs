@@ -39,6 +39,13 @@ impl NotifBody {
         self.waiters.pop_front()
     }
 
+    /// Whether a signal is pending with nobody waiting for it: a further
+    /// device raise would only add a token whose consumer finds nothing
+    /// new (see `Kernel::signal_objects`).
+    pub fn is_pending(&self) -> bool {
+        self.count > 0 && self.waiters.is_empty()
+    }
+
     /// Attempts to consume a signal for `thread`.
     ///
     /// Returns `true` if a signal was consumed (the thread proceeds) or

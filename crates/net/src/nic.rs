@@ -430,13 +430,20 @@ impl VirtualNic {
     }
 
     /// DMAs a packet into queue `q`'s RX ring and rings its doorbell.
+    ///
+    /// The doorbell is raised through [`Kernel::signal_objects`], which
+    /// drops a raise while an earlier one is still pending and nobody
+    /// waits (the MSI pending bit): a burst of requests costs the server
+    /// one wake-up, not one empty poll step per request. The push lands
+    /// before the raise, and the server re-checks the ring after
+    /// consuming the pending signal, so a dropped raise loses no request.
     fn deliver(&self, q: usize, seq: u64, data: &[u8]) -> Result<(), NetError> {
         let port = self.layout.port(q);
         let _dma = self.queues[q].dma.lock();
         match ring::push(&self.io, &port.rx, seq, data) {
             Ok(_) => {
                 if let Some(n) = *self.queues[q].doorbell.lock() {
-                    let _ = self.io.kernel().signal_object(n);
+                    self.io.kernel().signal_objects(&[n]);
                 }
                 Ok(())
             }
@@ -452,17 +459,26 @@ impl VirtualNic {
         let _g = self.pump_lock.lock();
         let limit = if self.ext_sync() { hdr::VISIBLE_WRITER } else { hdr::WRITER };
         let mut any = false;
+        let mut msgs = Vec::new();
         for q in 0..self.layout.queues {
             let port = self.layout.port(q);
-            while let Ok(Some(msg)) = ring::pop_below(&self.io, &port.tx, limit) {
+            // One drain per queue: one header read, the slots, one
+            // `READER` store. A corrupt slot ends it; the messages before
+            // it are still delivered and their slots released below.
+            let tx = ring::drain_below(&self.io, &port.tx, limit, u64::MAX, &mut msgs)
+                .ok()
+                .or_else(|| ring::read_header(&self.io, &port.tx).ok());
+            if !msgs.is_empty() {
                 let mut pending = self.pending.lock();
-                // Duplicate responses (server re-processed after restore,
-                // or a duplicated request) hit an absent or fulfilled
-                // entry and are dropped.
-                if let Some(p) = pending.get_mut(&msg.seq) {
-                    if p.resp.is_none() {
-                        p.resp = Some(msg.payload);
-                        any = true;
+                for msg in msgs.drain(..) {
+                    // Duplicate responses (server re-processed after
+                    // restore, or a duplicated request) hit an absent or
+                    // fulfilled entry and are dropped.
+                    if let Some(p) = pending.get_mut(&msg.seq) {
+                        if p.resp.is_none() {
+                            p.resp = Some(msg.payload);
+                            any = true;
+                        }
                     }
                 }
             }
@@ -470,18 +486,21 @@ impl VirtualNic {
             // now — with commit-gated TX the response drain above lags a
             // whole checkpoint interval behind consumption, and holding
             // credits that long starves admission at steady load.
-            self.resync_credits(q);
-            // Release consumed TX slots for reuse.
-            if let Ok(reader) = ring::header(&self.io, &port.tx, hdr::READER) {
-                self.publish_ack(&port.tx, reader);
-            }
-            // Without external synchrony no durability is promised for
-            // requests, so consumed RX slots are released eagerly (with
-            // ext-sync the checkpoint callback does this conservatively).
-            if !self.ext_sync() {
-                if let Ok(cursor) = self.io.mem_read_u64(port.rx_cursor_addr) {
-                    self.publish_ack(&port.rx, cursor);
+            let rx = ring::read_header(&self.io, &port.rx);
+            let cursor = self.io.mem_read_u64(port.rx_cursor_addr);
+            if let (Ok(rx), Ok(cursor)) = (rx, cursor) {
+                self.resync_credits(q, rx.get(hdr::WRITER), cursor);
+                // Without external synchrony no durability is promised
+                // for requests, so consumed RX slots are released eagerly
+                // (with ext-sync the checkpoint callback does this
+                // conservatively).
+                if !self.ext_sync() {
+                    self.publish_ack(&port.rx, rx.get(hdr::ACK), cursor);
                 }
+            }
+            // Release consumed TX slots for reuse.
+            if let Some(tx) = tx {
+                self.publish_ack(&port.tx, tx.get(hdr::ACK), tx.get(hdr::READER));
             }
         }
         if any {
@@ -489,12 +508,12 @@ impl VirtualNic {
         }
     }
 
-    /// Publishes `value` as `ring`'s ACK header unless it already holds
-    /// it: a spin-polling host and an idle queue's checkpoint callback
-    /// would otherwise pay one persistent 8 B store per call to rewrite
-    /// the same number.
-    fn publish_ack(&self, ring: &RingLayout, value: u64) {
-        if ring::header(&self.io, ring, hdr::ACK).ok() != Some(value) {
+    /// Publishes `value` as `ring`'s ACK header unless `held`, the ACK
+    /// the caller just read, already equals it: a spin-polling host and
+    /// an idle queue's checkpoint callback would otherwise pay one
+    /// persistent 8 B store per call to rewrite the same number.
+    fn publish_ack(&self, ring: &RingLayout, held: u64, value: u64) {
+        if held != value {
             let _ = ring::set_header(&self.io, ring, hdr::ACK, value);
         }
     }
@@ -518,7 +537,8 @@ impl VirtualNic {
     }
 
     /// Clamps queue `q`'s credit consumption down to the server's actual
-    /// unconsumed RX backlog (`rx_writer − rx_cursor`).
+    /// unconsumed RX backlog (`rx_writer − rx_cursor`, both just read by
+    /// the caller).
     ///
     /// The admission increment over-approximates: requests the server has
     /// already consumed (but whose responses await a commit), and
@@ -526,19 +546,13 @@ impl VirtualNic {
     /// the count from the ring headers returns those credits; the clamp
     /// only ever lowers the counter, so it never races an admission into
     /// a negative balance.
-    fn resync_credits(&self, q: usize) {
-        let port = self.layout.port(q);
-        if let (Ok(writer), Ok(cursor)) = (
-            ring::header(&self.io, &port.rx, hdr::WRITER),
-            self.io.mem_read_u64(port.rx_cursor_addr),
-        ) {
-            let backlog = writer.saturating_sub(cursor);
-            let _ = self.queues[q].inflight.fetch_update(
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-                |c| (c > backlog).then_some(backlog),
-            );
-        }
+    fn resync_credits(&self, q: usize, rx_writer: u64, cursor: u64) {
+        let backlog = rx_writer.saturating_sub(cursor);
+        let _ = self.queues[q].inflight.fetch_update(
+            Ordering::SeqCst,
+            Ordering::SeqCst,
+            |c| (c > backlog).then_some(backlog),
+        );
     }
 
     /// Sends a request on its flow's queue and waits for the response.
@@ -703,47 +717,46 @@ impl CkptCallback for VirtualNic {
             // pause (`on_epoch`): responses appended after the pause by
             // still-running clean cores wait for the next commit.
             let cap = self.queues[q].epoch_tx_writer.swap(u64::MAX, Ordering::SeqCst);
-            let before =
-                ring::header(&self.io, &port.tx, hdr::VISIBLE_WRITER).unwrap_or(0);
+            let Ok(tx) = ring::read_header(&self.io, &port.tx) else { continue };
+            let before = tx.get(hdr::VISIBLE_WRITER);
             let visible =
                 ring::advance_visible_capped_unfenced(&self.io, &port.tx, bound, cap)
                     .unwrap_or(before);
             released += visible.saturating_sub(before);
+            // Barrier statistics come from the header read before the
+            // advance; a response appended since then counts from the
+            // next barrier on.
+            let lag = tx.get(hdr::WRITER).saturating_sub(visible);
+            let depth = tx.get(hdr::WRITER).saturating_sub(tx.get(hdr::ACK));
+            lag_max = lag_max.max(lag);
+            lag_sum += lag;
+            tx_depth += depth;
+            tx_occ = tx_occ.max(depth);
+            let (Ok(rx), Ok(cursor)) = (
+                ring::read_header(&self.io, &port.rx),
+                self.io.mem_read_u64(port.rx_cursor_addr),
+            ) else {
+                continue;
+            };
             // RX acknowledgement: this commit made the epoch cursor
             // durable, so those request slots can never be needed again.
-            self.publish_ack(&port.rx, self.queues[q].epoch_rx_cursor.load(Ordering::SeqCst));
+            let rx_ack = self.queues[q].epoch_rx_cursor.load(Ordering::SeqCst);
+            self.publish_ack(&port.rx, rx.get(hdr::ACK), rx_ack);
+            rx_occ = rx_occ.max(rx.get(hdr::WRITER).saturating_sub(rx_ack));
             // Commit-time credit replenishment: everything the server
             // consumed during the interval stops holding admission
             // credits now, not when its response eventually drains.
-            self.resync_credits(q);
-            if let (Ok(writer), Ok(ack)) = (
-                ring::header(&self.io, &port.tx, hdr::WRITER),
-                ring::header(&self.io, &port.tx, hdr::ACK),
-            ) {
-                let lag = writer.saturating_sub(visible);
-                let depth = writer.saturating_sub(ack);
-                lag_max = lag_max.max(lag);
-                lag_sum += lag;
-                tx_depth += depth;
-                tx_occ = tx_occ.max(depth);
-            }
-            if let (Ok(w), Ok(a)) = (
-                ring::header(&self.io, &port.rx, hdr::WRITER),
-                ring::header(&self.io, &port.rx, hdr::ACK),
-            ) {
-                rx_occ = rx_occ.max(w.saturating_sub(a));
-                // Doorbell-coalescing watchdog: a cursor trailing the
-                // writer means undelivered requests. Normally the pending
-                // interrupt covers them, but a wake edge lost to a racing
-                // drain would strand the queue until the next request —
-                // re-ringing here is idempotent and bounds the stall to
-                // one checkpoint interval.
-                if let Ok(cursor) = self.io.mem_read_u64(port.rx_cursor_addr) {
-                    if cursor < w {
-                        if let Some(n) = *self.queues[q].doorbell.lock() {
-                            stale_bells.push(n);
-                        }
-                    }
+            self.resync_credits(q, rx.get(hdr::WRITER), cursor);
+            // Doorbell watchdog: a cursor trailing the writer means
+            // undelivered requests. Normally the pending signal covers
+            // them, but a wake edge lost to a racing drain would strand
+            // the queue until the next request. A re-raise is dropped
+            // while a signal is still pending, so it only ever wakes a
+            // queue that truly sleeps, and it bounds the stall to one
+            // checkpoint interval.
+            if cursor < rx.get(hdr::WRITER) {
+                if let Some(n) = *self.queues[q].doorbell.lock() {
+                    stale_bells.push(n);
                 }
             }
         }
@@ -791,6 +804,9 @@ impl CkptCallback for VirtualNic {
         let mut rearmed = 0u64;
         for q in 0..self.layout.queues {
             let port = self.layout.port(q);
+            // Any epoch snapshot from a round that died with the power is
+            // stale.
+            self.queues[q].epoch_tx_writer.store(u64::MAX, Ordering::SeqCst);
             if let (Ok(cursor), Ok(writer)) = (
                 self.io.mem_read_u64(port.rx_cursor_addr),
                 ring::header(&self.io, &port.rx, hdr::WRITER),
@@ -801,11 +817,9 @@ impl CkptCallback for VirtualNic {
                         bells.push(n);
                     }
                 }
+                // The restored cursor defines the new true backlog.
+                self.resync_credits(q, writer, cursor);
             }
-            // The restored cursor defines the new true backlog; any epoch
-            // snapshot from a round that died with the power is stale.
-            self.queues[q].epoch_tx_writer.store(u64::MAX, Ordering::SeqCst);
-            self.resync_credits(q);
         }
         treesls_nvm::crash_site!(kernel.pers.dev.crash_schedule(), "net.pre_rearm");
         kernel.signal_objects(&bells);

@@ -6,14 +6,18 @@
 //! [`Service`].
 //! It is the DPDK-style shape: the loop *polls* while work is queued and
 //! parks on the queue's doorbell notification (the virtual MSI) only when
-//! the ring runs dry, so an idle queue costs no cycles but a busy one
-//! never takes an interrupt.
+//! the ring runs dry, so an idle queue costs no cycles. The NIC raises the
+//! doorbell with a pending bit (`Kernel::signal_objects` drops a raise
+//! while a signal is unconsumed and nobody waits), so a burst costs one
+//! wake-up: the loop serves it in batches, then one step consumes the
+//! pending signal and finds the ring dry, and the next parks.
 //!
 //! The data path is zero-copy and round-batched:
 //!
 //! * requests are read with [`ring::read_into`] into a per-queue scratch
 //!   buffer and handed to the service as a borrowed `&[u8]` view — no
 //!   per-request `Vec`;
+//! * the TX header is read once per round ([`ring::read_header`]);
 //! * responses are encoded by the service into a second reusable buffer
 //!   and *staged* into TX slots with [`ring::stage_at`];
 //! * the whole round is then released by ONE [`ring::publish`] — a single
@@ -126,15 +130,13 @@ impl Program for PollServer {
                 Err(_) => StepOutcome::Exited,
             };
         }
-        // One round: TX state is read once, every response is staged
-        // against the snapshotted ack, and the batch is published with a
-        // single flush + writer store.
-        let Ok(tx_writer) = ring::header(ctx, &self.port.tx, hdr::WRITER) else {
+        // One round: the TX header is read once, every response is
+        // staged against the snapshotted ack, and the batch is published
+        // with a single flush + writer store.
+        let Ok(tx) = ring::read_header(ctx, &self.port.tx) else {
             return StepOutcome::Exited;
         };
-        let Ok(tx_ack) = ring::header(ctx, &self.port.tx, hdr::ACK) else {
-            return StepOutcome::Exited;
-        };
+        let (tx_writer, tx_ack) = (tx.get(hdr::WRITER), tx.get(hdr::ACK));
         let budget = (rx_writer - cursor).min(self.batch.max(1) as u64);
         let mut staged = 0u64;
         let mut tx_full = false;

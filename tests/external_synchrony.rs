@@ -356,3 +356,87 @@ fn ext_sync_off_releases_immediately() {
     assert!(r.reply().is_some(), "without ext-sync responses flow without checkpoints");
     sys.stop();
 }
+
+/// Whether thread `tid` is runnable (not parked on its doorbell).
+fn runnable(sys: &System, tid: treesls::ObjId) -> bool {
+    use treesls_kernel::object::ObjectBody;
+    use treesls_kernel::thread::ThreadState;
+    matches!(&*sys.kernel().object(tid).unwrap().body.read(),
+        ObjectBody::Thread(t) if t.state == ThreadState::Runnable)
+}
+
+/// Runs `tid` one step per slice until it blocks; returns the steps run.
+fn steps_until_blocked(sys: &System, tid: treesls::ObjId) -> usize {
+    let mut steps = 0;
+    while runnable(sys, tid) {
+        treesls_kernel::cores::run_slice(sys.kernel(), tid, 1, sys.manager().stw());
+        steps += 1;
+        assert!(steps < 1000, "server never parked");
+    }
+    steps
+}
+
+/// One queue whose server has formatted its shard and parked, with room
+/// and credits for 64 requests.
+fn parked_kv_queue(sys: &System) -> treesls::net::deploy::NicDeployment {
+    use treesls_bench::ringsetup::deploy_kv_cfg;
+    let geom = ShardGeometry { nslots: 64, slot_size: 84, data_stride: 16 * 4096 };
+    let dep = deploy_kv_cfg(sys, 128, 40, nic_config(1, true, &geom), geom);
+    steps_until_blocked(sys, dep.server_threads[0]);
+    dep
+}
+
+fn send_set(nic: &VirtualNic, name: &str) {
+    let op = KvOp::Set { key: make_key(name.as_bytes()), value: b"v".to_vec() };
+    nic.send_request(0, &op.encode()).expect("request admitted");
+    nic.flush_wire();
+}
+
+/// Regression: every delivered request used to add one count to the
+/// queue's doorbell, so after serving a burst in batches the server ran
+/// one empty poll step per request, each only consuming a stale signal.
+/// A raise while a signal is pending is now dropped (the MSI pending
+/// bit): the burst costs its batches, one step that consumes the single
+/// pending signal and one that parks.
+#[test]
+fn burst_to_a_parked_queue_is_served_in_batch_steps() {
+    let sys = System::boot(config(None)); // manual checkpoints + stepping
+    let dep = parked_kv_queue(&sys);
+    let burst = 32;
+    for i in 0..burst {
+        send_set(&dep.nic, &format!("burst-{i}"));
+    }
+    let steps = steps_until_blocked(&sys, dep.server_threads[0]);
+    assert_eq!(dep.nic.queue_stats(0).rx_cursor, burst as u64, "every request served");
+    let batch = 16; // `deploy_kv_cfg`'s requests per step
+    assert!(
+        steps <= usize::div_ceil(burst, batch) + 2,
+        "{burst} requests took {steps} server steps"
+    );
+}
+
+/// A request pushed at any point of the server's cycle is served, also
+/// while the doorbell already holds a pending signal (its raise dropped).
+#[test]
+fn a_request_pushed_while_the_doorbell_is_pending_is_served() {
+    let sys = System::boot(config(None)); // manual checkpoints + stepping
+    let dep = parked_kv_queue(&sys);
+    let srv = dep.server_threads[0];
+    let mut served = 0;
+    // The woken server serves, consumes the pending signal, then parks:
+    // push the second request after 0, 1, 2 and 3 of those steps.
+    for before in 0..4 {
+        send_set(&dep.nic, &format!("first-{before}"));
+        for _ in 0..before {
+            treesls_kernel::cores::run_slice(sys.kernel(), srv, 1, sys.manager().stw());
+        }
+        send_set(&dep.nic, &format!("second-{before}"));
+        steps_until_blocked(&sys, srv);
+        served += 2;
+        assert_eq!(
+            dep.nic.queue_stats(0).rx_cursor,
+            served,
+            "a request pushed after {before} server steps was stranded"
+        );
+    }
+}
