@@ -8,11 +8,12 @@
 //! * [`hashkv`] — open-addressing hash KV (the Memcached/Redis stand-in).
 //! * [`lsm`] — log-structured merge tree with optional WAL (RocksDB /
 //!   LevelDB stand-in, §7.5.2).
-//! * [`btree`] — page-based B+ tree (SQLite stand-in).
 //! * [`phoenix`] — WordCount / KMeans / PCA compute kernels (Phoenix-2.0
 //!   stand-ins, Table 2 / Figure 10).
 //! * [`server`] — in-SLS server and client *programs* (re-entrant step
-//!   machines) for both network-port and IPC deployments.
+//!   machines) for both network-port and IPC deployments, and the
+//!   SQLite stand-in on `treesls-txn`'s store
+//!   ([`server::BtreeWorker`]).
 //! * [`client`] — host-side (external) closed-loop clients with latency
 //!   histograms.
 //! * [`workload`] — YCSB generators (zipfian, mixes A/B/C, 100 % update /
@@ -28,7 +29,6 @@
 
 #![deny(missing_docs)]
 
-pub mod btree;
 pub mod client;
 pub mod hashkv;
 pub mod hist;

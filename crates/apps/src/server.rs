@@ -20,7 +20,7 @@ use treesls_net::{Service, ServiceError};
 
 use crate::hashkv::HashKv;
 use crate::lsm::{Lsm, LsmConfig};
-use crate::wire::{resp, KvOp, KvOpRef, KvResp, KEY_LEN};
+use crate::wire::{numeric_key, resp, KvOp, KvOpRef, KvResp, KEY_LEN};
 
 /// Register allocation conventions shared by the programs here.
 pub mod regs {
@@ -277,13 +277,16 @@ impl Program for IpcKvClient {
 }
 
 /// A SQLite-like single-threaded worker: a mixed
-/// read/insert/update/delete benchmark over a B+ tree table (§7.3's
-/// SQLite workload shape).
+/// read/insert/update/delete benchmark over a page-structured table
+/// (§7.3's SQLite workload shape), run on `treesls-txn`'s store. Each
+/// statement is one autocommit: a read is a point lookup, and every
+/// insert, update or delete is a one-op commit, so the store's `seq`
+/// counts the writes.
 #[derive(Debug)]
 pub struct BtreeWorker {
     /// Table region base.
     pub table_base: u64,
-    /// Node capacity of the tree.
+    /// Node capacity of the table's tree.
     pub node_cap: u64,
     /// Key space size.
     pub key_space: u64,
@@ -293,15 +296,15 @@ pub struct BtreeWorker {
 
 impl Program for BtreeWorker {
     fn step(&self, ctx: &mut UserCtx<'_>) -> StepOutcome {
-        use crate::btree::{BTree, VAL_LEN};
+        use treesls_txn::store::{primary_key, StoreOp, TxnStore, VAL_CAP};
         if ctx.pc() == 0 {
-            if BTree::format(ctx, self.table_base, self.node_cap).is_err() {
+            if TxnStore::format(ctx, self.table_base, self.node_cap).is_err() {
                 return StepOutcome::Exited;
             }
             ctx.set_pc(1);
             return StepOutcome::Ready;
         }
-        let Ok(tree) = BTree::attach(ctx, self.table_base) else {
+        let Ok(Some(table)) = TxnStore::attach(ctx, self.table_base) else {
             return StepOutcome::Exited;
         };
         let target = ctx.reg(regs::TARGET);
@@ -314,17 +317,25 @@ impl Program for BtreeWorker {
                 return StepOutcome::Exited;
             }
             rng = xorshift64(rng);
-            let key = (rng >> 8) % self.key_space;
-            let mut val = [0u8; VAL_LEN];
-            val[..8].copy_from_slice(&rng.to_le_bytes());
+            let ckey = primary_key(&numeric_key((rng >> 8) % self.key_space));
             // Mixed read/insert/update/delete (the update is an insert of
             // an existing key).
-            let r = match rng % 4 {
-                0 => tree.get(ctx, key).map(|_| ()),
-                1 | 2 => tree.insert(ctx, key, &val).map(|_| ()),
-                _ => tree.delete(ctx, key).map(|_| ()),
+            let op = match rng % 4 {
+                0 => None,
+                1 | 2 => {
+                    let mut val = vec![0u8; VAL_CAP];
+                    val[..8].copy_from_slice(&rng.to_le_bytes());
+                    Some(StoreOp::Put { ckey, tag: [0; KEY_LEN], val })
+                }
+                _ => Some(StoreOp::Del { ckey }),
             };
-            if r.is_err() {
+            let ok = match op {
+                None => table.get(ctx, &ckey).is_ok(),
+                Some(op) => table
+                    .meta(ctx)
+                    .is_ok_and(|meta| table.commit_apply(ctx, &[op], meta.seq + 1).is_ok()),
+            };
+            if !ok {
                 return StepOutcome::Exited;
             }
             done += 1;

@@ -234,7 +234,7 @@ pub fn build(kind: WorkloadKind, opts: &BenchOpts) -> BenchSystem {
         WorkloadKind::Sqlite => {
             let ops = (4_000_000.0 * scale) as u64;
             let node_cap = if opts.full { 8192 } else { 1024 };
-            let heap_pages = (treesls_apps::btree::BTree::region_len(node_cap) / 4096) + 2;
+            let heap_pages = (treesls_txn::store::region_len(node_cap) / 4096) + 2;
             sys.register_program(
                 "sqlite",
                 Arc::new(BtreeWorker { table_base: 0, node_cap, key_space: 10_000, batch: 16 }),

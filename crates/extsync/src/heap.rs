@@ -4,7 +4,7 @@
 //! runs the application data structures uses this: the replication
 //! channel's delta and ack rings (host infrastructure, like the NIC's DMA
 //! engine), the baseline systems' DRAM process heap, and unit tests of
-//! the rings, hash table, LSM and B+ tree.
+//! the rings, hash table and LSM.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

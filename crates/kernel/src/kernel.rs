@@ -861,20 +861,27 @@ impl Kernel {
 
     // ---- thread wake/block helpers ----------------------------------------
 
+    /// The wake rule, applied under the thread's body lock: an exited
+    /// thread stays exited, any other becomes runnable. Returns whether the
+    /// waker must enqueue it — a thread on a core is re-enqueued by the
+    /// core at step end (see `ThreadBody::on_cpu`).
+    fn make_runnable(th: &KObject, body: &mut ObjectBody) -> bool {
+        let ObjectBody::Thread(t) = body else { return false };
+        if t.state == ThreadState::Exited {
+            return false;
+        }
+        t.state = ThreadState::Runnable;
+        th.mark_dirty();
+        !t.on_cpu
+    }
+
     /// Marks `tid` runnable and enqueues it unless it is currently on a
-    /// core (the core re-enqueues it at step end — see `ThreadBody::on_cpu`).
+    /// core.
     pub fn wake_thread(&self, tid: ObjId) {
         let Ok(th) = self.typed_object(tid, ObjType::Thread) else { return };
         let mut body = th.body.write();
-        if let ObjectBody::Thread(t) = &mut *body {
-            if t.state == ThreadState::Exited {
-                return;
-            }
-            t.state = ThreadState::Runnable;
-            th.mark_dirty();
-            if !t.on_cpu {
-                self.sched.enqueue(tid);
-            }
+        if Self::make_runnable(&th, &mut body) {
+            self.sched.enqueue(tid);
         }
     }
 
@@ -982,16 +989,8 @@ impl Kernel {
         let mut enqueue = Vec::with_capacity(woken.len());
         for tid in woken {
             let Ok(th) = self.typed_object(tid, ObjType::Thread) else { continue };
-            let mut body = th.body.write();
-            if let ObjectBody::Thread(t) = &mut *body {
-                if t.state == ThreadState::Exited {
-                    continue;
-                }
-                t.state = ThreadState::Runnable;
-                th.mark_dirty();
-                if !t.on_cpu {
-                    enqueue.push(tid);
-                }
+            if Self::make_runnable(&th, &mut th.body.write()) {
+                enqueue.push(tid);
             }
         }
         self.sched.enqueue_batch(&enqueue);

@@ -6,14 +6,14 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use treesls::{ObjType, Program, System, SystemConfig};
-use treesls_apps::btree::{BTree, VAL_LEN};
 use treesls_apps::hashkv::HashKv;
 use treesls_apps::lsm::{Lsm, LsmConfig};
-use treesls_apps::wire::{make_key, KvOp, KvResp};
+use treesls_apps::wire::{make_key, numeric_key, KvOp, KvResp};
 use treesls_bench::harness::{build, BenchOpts, WorkloadKind};
 use treesls_bench::ringsetup::{deploy_kv, ShardGeometry};
 use treesls_extsync::{HostIo, MemIo};
 use treesls_kernel::object::ObjectBody;
+use treesls_txn::{primary_key, StoreOp, TxnStore};
 
 fn opts() -> BenchOpts {
     BenchOpts { cores: 2, interval: Some(Duration::from_millis(1)), ..BenchOpts::default() }
@@ -193,11 +193,11 @@ fn data_structures_work_through_host_io() {
         .unwrap();
     let io = HostIo::new(Arc::clone(kernel), vs);
 
-    let bt = BTree::format(&io, 0, 64).unwrap();
-    let mut v = [0u8; VAL_LEN];
-    v[0] = 42;
-    bt.insert(&io, 7, &v).unwrap();
-    assert_eq!(bt.get(&io, 7).unwrap().unwrap()[0], 42);
+    let table = TxnStore::format(&io, 0, 64).unwrap();
+    let ckey = primary_key(&numeric_key(7));
+    table.commit_apply(&io, &[StoreOp::Put { ckey, tag: [0; 16], val: vec![42] }], 1).unwrap();
+    assert_eq!(table.get(&io, &ckey).unwrap().unwrap().val, [42]);
+    assert_eq!(table.meta(&io).unwrap().seq, 1);
 
     let lsm_cfg = LsmConfig {
         memtable_base: 1 << 20,

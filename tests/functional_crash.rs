@@ -558,6 +558,89 @@ fn hybrid_copy_never_tears_a_page_under_multicore_load() {
     }
 }
 
+/// The SQLite stand-in's table across a crash. The worker is stepped in
+/// lockstep (no cores, no timer), checkpointed, then stepped past its
+/// last commit and crashed. The restored thread's `DONE` and `RNG` say how
+/// many statements the committed image holds; replaying that many into a
+/// host map must give exactly the restored table, and the store's `seq`
+/// must count the replayed writes (each write is one autocommit).
+#[test]
+fn sqlite_stand_in_table_matches_its_replay_after_crash() {
+    use std::collections::BTreeMap;
+    use treesls_apps::server::{regs, xorshift64, BtreeWorker};
+    use treesls_apps::wire::numeric_key;
+    use treesls_extsync::HostIo;
+    use treesls_txn::store::{primary_key, region_len, space_range, SPACE_PRIMARY, VAL_CAP};
+    use treesls_txn::TxnStore;
+
+    const SEED: u64 = 0x9E37_79B9_7F4A_7C15;
+    const KEY_SPACE: u64 = 1000;
+    const NODE_CAP: u64 = 256;
+    const BATCH: u64 = 16;
+    fn register(r: &ProgramRegistry) {
+        let worker =
+            BtreeWorker { table_base: 0, node_cap: NODE_CAP, key_space: KEY_SPACE, batch: BATCH };
+        r.register("sqlite", Arc::new(worker));
+    }
+    let sys = System::boot(SystemConfig::small());
+    register(sys.programs());
+    let spec = ProcessSpec::new("sqlite").heap(region_len(NODE_CAP) / 4096).thread(
+        ThreadSpec::new("sqlite").reg(regs::TARGET, u64::MAX).reg(regs::RNG, SEED),
+    );
+    let tid = sys.spawn(&spec).unwrap().threads[0];
+    // Step 0 formats the table; every later step runs BATCH statements.
+    let (rounds, steps) = (8u64, 20u64);
+    for _ in 0..rounds {
+        common::step(&sys, tid, steps as usize);
+        sys.checkpoint_now().unwrap();
+    }
+    // Statements past the last commit: the crash must drop them.
+    common::step(&sys, tid, 5);
+
+    let (sys, _) =
+        System::recover(sys.crash(), SystemConfig::small(), register).expect("recover");
+    let (vs, threads, _) = common::find_process_all(&sys, "sqlite");
+    let (done, rng_reg) = match &*sys.kernel().object(threads[0]).unwrap().body.read() {
+        ObjectBody::Thread(t) => (t.ctx.regs[regs::DONE], t.ctx.regs[regs::RNG]),
+        _ => unreachable!(),
+    };
+    assert_eq!(done, (rounds * steps - 1) * BATCH, "DONE is not the committed step count");
+
+    let mut model = BTreeMap::new();
+    let (mut rng, mut writes) = (SEED, 0u64);
+    for _ in 0..done {
+        rng = xorshift64(rng);
+        let ckey = primary_key(&numeric_key((rng >> 8) % KEY_SPACE));
+        match rng % 4 {
+            0 => continue,
+            1 | 2 => {
+                let mut val = vec![0u8; VAL_CAP];
+                val[..8].copy_from_slice(&rng.to_le_bytes());
+                model.insert(ckey, val);
+            }
+            _ => {
+                model.remove(&ckey);
+            }
+        }
+        writes += 1;
+    }
+    assert_eq!(rng, rng_reg, "the replay drifted from the restored RNG");
+
+    let io = HostIo::new(Arc::clone(sys.kernel()), vs);
+    let table = TxnStore::attach(&io, 0).unwrap().expect("table restored");
+    let (lo, hi) = space_range(SPACE_PRIMARY);
+    let rows: Vec<_> = table
+        .scan(&io, &lo, &hi, usize::MAX)
+        .unwrap()
+        .into_iter()
+        .map(|r| (r.ckey, r.val))
+        .collect();
+    assert_eq!(rows, model.into_iter().collect::<Vec<_>>());
+    let meta = table.meta(&io).unwrap();
+    assert_eq!(meta.seq, writes);
+    assert!(meta.alloc_next > 1, "the table never split: the test covers one leaf only");
+}
+
 // ---------------------------------------------------------------------------
 // Aborted epoch windows: what a fold of the leftovers keeps.
 // ---------------------------------------------------------------------------
